@@ -8,16 +8,16 @@ with a counterexample dump.  Suites pass only when every task does.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from fractions import Fraction
 
 from .degrees import (
+    TYPE_TABLE,
+    delta_direct_info,
+    delta_nrs_info,
     delta_sym,
-    delta_sym_nrs,
     delta_type_a,
-    delta_type_a_nrs,
-    delta_type_d,
-    delta_type_d_nrs,
     pataki_window,
     phi_sym,
 )
@@ -90,12 +90,8 @@ def _upper_sets(J, cap):
                 yield I
 
 
-_FULL_DIM = {
-    "sym": lambda n: binom(n + 1, 2),
-    "a": lambda n: n * n,
-    "d": lambda n: binom(2 * n, 2),
-}
-_DELTA = {"sym": delta_sym, "a": delta_type_a, "d": delta_type_d}
+def _ambient_dim(kind, n):
+    return TYPE_TABLE[(kind, "window")](n, 0)[1]
 
 
 @_task
@@ -122,14 +118,21 @@ def phi_anchor(n, d, expected):
     return None
 
 
-@_task
-def nrs_sym_line(n, s):
-    for m in range(1, binom(n + 1, 2) + 1):
-        direct = delta_sym(m, n, n - s)
-        closed = delta_sym_nrs(m, n, s)
+def _nrs_line(kind, n, s):
+    for m in range(1, _ambient_dim(kind, n) + 1):
+        direct = delta_direct_info(kind, m, n, n - s)[0]
+        closed = delta_nrs_info(kind, m, n, n - s)[0]
         if direct != closed:
-            return f"closed form mismatch at (m={m}, n={n}, s={s}): direct {direct}, closed {closed}"
+            return (f"{kind} closed form mismatch at (m={m}, n={n}, s={s}): "
+                    f"direct {direct}, closed {closed}")
     return None
+
+
+_TASK_KINDS.update(
+    nrs_sym_line=functools.partial(_nrs_line, "sym"),
+    nrs_a_line=functools.partial(_nrs_line, "a"),
+    nrs_d_line=functools.partial(_nrs_line, "d"),
+)
 
 
 @_task
@@ -146,13 +149,12 @@ def duality_line(n, s):
 @_task
 def pataki_line(mtype, n, r):
     lo, hi = pataki_window(mtype, n, r)
-    fn = _DELTA[mtype]
-    for m in range(0, _FULL_DIM[mtype](n) + 2):
-        v = fn(m, n, r)
+    for m in range(0, _ambient_dim(mtype, n) + 2):
+        v = delta_direct_info(mtype, m, n, r)[0]
         if not lo <= m <= hi and v != 0:
             return f"{mtype}: nonzero outside window at (m={m}, n={n}, r={r}): {v}"
     for m in (lo, hi):
-        if fn(m, n, r) == 0:
+        if delta_direct_info(mtype, m, n, r)[0] == 0:
             return f"{mtype}: zero at window endpoint (m={m}, n={n}, r={r})"
     return None
 
@@ -224,26 +226,6 @@ def da_paths_pair(I, J):
         rec = d_a_recursion(I, J)
         if rec != fast:
             return f"recursion mismatch at ({format_indexset(I)}, {format_indexset(J)}): {rec} vs {fast}"
-    return None
-
-
-@_task
-def nrs_a_line(n, r):
-    for m in range(1, n * n + 1):
-        direct = delta_type_a(m, n, n - r)
-        closed = delta_type_a_nrs(m, n, r)
-        if direct != closed:
-            return f"square closed form mismatch at (m={m}, n={n}, r={r}): {direct} vs {closed}"
-    return None
-
-
-@_task
-def nrs_d_line(n, r):
-    for m in range(1, binom(2 * n, 2) + 1):
-        direct = delta_type_d(m, n, n - r)
-        closed = delta_type_d_nrs(m, n, r)
-        if direct != closed:
-            return f"skew closed form mismatch at (m={m}, n={n}, r={r}): {direct} vs {closed}"
     return None
 
 

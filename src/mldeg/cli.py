@@ -24,14 +24,12 @@ from fractions import Fraction
 from . import checks, lascoux
 from .degrees import (
     canonical_type,
-    delta_direct_items,
-    delta_direct_partial,
-    delta_nrs_items,
-    delta_nrs_partial,
+    delta_direct_info,
+    delta_nrs_info,
     phi_value,
 )
-from .exact import ConsistencyError
-from .indexsets import check_indexset, format_indexset
+from .exact import ConsistencyError, format_fraction
+from .indexsets import format_indexset
 from .lascoux import (
     alpha,
     alpha_complement,
@@ -122,12 +120,11 @@ def parse_set(text):
         entries = tuple(int(part) for part in body.split(","))
     except ValueError:
         raise UsageError(f"malformed index set: {text!r}") from None
-    try:
-        return check_indexset(entries)
-    except AssertionError:
+    if entries[0] < 0 or any(a >= b for a, b in zip(entries, entries[1:])):
         raise UsageError(
-            f"index set needs distinct nonnegative entries: {text!r}"
-        ) from None
+            f"index set needs strictly increasing nonnegative entries: {text!r}"
+        )
+    return entries
 
 
 def build_parser():
@@ -222,9 +219,18 @@ def _format_cache_key(family, key):
     return format_indexset(key[0]) + "|" + format_indexset(key[1])
 
 
+def probe_cache(path):
+    """Open the cache for appending once, so a bad path fails before any work."""
+    try:
+        with open(path, "a", encoding="ascii"):
+            pass
+    except OSError as exc:
+        raise UsageError(f"cache file {path!r} is not writable: {exc.strerror}") from None
+
+
 def load_cache(path):
     entries = {family: {} for family in _CACHE_FAMILIES}
-    if not os.path.exists(path):
+    if not os.path.exists(path) or os.path.getsize(path) == 0:
         return entries
     with open(path, encoding="ascii") as handle:
         first = handle.readline().rstrip("\n")
@@ -299,7 +305,7 @@ def append_new_entries(path, memos):
                     f"{family}\t{_format_cache_key(family, key)}\t{memo[key]}"
                 )
     lines.sort()
-    fresh = not os.path.exists(path)
+    fresh = not os.path.exists(path) or os.path.getsize(path) == 0
     if fresh or lines:
         with open(path, "a", encoding="ascii") as handle:
             if fresh:
@@ -368,50 +374,6 @@ def cmd_psi(args, config):
     return {"query": query, "result": value, "path": path}, EXIT_OK
 
 
-def _direct_chunk(payload):
-    kind, n, chunk = payload
-    return delta_direct_partial(kind, n, chunk)
-
-
-def _nrs_chunk(payload):
-    kind, n, chunk = payload
-    return delta_nrs_partial(kind, n, chunk)
-
-
-def _pooled_sum(worker, kind, n, items, jobs, zero):
-    if jobs <= 1 or len(items) <= 1:
-        return worker((kind, n, items))
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    chunks = [items[k::jobs] for k in range(jobs)]
-    ctx = multiprocessing.get_context("fork")
-    with ProcessPoolExecutor(max_workers=jobs, mp_context=ctx) as pool:
-        partials = list(pool.map(worker, [(kind, n, c) for c in chunks]))
-    total = zero
-    for part in partials:
-        total = total + part
-    return total
-
-
-def _delta_direct(kind, m, n, r, jobs):
-    items = delta_direct_items(kind, m, n, r)
-    value = _pooled_sum(_direct_chunk, kind, n, items, jobs, 0)
-    return value, len(items)
-
-
-def _delta_nrs(kind, m, n, r, jobs):
-    items = delta_nrs_items(kind, m, n, r)
-    total = _pooled_sum(_nrs_chunk, kind, n, items, jobs, Fraction(0))
-    total = Fraction(total)
-    if total.denominator != 1:
-        raise ConsistencyError(
-            f"closed-form sum is not an integer at "
-            f"(type={kind}, m={m}, n={n}, r={r}): {total}"
-        )
-    return int(total), len(items)
-
-
 def cmd_delta(args, config):
     try:
         kind = canonical_type(args.matrix_type)
@@ -434,10 +396,10 @@ def cmd_delta(args, config):
     paths = {}
     values = {}
     if path in ("direct", "both"):
-        values["direct"], terms = _delta_direct(kind, m, n, r, config.jobs)
+        values["direct"], terms = delta_direct_info(kind, m, n, r, config.jobs)
         paths["direct"] = {"terms": terms, "value": values["direct"]}
     if path in ("nrs", "both"):
-        values["nrs"], terms = _delta_nrs(kind, m, n, r, config.jobs)
+        values["nrs"], terms = delta_nrs_info(kind, m, n, r, config.jobs)
         paths["nrs"] = {"terms": terms, "value": values["nrs"]}
 
     payload = {"paths": paths, "query": query}
@@ -472,7 +434,7 @@ def cmd_phi(args, config):
         lines = [header]
         for d in range(1, dmax + 1):
             poly = phi_poly(kind, d)
-            cells = [_csv_q(c) for c in poly.coeffs]
+            cells = [format_fraction(c) for c in poly.coeffs]
             cells += ["0"] * (dmax - len(cells))
             lines.append(str(d) + "," + ",".join(cells))
         return {"csv": lines}, EXIT_OK
@@ -505,14 +467,9 @@ def cmd_phi(args, config):
     return {"query": query, "result": value}, EXIT_OK
 
 
-def _csv_q(value):
-    value = Fraction(value)
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
-
-
 def cmd_check(args, config):
+    for flag, value in (("--nmax", args.nmax), ("--sum-max", args.sum_max)):
+        _require(value is None or value >= 0, f"{flag} needs a nonnegative value")
     results, failures = checks.run_suite(
         args.suite, nmax=args.nmax, sum_max=args.sum_max, jobs=config.jobs
     )
@@ -534,7 +491,7 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     config = RunConfig(
-        jobs=max(1, args.jobs),
+        jobs=args.jobs,
         cache_path=args.cache or os.environ.get(CACHE_ENV),
         verify_cache=args.verify_cache,
         unsafe_range=args.unsafe_range,
@@ -542,10 +499,12 @@ def main(argv=None):
     started = time.monotonic()
     memos = None
     try:
+        _require(config.jobs >= 1, "--jobs needs N >= 1")
         if config.verify_cache:
             _require(config.cache_path is not None,
                      "--verify-cache needs --cache or MLDEG_CACHE")
         if config.cache_path:
+            probe_cache(config.cache_path)
             entries = load_cache(config.cache_path)
             if config.verify_cache:
                 mismatches = verify_cache_sample(entries)

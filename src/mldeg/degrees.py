@@ -10,6 +10,11 @@ Raw sums are used everywhere, with no special-casing of boundary
 parameters: the empty and full index sets realize all the extended
 boundary conventions on their own (full-space degree 1, vanishing
 outside the feasibility window, zero at infeasible ranks).
+
+Only the coefficient kernels differ between the families.  TYPE_TABLE
+maps (type, role) to the function that plays the role for that type;
+delta_direct_info, delta_nrs_info and the rank loop behind the phi_*
+functions run every type through it.
 """
 
 from __future__ import annotations
@@ -33,8 +38,7 @@ _aij_poly_memo = {}
 
 def delta_sym(m, n, r):
     """Dual degree of the rank-r locus sliced by an m-dimensional pencil."""
-    value, _ = delta_sym_info(m, n, r)
-    return value
+    return delta_direct_info("sym", m, n, r)[0]
 
 
 def delta_sym_items(m, n, r):
@@ -50,15 +54,9 @@ def delta_sym_partial(n, items):
     return sum(psi(I) * psi_complement(I, n) for I in items)
 
 
-def delta_sym_info(m, n, r):
-    items = delta_sym_items(m, n, r)
-    return delta_sym_partial(n, items), len(items)
-
-
 def delta_sym_nrs(m, n, s):
     """Closed form for delta_sym(m, n, n-s) via the half-argument values."""
-    value, _ = delta_sym_nrs_info(m, n, s)
-    return value
+    return delta_nrs_info("sym", m, n, n - s)[0]
 
 
 def delta_sym_nrs_items(m, s):
@@ -82,66 +80,15 @@ def delta_sym_nrs_partial(n, items):
     return total
 
 
-def delta_sym_nrs_info(m, n, s):
-    assert n > 0
-    items = delta_sym_nrs_items(m, s)
-    total = delta_sym_nrs_partial(n, items)
-    if total.denominator != 1:
-        raise ConsistencyError(
-            f"closed-form sum is not an integer at (m={m}, n={n}, s={s}): {total}"
-        )
-    return int(total), len(items)
-
-
 def phi_sym(n, d):
     """Degree count for symmetric inverses: weighted rank sum over n."""
-    assert n > 0 and d > 0
-    total = 0
-    for s in range(1, n + 1):
-        if binom(s + 1, 2) > d:
-            break
-        total += s * delta_sym(d, n, n - s)
-    if total % n:
-        raise ConsistencyError(f"rank-weighted sum {total} not divisible by n={n}")
-    return total // n
-
-
-# ------------------------------------------------------------------ windows
-
-_TYPE_ALIASES = {
-    "sym": "sym", "symmetric": "sym",
-    "a": "a", "general": "a", "square": "a",
-    "d": "d", "skew": "d",
-}
-
-
-def canonical_type(matrix_type):
-    key = _TYPE_ALIASES.get(str(matrix_type).lower())
-    if key is None:
-        raise ValueError(f"unknown matrix type: {matrix_type!r}")
-    return key
-
-
-def pataki_window(matrix_type, n, r):
-    """Inclusive feasibility window for m at rank r; degrees vanish outside.
-
-    Windows match the support of the defining sums, which is also what
-    the duality and closed-form equality tests pin down.
-    """
-    assert 0 < r < n, "window defined for intermediate ranks only"
-    kind = canonical_type(matrix_type)
-    if kind == "sym":
-        return binom(n - r + 1, 2), binom(n + 1, 2) - binom(r + 1, 2)
-    if kind == "a":
-        return (n - r) ** 2, n * n - r * r
-    return binom(2 * (n - r), 2), binom(2 * n, 2) - binom(2 * r, 2)
+    return _rank_sum("sym", n, d)
 
 
 # ------------------------------------------------------------------- square
 
 def delta_type_a(m, n, r):
-    value, _ = delta_type_a_info(m, n, r)
-    return value
+    return delta_direct_info("a", m, n, r)[0]
 
 
 def delta_type_a_items(m, n, r):
@@ -165,11 +112,6 @@ def delta_type_a_partial(n, items):
         if c:
             total += c * d_a_complement(I, J, n)
     return total
-
-
-def delta_type_a_info(m, n, r):
-    items = delta_type_a_items(m, n, r)
-    return delta_type_a_partial(n, items), len(items)
 
 
 def a_ij_poly(I, J):
@@ -225,8 +167,7 @@ def a_value(I, J, n):
 
 def delta_type_a_nrs(m, n, r):
     """Closed form for delta_type_a(m, n, n-r)."""
-    value, _ = delta_type_a_nrs_info(m, n, r)
-    return value
+    return delta_nrs_info("a", m, n, n - r)[0]
 
 
 def delta_type_a_nrs_items(m, r):
@@ -251,34 +192,16 @@ def delta_type_a_nrs_partial(n, items):
     return total
 
 
-def delta_type_a_nrs_info(m, n, r):
-    assert n > 0
-    items = delta_type_a_nrs_items(m, r)
-    total = delta_type_a_nrs_partial(n, items)
-    if total.denominator != 1:
-        raise ConsistencyError(
-            f"square closed form not an integer at (m={m}, n={n}, r={r}): {total}"
-        )
-    return int(total), len(items)
-
-
 def phi_type_a(n, d):
     """Degree count for square-matrix inverses."""
-    assert n > 0 and d > 0
-    total = 0
-    for r in range(1, n + 1):
-        total += r * delta_type_a(d, n, n - r)
-    if total % n:
-        raise ConsistencyError(f"rank-weighted sum {total} not divisible by n={n}")
-    return total // n
+    return _rank_sum("a", n, d)
 
 
 # -------------------------------------------------------------------- skew
 
 def delta_type_d(m, n, r):
     """Skew case; n is the half-size (matrices are 2n x 2n, rank 2r)."""
-    value, _ = delta_type_d_info(m, n, r)
-    return value
+    return delta_direct_info("d", m, n, r)[0]
 
 
 def delta_type_d_items(m, n, r):
@@ -298,15 +221,9 @@ def delta_type_d_partial(n, items):
     return total
 
 
-def delta_type_d_info(m, n, r):
-    items = delta_type_d_items(m, n, r)
-    return delta_type_d_partial(n, items), len(items)
-
-
 def delta_type_d_nrs(m, n, r):
     """Closed form for delta_type_d(m, n, n-r); sums size-2r sets."""
-    value, _ = delta_type_d_nrs_info(m, n, r)
-    return value
+    return delta_nrs_info("d", m, n, n - r)[0]
 
 
 def delta_type_d_nrs_items(m, r):
@@ -329,91 +246,130 @@ def delta_type_d_nrs_partial(n, items):
     return total
 
 
-def delta_type_d_nrs_info(m, n, r):
+def phi_type_d(n, d):
+    """Degree count for skew inverses (half-size n)."""
+    return _rank_sum("d", n, d)
+
+
+# -------------------------------------------------------------------- table
+
+# Roles, for each type:
+#   items(m, n, r)        terms of the direct sum at rank r
+#   partial(n, items)     direct sum over some of those terms
+#   nrs_items(m, s)       weighted terms of the closed form at corank s
+#   nrs_partial(n, items) closed-form sum over some of those terms
+#   window(n, r)          (lo, hi): the degree vanishes for m outside;
+#                         window(n, 0)[1] is the ambient dimension
+#   phi(n, d)             the rank-weighted degree count
+# Entries stay plain functions, not records: perfbench/spans.py traces
+# each layer by rebinding callables found as module-level dict values.
+TYPE_TABLE = {
+    ("sym", "items"): delta_sym_items,
+    ("sym", "partial"): delta_sym_partial,
+    ("sym", "nrs_items"): delta_sym_nrs_items,
+    ("sym", "nrs_partial"): delta_sym_nrs_partial,
+    ("sym", "window"): lambda n, r: (binom(n - r + 1, 2),
+                                     binom(n + 1, 2) - binom(r + 1, 2)),
+    ("sym", "phi"): phi_sym,
+    ("a", "items"): delta_type_a_items,
+    ("a", "partial"): delta_type_a_partial,
+    ("a", "nrs_items"): delta_type_a_nrs_items,
+    ("a", "nrs_partial"): delta_type_a_nrs_partial,
+    ("a", "window"): lambda n, r: ((n - r) ** 2, n * n - r * r),
+    ("a", "phi"): phi_type_a,
+    ("d", "items"): delta_type_d_items,
+    ("d", "partial"): delta_type_d_partial,
+    ("d", "nrs_items"): delta_type_d_nrs_items,
+    ("d", "nrs_partial"): delta_type_d_nrs_partial,
+    ("d", "window"): lambda n, r: (binom(2 * (n - r), 2),
+                                   binom(2 * n, 2) - binom(2 * r, 2)),
+    ("d", "phi"): phi_type_d,
+}
+
+_TYPE_ALIASES = {
+    "sym": "sym", "symmetric": "sym",
+    "a": "a", "general": "a", "square": "a",
+    "d": "d", "skew": "d",
+}
+
+
+def canonical_type(matrix_type):
+    key = _TYPE_ALIASES.get(str(matrix_type).lower())
+    if key is None:
+        raise ValueError(f"unknown matrix type: {matrix_type!r}")
+    return key
+
+
+def pataki_window(matrix_type, n, r):
+    """Inclusive feasibility window for m at rank r; degrees vanish outside.
+
+    Windows match the support of the defining sums, which is also what
+    the duality and closed-form equality tests pin down.
+    """
+    assert 0 < r < n, "window defined for intermediate ranks only"
+    return TYPE_TABLE[(canonical_type(matrix_type), "window")](n, r)
+
+
+def _partial_chunk(payload):
+    kind, role, n, chunk = payload
+    return TYPE_TABLE[(kind, role)](n, chunk)
+
+
+def _pooled_sum(kind, role, n, items, jobs):
+    """The role's partial sum over all items, split across jobs workers."""
+    if jobs <= 1 or len(items) <= 1:
+        return TYPE_TABLE[(kind, role)](n, items)
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    chunks = [items[k::jobs] for k in range(jobs)]
+    ctx = multiprocessing.get_context("fork")
+    with ProcessPoolExecutor(max_workers=jobs, mp_context=ctx) as pool:
+        return sum(pool.map(_partial_chunk, [(kind, role, n, c) for c in chunks]))
+
+
+def delta_direct_info(matrix_type, m, n, r, jobs=1):
+    """Direct-sum value of the rank-r degree and its number of terms."""
+    kind = canonical_type(matrix_type)
+    items = TYPE_TABLE[(kind, "items")](m, n, r)
+    return _pooled_sum(kind, "partial", n, items, jobs), len(items)
+
+
+def delta_nrs_info(matrix_type, m, n, r, jobs=1):
+    """Closed-form value of the rank-r degree and its number of terms.
+
+    The sums run over corank s = n - r; a non-integer total means a
+    formula path is broken.
+    """
+    kind = canonical_type(matrix_type)
     assert n > 0
-    items = delta_type_d_nrs_items(m, r)
-    total = delta_type_d_nrs_partial(n, items)
+    items = TYPE_TABLE[(kind, "nrs_items")](m, n - r)
+    total = Fraction(_pooled_sum(kind, "nrs_partial", n, items, jobs))
     if total.denominator != 1:
         raise ConsistencyError(
-            f"skew closed form not an integer at (m={m}, n={n}, r={r}): {total}"
+            f"closed-form sum is not an integer at "
+            f"(type={kind}, m={m}, n={n}, r={r}): {total}"
         )
     return int(total), len(items)
 
 
-def phi_type_d(n, d):
-    """Degree count for skew inverses (half-size n)."""
+def _rank_sum(kind, n, d):
+    """Corank-weighted sum of the degrees at m = d, divided by n.
+
+    A corank whose window starts past d has no terms, and the window
+    start grows with the corank, so the loop stops at the first one.
+    """
     assert n > 0 and d > 0
+    window = TYPE_TABLE[(kind, "window")]
     total = 0
-    for r in range(1, n + 1):
-        if binom(r, 2) > d:
+    for s in range(1, n + 1):
+        if window(n, n - s)[0] > d:
             break
-        total += r * delta_type_d(d, n, n - r)
+        total += s * delta_direct_info(kind, d, n, n - s)[0]
     if total % n:
         raise ConsistencyError(f"rank-weighted sum {total} not divisible by n={n}")
     return total // n
 
 
-# -------------------------------------------------------------- dispatchers
-
-def delta_direct_info(matrix_type, m, n, r):
-    kind = canonical_type(matrix_type)
-    if kind == "sym":
-        return delta_sym_info(m, n, r)
-    if kind == "a":
-        return delta_type_a_info(m, n, r)
-    return delta_type_d_info(m, n, r)
-
-
-def delta_nrs_info(matrix_type, m, n, r):
-    """Closed-form value of the rank-r degree (argument converted inside)."""
-    kind = canonical_type(matrix_type)
-    if kind == "sym":
-        return delta_sym_nrs_info(m, n, n - r)
-    if kind == "a":
-        return delta_type_a_nrs_info(m, n, n - r)
-    return delta_type_d_nrs_info(m, n, n - r)
-
-
-def delta_direct_items(matrix_type, m, n, r):
-    kind = canonical_type(matrix_type)
-    if kind == "sym":
-        return delta_sym_items(m, n, r)
-    if kind == "a":
-        return delta_type_a_items(m, n, r)
-    return delta_type_d_items(m, n, r)
-
-
-def delta_direct_partial(matrix_type, n, items):
-    kind = canonical_type(matrix_type)
-    if kind == "sym":
-        return delta_sym_partial(n, items)
-    if kind == "a":
-        return delta_type_a_partial(n, items)
-    return delta_type_d_partial(n, items)
-
-
-def delta_nrs_items(matrix_type, m, n, r):
-    kind = canonical_type(matrix_type)
-    if kind == "sym":
-        return delta_sym_nrs_items(m, n - r)
-    if kind == "a":
-        return delta_type_a_nrs_items(m, n - r)
-    return delta_type_d_nrs_items(m, n - r)
-
-
-def delta_nrs_partial(matrix_type, n, items):
-    kind = canonical_type(matrix_type)
-    if kind == "sym":
-        return delta_sym_nrs_partial(n, items)
-    if kind == "a":
-        return delta_type_a_nrs_partial(n, items)
-    return delta_type_d_nrs_partial(n, items)
-
-
 def phi_value(matrix_type, n, d):
-    kind = canonical_type(matrix_type)
-    if kind == "sym":
-        return phi_sym(n, d)
-    if kind == "a":
-        return phi_type_a(n, d)
-    return phi_type_d(n, d)
+    return TYPE_TABLE[(canonical_type(matrix_type), "phi")](n, d)

@@ -209,79 +209,17 @@ def _det_bareiss(rows):
     return sign * m[n - 1][n - 1]
 
 
-def _det_gauss(rows):
-    """Plain elimination over Fraction."""
-    m = [[Fraction(x) for x in r] for r in rows]
-    n = len(m)
-    sign = 1
-    result = Fraction(1)
-    for k in range(n):
-        if m[k][k] == 0:
-            for r in range(k + 1, n):
-                if m[r][k] != 0:
-                    m[k], m[r] = m[r], m[k]
-                    sign = -sign
-                    break
-            else:
-                return Fraction(0)
-        pivot = m[k][k]
-        result *= pivot
-        for i in range(k + 1, n):
-            factor = m[i][k] / pivot
-            if factor:
-                for j in range(k, n):
-                    m[i][j] -= factor * m[k][j]
-    return sign * result
-
-
-def _det_expansion(rows):
-    """Laplace expansion with memoization on column subsets.
-
-    Used for ring entries (PolyQ) where division is unavailable.  Rows
-    are consumed top to bottom, so the memo key is the tuple of
-    remaining column indices.
-    """
-    n = len(rows)
-    memo = {}
-
-    def minor(cols):
-        if not cols:
-            return 1
-        if cols in memo:
-            return memo[cols]
-        i = n - len(cols)
-        acc = None
-        for t, j in enumerate(cols):
-            entry = rows[i][j]
-            if isinstance(entry, (int, Fraction)) and entry == 0:
-                continue
-            sub = minor(cols[:t] + cols[t + 1:])
-            term = entry * sub
-            if t % 2:
-                term = -term
-            acc = term if acc is None else acc + term
-        if acc is None:
-            acc = 0
-        memo[cols] = acc
-        return acc
-
-    return minor(tuple(range(n)))
-
-
 def det(rows):
-    """Exact determinant; entries may be int, Fraction, or PolyQ."""
+    """Exact determinant of a square matrix of ints."""
     n = len(rows)
     for r in rows:
         if len(r) != n:
             raise ValueError("det: matrix is not square")
     if n == 0:
         return 1
-    entries = [x for r in rows for x in r]
-    if all(isinstance(x, int) for x in entries):
-        return _det_bareiss(rows)
-    if all(isinstance(x, (int, Fraction)) for x in entries):
-        return _det_gauss(rows)
-    return _det_expansion(rows)
+    if not all(isinstance(x, int) for r in rows for x in r):
+        raise TypeError("det: entries must be int")
+    return _det_bareiss(rows)
 
 
 def _pf_expansion(rows):

@@ -23,13 +23,6 @@ _da_memo = {}
 _da_rec_memo = {}
 
 
-def clear_memos():
-    """Drop all coefficient memo tables (used by cache verification)."""
-    for memo in (_psi_memo, _psi_rec_memo, _psi_comp_memo, _alpha_memo,
-                 _sij_memo, _da_memo, _da_rec_memo):
-        memo.clear()
-
-
 def psi_single(i):
     return 1 << i
 

@@ -21,9 +21,7 @@ from .degrees import (
     delta_sym,
     delta_type_a,
     delta_type_d,
-    phi_sym,
-    phi_type_a,
-    phi_type_d,
+    phi_value,
 )
 from .exact import ConsistencyError, PolyQ, binom
 from .indexsets import check_indexset
@@ -34,12 +32,6 @@ log = logging.getLogger(__name__)
 _lp_memo = {}
 _lp_a_memo = {}
 _lp_d_memo = {}
-
-
-def clear_memos():
-    """Drop the interpolation memo tables."""
-    for memo in (_lp_memo, _lp_a_memo, _lp_d_memo):
-        memo.clear()
 
 
 class QuasiPolyQ:
@@ -236,9 +228,6 @@ def delta_poly(matrix_type, m, s):
         return QuasiPolyQ(branches)
 
 
-_PHI_FN = {"sym": phi_sym, "a": phi_type_a, "d": phi_type_d}
-
-
 def phi_poly(matrix_type, d):
     """Inverse-variety degree as a polynomial in the size, at fixed d.
 
@@ -246,8 +235,7 @@ def phi_poly(matrix_type, d):
     """
     mt = canonical_type(matrix_type)
     assert d > 0
-    fn = _PHI_FN[mt]
-    poly = _fit(lambda n: fn(n, d), d - 1, start=1)
+    poly = _fit(lambda n: phi_value(mt, n, d), d - 1, start=1)
     if poly is None:
         raise ConsistencyError(f"degree-{d - 1} fit failed at ({mt}, d={d})")
     return poly

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from mldeg import checks
+from mldeg import checks, cli, degrees
 from mldeg.cli import CACHE_HEADER, UsageError, main, parse_set
 
 
@@ -40,9 +40,22 @@ def test_parse_set():
     assert parse_set("{}") == ()
     assert parse_set("") == ()
     assert parse_set("{ 2 , 5 }") == (2, 5)
-    for bad in ("{0,0}", "{-1}", "{a}", "0;1"):
+    for bad in ("{0,0}", "{-1}", "{a}", "0;1", "{3,1}", "{1,-2}"):
         with pytest.raises(UsageError):
             parse_set(bad)
+
+
+def test_bad_set_is_usage_error_under_optimize():
+    for text in ("{3,1}", "{-1}"):
+        proc = subprocess.run(
+            [sys.executable, "-O", "-m", "mldeg", "psi", "--set", text],
+            capture_output=True, text=True,
+            env={k: v for k, v in os.environ.items() if k != "MLDEG_CACHE"},
+        )
+        assert proc.returncode == 2, (text, proc.stderr)
+        assert not proc.stdout
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
 
 
 def test_psi_basic(capsys):
@@ -100,6 +113,10 @@ def test_usage_errors(capsys):
         ("phi", "--poly", "-d", "13"),
         ("phi", "--table", "0"),
         ("check", "worked", "--verify-cache"),
+        ("psi", "--set", "{0}", "--jobs", "0"),
+        ("delta", "-m", "2", "-n", "3", "-r", "2", "--jobs", "-1"),
+        ("check", "duality", "--nmax", "-3"),
+        ("check", "leading", "--sum-max", "-1"),
     ]
     for argv in bad_calls:
         code, out, err = run_main(capsys, *argv)
@@ -145,8 +162,8 @@ def test_delta_unsafe_range(capsys):
 
 
 def test_delta_disagreement_exits_3(capsys, monkeypatch):
-    monkeypatch.setattr(
-        "mldeg.cli.delta_nrs_partial", lambda kind, n, items: Fraction(999))
+    monkeypatch.setitem(
+        degrees.TYPE_TABLE, ("sym", "nrs_partial"), lambda n, items: Fraction(999))
     code, out, err = run_main(
         capsys, "delta", "--type", "sym", "-m", "2", "-n", "3", "-r", "2",
         "--path", "both")
@@ -159,8 +176,8 @@ def test_delta_disagreement_exits_3(capsys, monkeypatch):
 
 
 def test_delta_non_integer_closed_form_exits_3(capsys, monkeypatch):
-    monkeypatch.setattr(
-        "mldeg.cli.delta_nrs_partial", lambda kind, n, items: Fraction(1, 2))
+    monkeypatch.setitem(
+        degrees.TYPE_TABLE, ("sym", "nrs_partial"), lambda n, items: Fraction(1, 2))
     code, out, err = run_main(
         capsys, "delta", "--type", "sym", "-m", "2", "-n", "3", "-r", "2",
         "--path", "nrs")
@@ -267,6 +284,20 @@ def test_cache_bad_header(tmp_path):
     cache.write_text("bogus\npsi\t{0}\t1\n")
     proc = run_cli("psi", "--set", "{0}", "--cache", str(cache))
     assert proc.returncode == 2
+
+
+def test_cache_bad_path_fails_before_work(tmp_path, capsys, monkeypatch):
+    def no_work(args, config):
+        raise AssertionError("command ran despite a bad cache path")
+
+    monkeypatch.setitem(cli._DISPATCH, "psi", no_work)
+    (tmp_path / "plain").write_text("")
+    for path in (tmp_path / "missing" / "c.tsv", tmp_path / "plain" / "c.tsv", tmp_path):
+        code, out, err = run_main(capsys, "psi", "--set", "{0}", "--cache", str(path))
+        assert code == 2, path
+        assert not out
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), err
 
 
 def test_cache_env_var(tmp_path):

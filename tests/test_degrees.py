@@ -3,11 +3,14 @@ from fractions import Fraction
 
 import pytest
 
+from mldeg.cli import _D_CAP, _N_CAP
 from mldeg.exact import N, PolyQ, binom
 from mldeg.degrees import (
     a_ij_poly,
     a_value,
     canonical_type,
+    delta_direct_info,
+    delta_nrs_info,
     delta_sym,
     delta_sym_nrs,
     delta_type_a,
@@ -18,6 +21,7 @@ from mldeg.degrees import (
     phi_sym,
     phi_type_a,
     phi_type_d,
+    phi_value,
 )
 from mldeg.indexsets import enumerate_indexsets, leq
 from mldeg.lascoux import alpha, d_a, psi, s_ij
@@ -180,6 +184,27 @@ def test_rank_weighted_sum_relation():
         for d in range(1, binom(n + 1, 2) + 1):
             total = sum(s * delta_sym(d, n, n - s) for s in range(1, n + 1))
             assert total == n * phi_sym(n, d), (n, d)
+
+
+@pytest.mark.parametrize("kind", ["sym", "a", "d"])
+def test_phi_value_window_cut_matches_full_rank_sum(kind):
+    # phi_value stops at the first corank whose window starts past d;
+    # the sum over every corank must give the same value
+    for n in range(1, _N_CAP[kind] + 1):
+        for d in range(1, _D_CAP + 1):
+            total = sum(s * delta_direct_info(kind, d, n, n - s)[0]
+                        for s in range(1, n + 1))
+            assert total % n == 0 and phi_value(kind, n, d) == total // n, (n, d)
+
+
+@pytest.mark.parametrize("kind, m, n, r", [
+    ("sym", 8, 5, 2), ("a", 9, 4, 2), ("d", 12, 4, 2),
+])
+def test_delta_info_independent_of_jobs(kind, m, n, r):
+    for info in (delta_direct_info, delta_nrs_info):
+        serial = info(kind, m, n, r, jobs=1)
+        assert serial[1] > 1
+        assert info(kind, m, n, r, jobs=2) == serial
 
 
 def _upper_sets(J, cap):
