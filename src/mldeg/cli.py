@@ -232,23 +232,26 @@ def load_cache(path):
     entries = {family: {} for family in _CACHE_FAMILIES}
     if not os.path.exists(path) or os.path.getsize(path) == 0:
         return entries
-    with open(path, encoding="ascii") as handle:
-        first = handle.readline().rstrip("\n")
-        if first != CACHE_HEADER:
-            raise UsageError(f"cache file {path!r} has unknown header {first!r}")
-        for lineno, line in enumerate(handle, start=2):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3 or parts[0] not in _CACHE_FAMILIES:
-                raise UsageError(f"bad cache line {lineno} in {path!r}")
-            family, key_text, value_text = parts
-            try:
-                value = int(value_text)
-            except ValueError:
-                raise UsageError(f"bad cache value on line {lineno}") from None
-            entries[family][_parse_cache_key(family, key_text)] = value
+    try:
+        with open(path, encoding="ascii") as handle:
+            first = handle.readline().rstrip("\n")
+            if first != CACHE_HEADER:
+                raise UsageError(f"cache file {path!r} has unknown header {first!r}")
+            for lineno, line in enumerate(handle, start=2):
+                line = line.rstrip("\n")
+                if not line:
+                    continue
+                parts = line.split("\t")
+                if len(parts) != 3 or parts[0] not in _CACHE_FAMILIES:
+                    raise UsageError(f"bad cache line {lineno} in {path!r}")
+                family, key_text, value_text = parts
+                try:
+                    value = int(value_text)
+                except ValueError:
+                    raise UsageError(f"bad cache value on line {lineno}") from None
+                entries[family][_parse_cache_key(family, key_text)] = value
+    except UnicodeDecodeError:
+        raise UsageError(f"cache file {path!r} is not ASCII text") from None
     return entries
 
 

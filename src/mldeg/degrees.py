@@ -157,12 +157,13 @@ def _content_hook_cells(nu):
 
 def a_value(I, J, n):
     """Point value of a_ij_poly at integer n, without building the PolyQ."""
-    value = Fraction(1)
+    num = den = 1
     for content, hook in _content_hook_cells(_glued_shape(I, J)):
         if n + content == 0:
             return Fraction(0)
-        value *= Fraction(n + content, hook)
-    return value
+        num *= n + content
+        den *= hook
+    return Fraction(num, den)
 
 
 def delta_type_a_nrs(m, n, r):

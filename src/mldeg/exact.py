@@ -203,7 +203,8 @@ def _det_bareiss(rows):
             for j in range(k + 1, n):
                 num = m[i][j] * pivot - m[i][k] * m[k][j]
                 q, rem = divmod(num, prev)
-                assert rem == 0, "Bareiss exact-division failure"
+                if rem:
+                    raise ConsistencyError("Bareiss exact-division failure")
                 m[i][j] = q
         prev = pivot
     return sign * m[n - 1][n - 1]
@@ -303,6 +304,7 @@ def pfaffian(rows):
         return _pf_expansion(rows)
     result = _pf_elimination(rows)
     if all(isinstance(x, int) for x in entries):
-        assert result.denominator == 1
+        if result.denominator != 1:
+            raise ConsistencyError(f"Pfaffian of an integer matrix came out {result}")
         return int(result)
     return result

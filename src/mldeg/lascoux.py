@@ -15,12 +15,17 @@ from .exact import binom, det, pfaffian
 from .indexsets import check_indexset, complement
 
 _psi_memo = {}
+_pf_memo = {0: 1}
+_pair_memo = {}
 _psi_rec_memo = {}
-_psi_comp_memo = {}
 _alpha_memo = {}
 _sij_memo = {}
 _da_memo = {}
 _da_rec_memo = {}
+
+# The first-row expansion of a set of size s visits about 1.618**s
+# sub-sets; above this size psi eliminates the pair matrix instead.
+_EXPANSION_MAX = 20
 
 
 def psi_single(i):
@@ -29,40 +34,80 @@ def psi_single(i):
 
 def psi_pair(i, j):
     """Two-element value: sum of the middle binomials of row i+j."""
-    assert 0 <= i < j
-    return sum(binom(i + j, k) for k in range(i + 1, j + 1))
+    if not 0 <= i < j:
+        raise ValueError(f"psi_pair: need 0 <= i < j, got ({i}, {j})")
+    key = (i, j)
+    if key not in _pair_memo:
+        _pair_memo[key] = sum(binom(i + j, k) for k in range(i + 1, j + 1))
+    return _pair_memo[key]
 
 
 def psi(I):
-    """Pfaffian route; odd sizes get a front pad row of singleton values."""
+    """Pfaffian route; odd sizes get a front pad row of singleton values.
+
+    The Pfaffian is expanded along its first row, and the sub-Pfaffians
+    are memoized by the bitmask of their set, so every set of a sweep
+    shares them.  Sets above _EXPANSION_MAX elements build the matrix.
+    """
     I = check_indexset(I)
     if I in _psi_memo:
         return _psi_memo[I]
-    r = len(I)
-    if r == 0:
-        result = 1
-    elif r == 1:
-        result = psi_single(I[0])
-    elif r == 2:
-        result = psi_pair(I[0], I[1])
+    if len(I) > _EXPANSION_MAX:
+        result = pfaffian(_pair_matrix(I))
     else:
-        if r % 2:
-            labels = (None,) + I
-        else:
-            labels = I
-        m = len(labels)
-        rows = [[0] * m for _ in range(m)]
-        for a in range(m):
-            for b in range(a + 1, m):
-                if labels[a] is None:
-                    v = psi_single(labels[b])
-                else:
-                    v = psi_pair(labels[a], labels[b])
-                rows[a][b] = v
-                rows[b][a] = -v
-        result = pfaffian(rows)
+        result = _pf(sum(1 << i for i in I))
     _psi_memo[I] = result
     return result
+
+
+def _members(mask):
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _pf(mask):
+    """Pfaffian of the pair matrix on the set whose bitmask is mask.
+
+    An even set expands along its first row, pf(S) = sum over t of
+    (-1)^t psi_pair(min S, s_t) pf(S minus {min S, s_t}); an odd set
+    expands along the pad row, whose entries are the singleton values.
+    """
+    if mask in _pf_memo:
+        return _pf_memo[mask]
+    members = _members(mask)
+    if len(members) % 2:
+        row = [(psi_single(i), mask ^ (1 << i)) for i in members]
+    else:
+        low = members[0]
+        rest = mask ^ (1 << low)
+        row = [(psi_pair(low, j), rest ^ (1 << j)) for j in members[1:]]
+    result = 0
+    for t, (entry, sub) in enumerate(row):
+        value = _pf_memo.get(sub)
+        if value is None:
+            value = _pf(sub)
+        result += -entry * value if t % 2 else entry * value
+    _pf_memo[mask] = result
+    return result
+
+
+def _pair_matrix(I):
+    labels = (None,) + I if len(I) % 2 else I
+    m = len(labels)
+    rows = [[0] * m for _ in range(m)]
+    for a in range(m):
+        for b in range(a + 1, m):
+            if labels[a] is None:
+                v = psi_single(labels[b])
+            else:
+                v = psi_pair(labels[a], labels[b])
+            rows[a][b] = v
+            rows[b][a] = -v
+    return rows
 
 
 def s_ij(I, J):
@@ -103,82 +148,55 @@ def _boxes(K):
 
 def psi_recursion(I):
     """Recursive route: box sums when 0 is present, lifting otherwise."""
-    I = check_indexset(I)
+    return _psi_recursion(check_indexset(I))
+
+
+def _psi_recursion(I):
     if I in _psi_rec_memo:
         return _psi_rec_memo[I]
     r = len(I)
     if r == 0:
         result = 1
     elif I[0] == 0:
-        result = sum(psi_recursion(B) for B in _boxes(I))
+        result = sum(_psi_recursion(B) for B in _boxes(I))
     else:
         lifted = (0,) + I
-        result = (r + 1) * psi_recursion(lifted)
+        result = (r + 1) * _psi_recursion(lifted)
         prev = 0
         for pos in range(r):
             if I[pos] - 1 > prev:
                 dec = lifted[: pos + 1] + (I[pos] - 1,) + I[pos + 1:]
-                result -= 2 * psi_recursion(dec)
+                result -= 2 * _psi_recursion(dec)
             prev = I[pos]
     _psi_rec_memo[I] = result
     return result
 
 
-def psi_complement(I, n, route="auto"):
-    """Value at [n] minus I without enumerating the complement's pairs.
-
-    route 'direct' computes psi(complement); route 'pairs' uses the
-    complement Pfaffian over pairs drawn from I itself, which wins when
-    the complement is much larger than I.  'auto' picks and memoizes.
-    """
+def psi_complement(I, n):
+    """Value at [n] minus I; zero when I does not sit inside [n]."""
     I = check_indexset(I)
     if not set(I).issubset(range(n)):
         return 0
-    if route == "auto":
-        key = (I, n)
-        if key in _psi_comp_memo:
-            return _psi_comp_memo[key]
-        chosen = "pairs" if n - len(I) > len(I) + 2 else "direct"
-        result = psi_complement(I, n, chosen)
-        _psi_comp_memo[key] = result
-        return result
-    if route == "direct":
-        return psi(complement(I, n))
-    assert route == "pairs"
-    r = len(I)
-    if r == 0:
-        return psi(tuple(range(n)))
-    if r % 2:
-        labels = (None,) + I
-    else:
-        labels = I
-    m = len(labels)
-    rows = [[0] * m for _ in range(m)]
-    for a in range(m):
-        for b in range(a + 1, m):
-            if labels[a] is None:
-                v = psi(complement((labels[b],), n))
-            else:
-                v = psi(complement((labels[a], labels[b]), n))
-            rows[a][b] = v
-            rows[b][a] = -v
-    return pfaffian(rows)
+    return psi(complement(I, n))
 
 
 def alpha(I):
     """Off-diagonal family: box sums at 0, parity elsewhere."""
-    I = check_indexset(I)
+    return _alpha(check_indexset(I))
+
+
+def _alpha(I):
     if I in _alpha_memo:
         return _alpha_memo[I]
     r = len(I)
     if r == 0:
         result = 1
     elif I[0] == 0:
-        result = sum(alpha(B) for B in _boxes(I))
+        result = sum(_alpha(B) for B in _boxes(I))
     elif r % 2:
         result = 0
     else:
-        result = alpha((0,) + I)
+        result = _alpha((0,) + I)
     _alpha_memo[I] = result
     return result
 
@@ -223,7 +241,12 @@ def d_a_recursion(I, J):
     """Recursive route for equal-size square-case entries."""
     I = check_indexset(I)
     J = check_indexset(J)
-    assert len(I) == len(J), "d_a_recursion: size mismatch"
+    if len(I) != len(J):
+        raise ValueError(f"d_a_recursion: size mismatch {I}, {J}")
+    return _d_a_recursion(I, J)
+
+
+def _d_a_recursion(I, J):
     key = (I, J)
     if key in _da_rec_memo:
         return _da_rec_memo[key]
@@ -234,21 +257,21 @@ def d_a_recursion(I, J):
         result = 0
         for IB in _boxes(I):
             for JB in _boxes(J):
-                result += d_a_recursion(IB, JB)
+                result += _d_a_recursion(IB, JB)
     else:
         lifted_i = (0,) + I
         lifted_j = (0,) + J
-        result = (s + 1) * d_a_recursion(lifted_i, lifted_j)
+        result = (s + 1) * _d_a_recursion(lifted_i, lifted_j)
         for pos in range(s):
             dec = I[pos] - 1
             if dec > lifted_i[pos]:
                 left = lifted_i[: pos + 1] + (dec,) + I[pos + 1:]
-                result -= d_a_recursion(left, lifted_j)
+                result -= _d_a_recursion(left, lifted_j)
         for pos in range(s):
             dec = J[pos] - 1
             if dec > lifted_j[pos]:
                 right = lifted_j[: pos + 1] + (dec,) + J[pos + 1:]
-                result -= d_a_recursion(lifted_i, right)
+                result -= _d_a_recursion(lifted_i, right)
     _da_rec_memo[key] = result
     return result
 

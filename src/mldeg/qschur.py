@@ -6,17 +6,22 @@ of ((1+t/2)/(1-t/2))^n, two-row values from the classical reduction,
 and general strict shapes from the Pfaffian expansion over pairs of
 parts.  Both exact polynomials in n and fast point values at integer n
 are provided; the point route is what the degree sweeps hit.
+
+The point route runs on ints: 2^|lambda| Q_lambda(1/2, ..., 1/2) is an
+integer, because the coefficients of ((1+u)/(1-u))^n are.  Only the
+public values divide by the power of two, once.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .exact import N, PolyQ
+from .exact import ConsistencyError, N, PolyQ
 from .indexsets import check_indexset
 
 _onerow_poly = {}
-_onerow_val = {}
+_onerow_tables = {}
+_tworow_val = {}
 _qpf_poly = {}
 _qpf_val = {}
 
@@ -45,20 +50,31 @@ def q_onerow(a, order=None):
 
 
 def q_onerow_at(a, n):
-    """Value of q_onerow(a) at integer n, by the same recurrence."""
-    assert a >= 0
-    key = (a, n)
-    if key in _onerow_val:
-        return _onerow_val[key]
-    if a == 0:
-        result = Fraction(1)
-    else:
-        acc = Fraction(0)
-        for j in range(1, a + 1, 2):
-            acc += q_onerow_at(a - j, n) / (1 << (j - 1))
-        result = n * acc / a
-    _onerow_val[key] = result
-    return result
+    """Value of q_onerow(a) at integer n."""
+    if a < 0:
+        raise ValueError(f"q_onerow_at: negative index {a}")
+    return Fraction(_onerow_ints(a, n)[a], 1 << a)
+
+
+def _onerow_ints(a, n):
+    """[G_0, ..., G_a] at least, G_k = 2^k q_onerow_at(k, n).
+
+    G_k is the coefficient of u^k in ((1+u)/(1-u))^n.  The list for n
+    grows bottom-up from k*G_k = 2n * (G_(k-1) + G_(k-3) + ...), whose
+    inner sums are kept alongside.  The division by k is exact; a
+    remainder means a corrupted table.
+    """
+    if n not in _onerow_tables:
+        _onerow_tables[n] = ([1], [0])
+    values, odd_sums = _onerow_tables[n]
+    for k in range(len(values), a + 1):
+        odd_sum = values[k - 1] + (odd_sums[k - 2] if k > 1 else 0)
+        value, rem = divmod(2 * n * odd_sum, k)
+        if rem:
+            raise ConsistencyError(f"one-row value ({k}, n={n}) is not an integer")
+        values.append(value)
+        odd_sums.append(odd_sum)
+    return values
 
 
 def q_tworow(a, b):
@@ -75,12 +91,16 @@ def q_tworow(a, b):
 
 
 def _tworow_at(a, b, n):
-    if b == 0:
-        return q_onerow_at(a, n)
-    acc = q_onerow_at(a, n) * q_onerow_at(b, n)
+    """2^(a+b) times the two-row value at integer n; memoized."""
+    key = (a, b, n)
+    if key in _tworow_val:
+        return _tworow_val[key]
+    g = _onerow_ints(a + b, n)
+    acc = g[a] * g[b]
     for k in range(1, b + 1):
-        term = q_onerow_at(a + k, n) * q_onerow_at(b - k, n)
-        acc = acc - 2 * term if k % 2 else acc + 2 * term
+        term = 2 * g[a + k] * g[b - k]
+        acc = acc - term if k % 2 else acc + term
+    _tworow_val[key] = acc
     return acc
 
 
@@ -116,16 +136,17 @@ def _qpf(parts):
 def _qpf_at(parts, n):
     """Pfaffian expansion with scalar values; the sweep workhorse.
 
-    Memoized globally on the part tuple so sub-Pfaffians are shared
-    across all index sets of a sweep.
+    Returns 2^sum(parts) times the value, an int.  Memoized globally on
+    the part tuple so sub-Pfaffians are shared across all index sets of
+    a sweep.
     """
     key = (parts, n)
     if key in _qpf_val:
         return _qpf_val[key]
     if not parts:
-        return Fraction(1)
+        return 1
     first = parts[0]
-    acc = Fraction(0)
+    acc = 0
     for j in range(1, len(parts)):
         rest = parts[1:j] + parts[j + 1:]
         term = _tworow_at(first, parts[j], n) * _qpf_at(rest, n)
@@ -143,7 +164,7 @@ def q_strict(parts):
 def q_strict_at(parts, n):
     """Value of q_strict(parts) at integer n."""
     parts = _check_strict(parts)
-    return _qpf_at(_pad(parts), n)
+    return Fraction(_qpf_at(_pad(parts), n), 1 << sum(parts))
 
 
 def b_poly(I):
@@ -154,7 +175,8 @@ def b_poly(I):
 
 def b_value(I, n):
     I = check_indexset(I)
-    return q_strict_at(tuple(i + 1 for i in reversed(I)), n)
+    parts = tuple(i + 1 for i in reversed(I))
+    return Fraction(_qpf_at(_pad(parts), n), 1 << sum(parts))
 
 
 def _nonzero_parts(I):
@@ -183,4 +205,4 @@ def d_value(I, n):
     if I and I[0] == 0 and (n - len(I)) % 2:
         return Fraction(0)
     parts = _nonzero_parts(I)
-    return q_strict_at(parts, n) / (1 << len(parts))
+    return Fraction(_qpf_at(_pad(parts), n), 1 << (sum(parts) + len(parts)))

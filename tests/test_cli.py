@@ -300,6 +300,51 @@ def test_cache_bad_path_fails_before_work(tmp_path, capsys, monkeypatch):
         assert len(lines) == 1 and lines[0].startswith("error:"), err
 
 
+def test_cache_non_ascii_is_usage_error(tmp_path, capsys):
+    cache = tmp_path / "coeffs.tsv"
+    cache.write_bytes(b"# coeff-cache v1\npsi\t{0}\t\xe9\n")
+    code, out, err = run_main(capsys, "psi", "--set", "{0}", "--cache", str(cache))
+    assert code == 2 and not out
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), err
+
+
+_BROKEN_DIVISION = """
+import random, sys
+from fractions import Fraction
+from mldeg import cli, exact, qschur
+
+def raises(fn, *args):
+    try:
+        fn(*args)
+    except exact.ConsistencyError:
+        return True
+    return False
+
+skew = [[0] * 12 for _ in range(12)]
+for i in range(12):
+    for j in range(i + 1, 12):
+        skew[i][j], skew[j][i] = 1, -1
+exact._pf_elimination = lambda rows: Fraction(1, 2)
+print(raises(exact._det_bareiss, [[Fraction(1, 2), 1], [1, 1]]),
+      raises(exact.pfaffian, skew), file=sys.stderr)
+qschur._onerow_tables[5] = ([1, 3], [0, 1])
+sys.exit(cli.main(["delta", "-m", "10", "-n", "5", "-r", "3", "--path", "nrs"]))
+"""
+
+
+def test_broken_exact_division_exits_3_under_optimize():
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _BROKEN_DIVISION],
+        capture_output=True, text=True,
+        env={k: v for k, v in os.environ.items() if k != "MLDEG_CACHE"},
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert not proc.stdout
+    assert proc.stderr.splitlines()[0] == "True True"
+    assert "internal disagreement" in proc.stderr
+
+
 def test_cache_env_var(tmp_path):
     cache = str(tmp_path / "env.tsv")
     proc = run_cli("psi", "--set", "{2,3}", env_extra={"MLDEG_CACHE": cache})

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mldeg.exact import N, PolyQ, binom, det, format_fraction, pfaffian
+from mldeg.exact import ConsistencyError, N, PolyQ, binom, det, format_fraction, pfaffian
 
 
 def test_binom_values():
@@ -88,6 +88,17 @@ def test_pfaffian_elimination_route_matches_expansion():
     assert _pf_elimination(m) == _pf_expansion(m)
     big = _random_skew(rng, 14, -3, 3)
     assert pfaffian(big) == _pf_expansion(big)
+
+
+def test_inexact_division_raises(monkeypatch):
+    from mldeg import exact
+
+    # Bareiss divides exactly only on integer matrices
+    with pytest.raises(ConsistencyError):
+        exact._det_bareiss([[Fraction(1, 2), 1], [1, 1]])
+    monkeypatch.setattr(exact, "_pf_elimination", lambda rows: Fraction(1, 2))
+    with pytest.raises(ConsistencyError):
+        pfaffian(_random_skew(random.Random(5), 12))
 
 
 @given(st.integers(), st.integers(min_value=2, max_value=4))

@@ -1,8 +1,10 @@
 import itertools
+import math
 from collections import defaultdict
 
 import pytest
 
+from mldeg import lascoux
 from mldeg.exact import det, pfaffian
 from mldeg.indexsets import complement, enumerate_indexsets, lambda_of
 from mldeg.lascoux import (
@@ -67,16 +69,50 @@ def test_psi_four_paths_agree():
 
 
 def test_psi_complement_routes():
+    # The complement value is also the Pfaffian, over the labels of I
+    # (padded when odd), of the complement values of its pairs and
+    # singletons.
     for n in range(1, 9):
         for r in range(4):
             for I in itertools.combinations(range(n), r):
-                direct = psi_complement(I, n, "direct")
-                pairs = psi_complement(I, n, "pairs")
-                auto = psi_complement(I, n)
-                assert direct == pairs == auto, (I, n)
-                assert direct == psi(complement(I, n))
+                value = psi_complement(I, n)
+                assert value == psi(complement(I, n)), (I, n)
+                labels = (None,) + I if r % 2 else I
+                rows = [[0] * len(labels) for _ in labels]
+                for a, b in itertools.combinations(range(len(labels)), 2):
+                    pair = tuple(x for x in (labels[a], labels[b]) if x is not None)
+                    rows[a][b] = psi_complement(pair, n)
+                    rows[b][a] = -rows[a][b]
+                assert pfaffian(rows) == value, (I, n)
     assert psi_complement((9,), 4) == 0
     assert psi_complement(tuple(range(5)), 5) == 1
+
+
+def test_psi_matches_padded_pair_matrix_pfaffian():
+    for r in range(8):
+        for I in itertools.combinations(range(11), r):
+            labels = (None,) + I if r % 2 else I
+            rows = [[0] * len(labels) for _ in labels]
+            for a, b in itertools.combinations(range(len(labels)), 2):
+                i, j = labels[a], labels[b]
+                if i is None:
+                    rows[a][b] = 2 ** j
+                else:
+                    rows[a][b] = sum(math.comb(i + j, k) for k in range(i + 1, j + 1))
+                rows[b][a] = -rows[a][b]
+            assert psi(I) == pfaffian(rows), I
+
+
+def test_psi_large_sets_eliminate(monkeypatch):
+    # Above the expansion cap psi eliminates the matrix; both routes agree.
+    monkeypatch.setattr(lascoux, "_psi_memo", {})
+    monkeypatch.setattr(lascoux, "_EXPANSION_MAX", 3)
+    for r in range(4, 8):
+        for I in itertools.combinations(range(9), r):
+            assert psi(I) == lascoux._pf(sum(1 << i for i in I)), I
+    monkeypatch.undo()
+    assert psi(tuple(range(40))) == 1
+    assert psi_complement((0,), 40) == psi_recursion(tuple(range(1, 40)))
 
 
 def test_pair_matrix_jacobi_cofactor():

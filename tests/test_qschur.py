@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from mldeg.exact import N, PolyQ, binom
+from mldeg import qschur
+from mldeg.exact import ConsistencyError, N, PolyQ, binom
 from mldeg.indexsets import enumerate_indexsets
 from mldeg.qschur import (
     b_poly,
@@ -77,11 +78,42 @@ def test_q_strict():
         q_strict((2, 0))
 
 
+def _onerow_series_coeff(a, n):
+    """Coefficient of u^a in (1+u)^n (1-u)^(-n), for n >= 1."""
+    return sum(binom(n, k) * binom(n - 1 + a - k, n - 1) for k in range(min(a, n) + 1))
+
+
+def test_q_onerow_at_scaled_is_int():
+    for n in range(13):
+        for a in range(31):
+            scaled = 2 ** a * q_onerow_at(a, n)
+            assert scaled.denominator == 1, (a, n)
+            if n:
+                assert scaled == _onerow_series_coeff(a, n), (a, n)
+
+
+def test_q_onerow_at_deep_index():
+    # bottom-up: no recursion, whatever the index
+    value = q_onerow_at(3000, 5)
+    assert value * 2 ** 3000 == _onerow_series_coeff(3000, 5)
+
+
+def test_corrupt_onerow_table_raises(monkeypatch):
+    monkeypatch.setitem(qschur._onerow_tables, 5, ([1, 3], [0, 1]))
+    with pytest.raises(ConsistencyError):
+        q_onerow_at(3, 5)
+
+
 def test_q_strict_poly_vs_point():
-    shapes = [(), (1,), (3,), (2, 1), (4, 1), (3, 2), (4, 3, 1), (5, 2)]
+    shapes = [
+        tuple(sorted(parts, reverse=True))
+        for r in range(5)
+        for parts in itertools.combinations(range(1, 13), r)
+        if sum(parts) <= 12
+    ]
     for parts in shapes:
         poly = q_strict(parts)
-        for n in range(9):
+        for n in range(21):
             assert poly(n) == q_strict_at(parts, n), (parts, n)
 
 
