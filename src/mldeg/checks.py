@@ -22,7 +22,7 @@ from .degrees import (
     phi_sym,
 )
 from .exact import PolyQ, binom
-from .indexsets import enumerate_indexsets, format_indexset, leq
+from .indexsets import enumerate_indexsets, format_indexset, leq, lower_sets
 from .lascoux import (
     alpha,
     alpha_complement,
@@ -72,15 +72,6 @@ def run_task(task):
     """Execute one task tuple; detail is empty exactly when it passed."""
     detail = _TASK_KINDS[task[0]](*task[1:])
     return {"task": task_label(task), "ok": detail is None, "detail": detail or ""}
-
-
-def _lower_sets(I):
-    if not I:
-        yield ()
-        return
-    for J in itertools.product(*(range(v + 1) for v in I)):
-        if all(J[k] < J[k + 1] for k in range(len(J) - 1)):
-            yield J
 
 
 def _upper_sets(J, cap):
@@ -177,7 +168,7 @@ def leading_line(I):
 def b_identity_line(I):
     forward = PolyQ(())
     backward = PolyQ(())
-    for J in _lower_sets(I):
+    for J in lower_sets(I):
         gap = sum(I) - sum(J)
         c = s_ij(I, J)
         forward = forward + Fraction(1, 2) ** gap * c * lp_poly(J)
@@ -191,7 +182,7 @@ def b_identity_line(I):
 
 @_task
 def d_identity_line(I, nmax=12):
-    lows = list(_lower_sets(I))
+    lows = list(lower_sets(I))
     for n in range(nmax + 1):
         forward = Fraction(0)
         backward = Fraction(0)
@@ -483,17 +474,6 @@ def _suite_all(nmax, sum_max):
     return tasks
 
 
-def _warm_da(nmax, sum_max):
-    # Build the largest oracle expansion in the parent process so that
-    # forked workers inherit it instead of rebuilding it 'jobs' times.
-    cap = 6 if nmax is None else nmax
-    top = tuple(range(max(0, cap - 2), cap + 1))
-    d_oracle(top, top)
-
-
-_SUITE_WARM = {"da-paths": _warm_da, "all": _warm_da}
-
-
 _SUITES = {
     "worked": _suite_worked,
     "conics": _suite_conics,
@@ -535,9 +515,6 @@ def run_suite(name, nmax=None, sum_max=None, jobs=1):
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        warm = _SUITE_WARM.get(name)
-        if warm is not None:
-            warm(nmax, sum_max)
         chunk = max(1, len(tasks) // (4 * jobs))
         ctx = multiprocessing.get_context("fork")
         with ProcessPoolExecutor(max_workers=jobs, mp_context=ctx) as pool:

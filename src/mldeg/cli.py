@@ -13,7 +13,6 @@ append-only: reloading a cache file yields the table that produced it.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import random
@@ -65,20 +64,21 @@ class UsageError(Exception):
     pass
 
 
-@dataclasses.dataclass
 class RunConfig:
-    jobs: int = 1
-    cache_path: str | None = None
-    verify_cache: bool = False
-    unsafe_range: bool = False
+    def __init__(self, jobs=1, cache_path=None, verify_cache=False,
+                 unsafe_range=False):
+        self.jobs = jobs
+        self.cache_path = cache_path
+        self.verify_cache = verify_cache
+        self.unsafe_range = unsafe_range
 
 
-@dataclasses.dataclass
 class OutputRecord:
-    payload: dict
-    wall_time_s: float = 0.0
-    cache_hits: int = 0
-    csv_lines: list | None = None
+    def __init__(self, payload, wall_time_s=0.0, cache_hits=0, csv_lines=None):
+        self.payload = payload
+        self.wall_time_s = wall_time_s
+        self.cache_hits = cache_hits
+        self.csv_lines = csv_lines
 
     def emit(self, out=None, err=None):
         out = out or sys.stdout

@@ -58,6 +58,19 @@ def leq(I, J):
     return all(a <= b for a, b in zip(I, J))
 
 
+def lower_sets(I):
+    """Every strictly increasing J of the size of I with J[k] <= I[k],
+    in lexicographic order."""
+    def rec(prefix, k, lo):
+        if k == len(I):
+            yield prefix
+            return
+        for v in range(lo, I[k] + 1):
+            yield from rec(prefix + (v,), k + 1, v + 1)
+
+    yield from rec((), 0, 0)
+
+
 def enumerate_indexsets(size, total, bound=None):
     """Yield every strictly increasing set with the given size and sum.
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 
 from .exact import binom, det, pfaffian
-from .indexsets import check_indexset, complement
+from .indexsets import check_indexset, complement, lower_sets
 
 _psi_memo = {}
 _pf_memo = {0: 1}
@@ -123,22 +123,10 @@ def s_ij(I, J):
     return result
 
 
-def _lower_sets(I):
-    """All strictly increasing J with J[k] <= I[k] componentwise."""
-    def rec(prefix, k, lo):
-        if k == len(I):
-            yield prefix
-            return
-        for v in range(lo, I[k] + 1):
-            yield from rec(prefix + (v,), k + 1, v + 1)
-
-    yield from rec((), 0, 0)
-
-
 def psi_pascal(I):
     """Pascal-minor route: total of all minors with upper set I."""
     I = check_indexset(I)
-    return sum(s_ij(I, J) for J in _lower_sets(I))
+    return sum(s_ij(I, J) for J in lower_sets(I))
 
 
 def _boxes(K):

@@ -12,7 +12,6 @@ means a formula path is broken.
 from __future__ import annotations
 
 import itertools
-import logging
 import math
 from fractions import Fraction
 
@@ -27,11 +26,17 @@ from .exact import ConsistencyError, PolyQ, binom
 from .indexsets import check_indexset
 from .lascoux import alpha_complement, d_a_complement, psi_complement
 
-log = logging.getLogger(__name__)
-
 _lp_memo = {}
 _lp_a_memo = {}
 _lp_d_memo = {}
+
+
+def _log():
+    # logging is imported only on the branches that log: it costs
+    # start-up time on every query, and these branches are rare.
+    import logging
+
+    return logging.getLogger(__name__)
 
 
 class QuasiPolyQ:
@@ -114,7 +119,7 @@ def _fit_escalating(label, value_at, degree, start=0, step=1, extra=5, limit=Non
         poly = _fit(value_at, guess, start=start, step=step, extra=extra)
         if poly is not None:
             if guess != degree:
-                log.info("%s: degree bound %d too low, fit at %d", label, degree, guess)
+                _log().info("%s: degree bound %d too low, fit at %d", label, degree, guess)
             return poly
         guess += 2
     raise ConsistencyError(f"{label}: no polynomial of degree <= {limit} fits the data")
@@ -218,7 +223,7 @@ def delta_poly(matrix_type, m, s):
         return _fit_escalating(
             f"delta_poly(d,{m},{s})", lambda n: delta_type_d(m, n, n - s), m)
     except ConsistencyError:
-        log.info("delta_poly(d,%d,%d): splitting into period-2 branches", m, s)
+        _log().info("delta_poly(d,%d,%d): splitting into period-2 branches", m, s)
         branches = [
             _fit_escalating(
                 f"delta_poly(d,{m},{s})[{parity}]",

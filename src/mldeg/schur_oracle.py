@@ -1,11 +1,20 @@
-"""Definitional oracle: Schur expansions of complete homogeneous sums.
+"""Definitional oracle: Schur coefficients of complete homogeneous sums.
 
 The coefficient families computed combinatorially elsewhere are defined
 as Schur coefficients of h_d evaluated at small sets of linear forms.
-This module computes those expansions from first principles: monomial
-dicts built by a truncated geometric series, Schur monomials by the
-branching recursion, and decomposition by peeling dominant terms.
-Slow but independent of every fast path it is used to check.
+This module reads each one off monomial coefficients with Jacobi's
+bialternant (Macdonald, Symmetric Functions, I.3): for symmetric F in
+r variables and delta = (r-1, ..., 1, 0),
+
+    [s_lambda] F = [x^(lambda+delta)] a_delta F
+                 = sum over permutations w of sgn(w) [x^(lambda+delta-w(delta))] F,
+
+and lambda + delta is the index set I itself, largest entry first.
+Only the w with w(delta) <= I in every place contribute.  With one
+alphabet the monomials come from a product of geometric series, grown
+one degree at a time and checked for symmetry level by level.  With two
+alphabets they have a closed form, so no series is built.  Slow but
+independent of every fast path it is used to check.
 """
 
 from __future__ import annotations
@@ -15,12 +24,12 @@ import math
 from collections import defaultdict
 
 from .exact import ConsistencyError, binom
-from .indexsets import check_indexset, index_of, lambda_of, partition_weight
+from .indexsets import check_indexset, lambda_of, lower_sets, partition_weight
 
 _ssyt_memo = {}
-_expansion_memo = {}
-_expansion_two_memo = {}
-_series_two_state = {}
+_series_memo = {}
+_row_sums_memo = {}
+_cross_memo = {}
 
 
 def unit_form(i, nvars):
@@ -94,72 +103,49 @@ def orbit_size(dominant):
     return size
 
 
-def kostka_row(shape, nvars):
-    """Per-monomial coefficients of s_shape grouped by dominant exponent."""
-    grouped = {}
-    for mono, c in schur_full(shape, nvars).items():
-        dom = tuple(sorted(mono, reverse=True))
-        prev = grouped.get(dom)
-        if prev is None:
-            grouped[dom] = c
-        else:
-            assert prev == c, "Schur polynomial not symmetric?"
-    return grouped
+def check_symmetric(poly):
+    """Raise ConsistencyError unless a monomial dict is symmetric.
 
-
-class SymPoly:
-    """Symmetric polynomial stored by dominant exponent vectors.
-
-    from_full verifies symmetry of the raw monomial dict (orbit
-    coefficients equal, orbit fully present) before collapsing it.
+    Every orbit of exponent vectors must be present in full, with one
+    coefficient throughout.
     """
-
-    def __init__(self, nvars, dominant):
-        self.nvars = nvars
-        self.dominant = dict(dominant)
-
-    @classmethod
-    def from_full(cls, full, nvars):
-        groups = defaultdict(dict)
-        for mono, c in full.items():
-            if c:
-                groups[tuple(sorted(mono, reverse=True))][mono] = c
-        dominant = {}
-        for dom, members in groups.items():
-            coeffs = set(members.values())
-            if len(coeffs) != 1 or len(members) != orbit_size(dom):
-                raise ConsistencyError(
-                    f"monomial dict is not symmetric at orbit {dom}"
-                )
-            dominant[dom] = coeffs.pop()
-        return cls(nvars, dominant)
+    orbits = defaultdict(dict)
+    for mono, c in poly.items():
+        if c:
+            orbits[tuple(sorted(mono, reverse=True))][mono] = c
+    for dom, members in orbits.items():
+        if len(set(members.values())) != 1 or len(members) != orbit_size(dom):
+            raise ConsistencyError(f"monomial dict is not symmetric at orbit {dom}")
 
 
-def schur_decompose(sym):
-    """Expand a SymPoly in the Schur basis by peeling the lex-max term.
+def alternant_terms(I):
+    """(sgn(w), I - w(delta)) for every w with w(delta) <= I in each place.
 
-    Returns a dict mapping length-nvars partitions to coefficients.
-    Raises ConsistencyError if the peeling fails to terminate.
+    Backtracking over the value w(delta) takes at place p (entries in
+    ascending order, so the identity puts p there): a value above I[p]
+    is never tried, and a set of small weight visits few permutations.
     """
-    work = dict(sym.dominant)
-    result = {}
-    guard = len(work) * 64 + 64
-    while work:
-        guard -= 1
-        if guard < 0:
-            raise ConsistencyError("Schur peeling did not terminate")
-        top = max(work)
-        c = work.pop(top)
-        result[top] = c
-        for dom, k in kostka_row(top, sym.nvars).items():
-            if dom == top:
-                continue
-            nv = work.get(dom, 0) - c * k
-            if nv:
-                work[dom] = nv
-            else:
-                work.pop(dom, None)
-    return result
+    r = len(I)
+    used = [False] * r
+    exps = [0] * r
+    terms = []
+
+    def place(p, sign):
+        if p == r:
+            terms.append((sign, tuple(exps)))
+            return
+        larger = 0
+        for v in range(r - 1, -1, -1):
+            if used[v]:
+                larger += 1
+            elif v <= I[p]:
+                used[v] = True
+                exps[p] = I[p] - v
+                place(p + 1, -sign if larger % 2 else sign)
+                used[v] = False
+
+    place(0, 1)
+    return terms
 
 
 def _pair_forms(nvars, include_diagonal):
@@ -172,123 +158,134 @@ def _pair_forms(nvars, include_diagonal):
     return forms
 
 
-def _expansion(family, nvars, degree):
-    """Schur decomposition of h_degree at the pair forms, memoized."""
-    key = (family, nvars, degree)
-    if key in _expansion_memo:
-        return _expansion_memo[key]
-    forms = _pair_forms(nvars, include_diagonal=(family == "psi"))
-    full = hom_full(forms, degree, nvars)[degree]
-    result = schur_decompose(SymPoly.from_full(full, nvars))
-    _expansion_memo[key] = result
-    return result
+def _series_level(family, nvars, degree):
+    """Degree piece of prod 1/(1 - f) over the pair forms f, memoized.
+
+    With S_k the product over the first k forms, S_k[a] = S_{k-1}[a] +
+    f_k S_k[a-1], so one more level needs only the top level of each
+    partial product.  Each finished level is checked for symmetry once.
+    """
+    state = _series_memo.get((family, nvars))
+    if state is None:
+        forms = _pair_forms(nvars, include_diagonal=(family == "psi"))
+        one = {(0,) * nvars: 1}
+        state = (forms, [one] * len(forms), [one])
+        _series_memo[(family, nvars)] = state
+    forms, tops, levels = state
+    while len(levels) <= degree:
+        below = {}
+        for k, form in enumerate(forms):
+            level = defaultdict(int, below)
+            _add_form(level, tops[k], form)
+            tops[k] = below = level
+        level = {mono: c for mono, c in below.items() if c}
+        check_symmetric(level)
+        levels.append(level)
+    return levels[degree]
+
+
+def _one_alphabet(family, I):
+    I = check_indexset(I)
+    level = _series_level(family, len(I), partition_weight(I))
+    return sum(sign * level.get(e, 0) for sign, e in alternant_terms(I))
 
 
 def psi_oracle(I):
     """Schur coefficient definition of the symmetric-pair coefficients."""
-    I = check_indexset(I)
-    return _expansion("psi", len(I), partition_weight(I)).get(lambda_of(I), 0)
+    return _one_alphabet("psi", I)
 
 
 def alpha_oracle(I):
     """Schur coefficient definition of the off-diagonal-pair coefficients."""
-    I = check_indexset(I)
-    return _expansion("alpha", len(I), partition_weight(I)).get(lambda_of(I), 0)
+    return _one_alphabet("alpha", I)
 
 
-def _cross_series(rx, ry, degree):
-    """Truncated product of geometric series over the cross forms.
-
-    Grown geometrically and cached per alphabet pair, so a sweep over
-    many degrees builds the monomial levels only a few times.
-    """
-    state = _series_two_state.get((rx, ry))
-    if state is not None and state[0] >= degree:
-        return state[1]
-    cap = max(degree, 8)
-    if state is not None:
-        cap = max(cap, 2 * state[0])
-    series = [defaultdict(int) for _ in range(cap + 1)]
-    series[0][((0,) * rx, (0,) * ry)] = 1
-    for i in range(rx):
-        for j in range(ry):
-            for a in range(1, cap + 1):
-                for (xe, ye), c in list(series[a - 1].items()):
-                    kx = xe[:i] + (xe[i] + 1,) + xe[i + 1:]
-                    series[a][(kx, ye)] += c
-                    ky = ye[:j] + (ye[j] + 1,) + ye[j + 1:]
-                    series[a][(xe, ky)] += c
-    _series_two_state[(rx, ry)] = (cap, series)
-    return series
+def _compositions(total, parts):
+    """Every tuple of `parts` nonnegative ints summing to total."""
+    if parts <= 1:
+        if parts == 1 or total == 0:
+            yield (total,) * parts
+        return
+    for first in range(total + 1):
+        for rest in _compositions(total - first, parts - 1):
+            yield (first,) + rest
 
 
-def _expansion_two(rx, ry, degree):
-    """Double Schur decomposition of h_degree at the cross forms x_i + y_j."""
-    key = (rx, ry, degree)
-    if key in _expansion_two_memo:
-        return _expansion_two_memo[key]
-    series = _cross_series(rx, ry, degree)
-    work = {k: v for k, v in series[degree].items() if v}
-    result = {}
-    guard = len(work) * 64 + 64
-    while work:
-        guard -= 1
-        if guard < 0:
-            raise ConsistencyError("two-alphabet peeling did not terminate")
-        kappa = max(tuple(sorted(xe, reverse=True)) for (xe, ye) in work)
-        q_part = {ye: c for (xe, ye), c in work.items() if xe == kappa}
-        if not q_part:
-            raise ConsistencyError("dominant x-monomial missing from orbit")
-        x_monos = schur_full(kappa, rx)
-        for xm, xc in x_monos.items():
-            for ye, yc in q_part.items():
-                k2 = (xm, ye)
-                nv = work.get(k2, 0) - xc * yc
-                if nv:
-                    work[k2] = nv
-                else:
-                    work.pop(k2, None)
-        for mu, c in schur_decompose(SymPoly.from_full(q_part, ry)).items():
-            if c:
-                result[(kappa, mu)] = c
-    _expansion_two_memo[key] = result
+def _row_sums(b, rows):
+    """Row-sum vector R -> number of rows x len(b) matrices over N with
+    column sums b and row sums R; one column at a time, memoized."""
+    key = (b, rows)
+    if key in _row_sums_memo:
+        return _row_sums_memo[key]
+    if not b:
+        result = {(0,) * rows: 1}
+    else:
+        result = defaultdict(int)
+        columns = list(_compositions(b[-1], rows))
+        for R, count in _row_sums(b[:-1], rows).items():
+            for col in columns:
+                result[tuple(x + y for x, y in zip(R, col))] += count
+        result = dict(result)
+    _row_sums_memo[key] = result
     return result
 
 
+def cross_coefficient(a, b):
+    """[x^a y^b] of the product of 1/(1 - x_i - y_j), in closed form.
+
+    1/(1 - x_i - y_j) = sum over q of y_j^q (1 - x_i)^-(q+1), so the
+    y^b part is a sum over matrices Q with column sums b of the product
+    over i of (1 - x_i)^-(R_i + s), R the row sums of Q and s = len(b):
+
+        sum over R of N_b(R) * prod_i C(a_i + R_i + s - 1, a_i).
+    """
+    a = tuple(sorted(a))
+    b = tuple(sorted(b))
+    key = (a, b)
+    if key in _cross_memo:
+        return _cross_memo[key]
+    s = len(b)
+    total = 0
+    for R, count in _row_sums(b, len(a)).items():
+        for ai, Ri in zip(a, R):
+            power = Ri + s
+            count *= binom(ai + power - 1, ai) if power else int(ai == 0)
+            if not count:
+                break
+        total += count
+    _cross_memo[key] = total
+    return total
+
+
 def d_oracle(I, J):
-    """Two-alphabet Schur coefficient defining the square-case entries."""
+    """Two-alphabet Schur coefficient defining the square-case entries:
+    [s_lambda(I)(x) s_lambda(J)(y)] of h_d at the forms x_i + y_j."""
     I = check_indexset(I)
     J = check_indexset(J)
-    degree = partition_weight(I) + partition_weight(J)
-    table = _expansion_two(len(I), len(J), degree)
-    return table.get((lambda_of(I), lambda_of(J)), 0)
+    y_terms = alternant_terms(J)
+    return sum(sx * sy * cross_coefficient(a, b)
+               for sx, a in alternant_terms(I) for sy, b in y_terms)
 
 
 def sij_row_oracle(I):
     """All shifted-argument coefficients with upper set I.
 
-    Substituting x -> x + 1 into s_{lambda(I)} and re-expanding each
-    homogeneous piece in the Schur basis yields the coefficients
-    indexed by lower sets J of the same size.
+    Substituting x -> x + 1 into s_{lambda(I)} and reading off the
+    Schur coefficient of s_mu for each mu inside lambda(I) yields the
+    coefficients indexed by lower sets J of the same size.
     """
     I = check_indexset(I)
-    r = len(I)
-    lam = lambda_of(I)
     shifted = defaultdict(int)
-    for mono, c in schur_full(lam, r).items():
+    for mono, c in schur_full(lambda_of(I), len(I)).items():
         for picks in itertools.product(*(range(e + 1) for e in mono)):
             mult = c
             for e, k in zip(mono, picks):
                 mult *= binom(e, k)
             shifted[picks] += mult
-    by_degree = defaultdict(dict)
-    for mono, c in shifted.items():
-        if c:
-            by_degree[sum(mono)][mono] = c
+    check_symmetric(shifted)
     result = {}
-    for piece in by_degree.values():
-        sym = SymPoly.from_full(piece, r)
-        for lam2, c in schur_decompose(sym).items():
-            if c:
-                result[index_of(lam2)] = c
+    for J in lower_sets(I):
+        c = sum(sign * shifted.get(e, 0) for sign, e in alternant_terms(J))
+        if c:
+            result[J] = c
     return result

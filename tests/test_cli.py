@@ -376,3 +376,20 @@ def test_stdout_is_json_with_sorted_keys():
     assert proc.stdout == json.dumps(data, sort_keys=True) + "\n"
     assert data["result"] == 14
     assert "wall_time_s=" in proc.stderr
+
+
+def test_import_stays_lean():
+    # Start-up is most of a desk query: importing the CLI must not pull
+    # in the heavy stdlib modules, and must still load every layer.
+    listing = "import sys; print('\\n'.join(sorted(sys.modules)))"
+
+    def modules(prelude):
+        proc = subprocess.run([sys.executable, "-c", prelude + listing],
+                              capture_output=True, text=True, check=True)
+        return set(proc.stdout.split())
+
+    added = modules("import mldeg.cli; ") - modules("")
+    assert not added & {"dataclasses", "inspect", "logging"}, sorted(added)
+    layers = {"checks", "cli", "degrees", "exact", "indexsets", "lascoux",
+              "poly_n", "qschur", "schur_oracle"}
+    assert {f"mldeg.{name}" for name in layers} <= added

@@ -4,18 +4,30 @@ import random
 import pytest
 
 from mldeg.exact import ConsistencyError
-from mldeg.indexsets import index_of, lambda_of
+from mldeg.indexsets import enumerate_indexsets, index_of, lambda_of
+from mldeg.lascoux import alpha, d_a, psi
 from mldeg.schur_oracle import (
-    SymPoly,
     alpha_oracle,
+    alternant_terms,
+    check_symmetric,
+    cross_coefficient,
     d_oracle,
     hom_full,
-    kostka_row,
     psi_oracle,
-    schur_decompose,
     schur_full,
     sij_row_oracle,
+    unit_form,
 )
+
+
+def _schur_coefficients(poly, nvars, degree):
+    """Bialternant extraction of every Schur coefficient of one degree."""
+    out = {}
+    for I in enumerate_indexsets(nvars, degree + nvars * (nvars - 1) // 2):
+        c = sum(sign * poly.get(e, 0) for sign, e in alternant_terms(I))
+        if c:
+            out[lambda_of(I)] = c
+    return out
 
 
 def test_schur_full_basics():
@@ -23,9 +35,9 @@ def test_schur_full_basics():
     assert schur_full((), 3) == {(0, 0, 0): 1}
     assert schur_full((1, 1, 1), 2) == {}
     # s_(2,1) in 3 variables: monomial content with K_(21),(111) = 2
-    row = kostka_row((2, 1), 3)
-    assert row[(2, 1, 0)] == 1
-    assert row[(1, 1, 1)] == 2
+    full = schur_full((2, 1), 3)
+    assert full[(2, 1, 0)] == 1
+    assert full[(1, 1, 1)] == 2
 
 
 def test_hom_full_worked_example():
@@ -35,15 +47,15 @@ def test_hom_full_worked_example():
     assert levels[0] == {(0, 0): 1}
     assert levels[1] == {(1, 0): 3, (0, 1): 3}
     assert levels[2] == {(2, 0): 7, (1, 1): 10, (0, 2): 7}
-    decomp = schur_decompose(SymPoly.from_full(levels[2], 2))
-    assert decomp == {(2, 0): 7, (1, 1): 3}
+    assert _schur_coefficients(levels[2], 2, 2) == {(2, 0): 7, (1, 1): 3}
 
 
-def test_from_full_rejects_asymmetric():
+def test_check_symmetric_rejects_asymmetric():
     with pytest.raises(ConsistencyError):
-        SymPoly.from_full({(1, 0): 1}, 2)
+        check_symmetric({(1, 0): 1})
     with pytest.raises(ConsistencyError):
-        SymPoly.from_full({(2, 0): 1, (0, 2): 2, (1, 1): 1}, 2)
+        check_symmetric({(2, 0): 1, (0, 2): 2, (1, 1): 1})
+    check_symmetric({(2, 0): 7, (1, 1): 10, (0, 2): 7})
 
 
 def test_schur_roundtrip_random():
@@ -56,8 +68,16 @@ def test_schur_roundtrip_random():
             parts.sort(reverse=True)
         lam = tuple(parts)
         full = schur_full(lam, r)
-        got = schur_decompose(SymPoly.from_full(full, r))
-        assert got == {lam: 1}
+        assert _schur_coefficients(full, r, sum(lam)) == {lam: 1}
+
+
+def test_alternant_terms_prune_to_contributing_permutations():
+    # the staircase itself admits only the identity
+    assert alternant_terms((0, 1, 2, 3)) == [(1, (0, 0, 0, 0))]
+    assert alternant_terms((0, 2)) == [(1, (0, 1))]
+    assert sorted(alternant_terms((1, 2))) == [(-1, (0, 2)), (1, (1, 1))]
+    big = alternant_terms((5, 6, 7, 8))
+    assert len(big) == 24 and sum(sign for sign, _ in big) == 0
 
 
 def test_psi_oracle_values():
@@ -175,3 +195,55 @@ def test_schur_full_kostka_against_brute_force():
             if sum(content) != sum(shape):
                 continue
             assert full.get(content, 0) == brute_count(shape, content)
+
+
+def test_d_oracle_matches_d_a_equal_sizes():
+    pairs = [(I, J)
+             for r in (1, 2, 3)
+             for I in itertools.combinations(range(8), r)
+             for J in itertools.combinations(range(8), r)]
+    pairs += [(I, J)
+              for I in itertools.combinations(range(6), 4)
+              for J in itertools.combinations(range(6), 4)]
+    assert len(pairs) == 3984 + 225
+    for I, J in pairs:
+        assert d_oracle(I, J) == d_a(I, J), (I, J)
+
+
+def test_alpha_oracle_matches_alpha():
+    for r in range(6):
+        for I in itertools.combinations(range(9), r):
+            assert alpha_oracle(I) == alpha(I), I
+
+
+def test_psi_oracle_matches_psi():
+    for r in range(6):
+        for I in itertools.combinations(range(8), r):
+            assert psi_oracle(I) == psi(I), I
+
+
+def test_cross_coefficient_matches_hom_full():
+    # forms x_i + y_j in r + s variables, x first
+    for r in range(4):
+        for s in range(4):
+            n = r + s
+            forms = [tuple(a + b for a, b in zip(unit_form(i, n), unit_form(r + j, n)))
+                     for i in range(r) for j in range(s)]
+            levels = hom_full(forms, 8, n)
+            for d in range(9):
+                for mono in itertools.product(range(d + 1), repeat=n):
+                    if sum(mono) != d:
+                        continue
+                    got = cross_coefficient(mono[:r], mono[r:])
+                    assert got == levels[d].get(mono, 0), (r, s, mono)
+
+
+def test_one_alphabet_levels_are_checked(monkeypatch):
+    # a broken series level must surface, not be read from
+    from mldeg import schur_oracle
+
+    monkeypatch.setattr(schur_oracle, "_series_memo", {})
+    monkeypatch.setattr(schur_oracle, "_pair_forms",
+                        lambda nvars, include_diagonal: [(1, 0), (1, 1)])
+    with pytest.raises(ConsistencyError):
+        psi_oracle((1, 2))
