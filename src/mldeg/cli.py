@@ -2,25 +2,20 @@
 
 Queries print one JSON object to stdout (sorted keys, rationals as
 "p/q" strings) so reruns and worker counts can be compared byte for
-byte; timing and cache-hit counters go to stderr only.  Exit codes:
-0 success, 1 a checked property failed, 2 usage, 3 two formula paths
-disagreed on the same query.
-
-The coefficient cache is opt-in via --cache PATH or MLDEG_CACHE and is
-append-only: reloading a cache file yields the table that produced it.
+byte; the wall time goes to stderr only.  Exit codes: 0 success,
+1 a checked property failed, 2 usage, 3 two formula paths disagreed on
+the same query.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
-import random
 import sys
 import time
 from fractions import Fraction
 
-from . import checks, lascoux
+from . import checks
 from .degrees import (
     canonical_type,
     delta_direct_info,
@@ -39,7 +34,6 @@ from .lascoux import (
     psi_complement,
     psi_pascal,
     psi_recursion,
-    s_ij,
 )
 from .poly_n import phi_poly
 from .schur_oracle import alpha_oracle, d_oracle, psi_oracle
@@ -48,10 +42,6 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_DISAGREE = 3
-
-CACHE_HEADER = "# coeff-cache v1"
-CACHE_ENV = "MLDEG_CACHE"
-_VERIFY_SEED = 94037
 
 # Query size caps; computations past these are possible but slow, so
 # the command layer refuses them unless --unsafe-range is passed.  The
@@ -62,35 +52,6 @@ _D_CAP = 12
 
 class UsageError(Exception):
     pass
-
-
-class RunConfig:
-    def __init__(self, jobs=1, cache_path=None, verify_cache=False,
-                 unsafe_range=False):
-        self.jobs = jobs
-        self.cache_path = cache_path
-        self.verify_cache = verify_cache
-        self.unsafe_range = unsafe_range
-
-
-class OutputRecord:
-    def __init__(self, payload, wall_time_s=0.0, cache_hits=0, csv_lines=None):
-        self.payload = payload
-        self.wall_time_s = wall_time_s
-        self.cache_hits = cache_hits
-        self.csv_lines = csv_lines
-
-    def emit(self, out=None, err=None):
-        out = out or sys.stdout
-        err = err or sys.stderr
-        if self.csv_lines is not None:
-            for line in self.csv_lines:
-                print(line, file=out)
-        else:
-            print(json.dumps(self.payload, sort_keys=True, default=_json_default),
-                  file=out)
-        print(f"wall_time_s={self.wall_time_s:.3f} cache_hits={self.cache_hits}",
-              file=err)
 
 
 def _json_default(obj):
@@ -131,10 +92,6 @@ def build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--jobs", type=int, default=1, metavar="N",
                         help="worker processes; results do not depend on N")
-    common.add_argument("--cache", default=None, metavar="PATH",
-                        help="coefficient cache file (or set MLDEG_CACHE)")
-    common.add_argument("--verify-cache", action="store_true",
-                        help="recompute a 1%% sample of the cache before use")
     common.add_argument("--unsafe-range", action="store_true",
                         help="lift the default size caps")
 
@@ -184,140 +141,6 @@ def build_parser():
     return parser
 
 
-# -------------------------------------------------------------------- cache
-
-_CACHE_FAMILIES = ("psi", "alpha", "da", "sij")
-
-
-class _TrackedMemo(dict):
-    """Memo dict that counts lookups answered by preloaded entries."""
-
-    def __init__(self, preloaded):
-        super().__init__(preloaded)
-        self.preloaded = frozenset(preloaded)
-        self.hits = 0
-
-    def __contains__(self, key):
-        found = dict.__contains__(self, key)
-        if found and key in self.preloaded:
-            self.hits += 1
-        return found
-
-
-def _parse_cache_key(family, text):
-    if family in ("psi", "alpha"):
-        return parse_set(text)
-    left, sep, right = text.partition("|")
-    if not sep:
-        raise UsageError(f"two-set cache key needs 'I|J': {text!r}")
-    return (parse_set(left), parse_set(right))
-
-
-def _format_cache_key(family, key):
-    if family in ("psi", "alpha"):
-        return format_indexset(key)
-    return format_indexset(key[0]) + "|" + format_indexset(key[1])
-
-
-def probe_cache(path):
-    """Open the cache for appending once, so a bad path fails before any work."""
-    try:
-        with open(path, "a", encoding="ascii"):
-            pass
-    except OSError as exc:
-        raise UsageError(f"cache file {path!r} is not writable: {exc.strerror}") from None
-
-
-def load_cache(path):
-    entries = {family: {} for family in _CACHE_FAMILIES}
-    if not os.path.exists(path) or os.path.getsize(path) == 0:
-        return entries
-    try:
-        with open(path, encoding="ascii") as handle:
-            first = handle.readline().rstrip("\n")
-            if first != CACHE_HEADER:
-                raise UsageError(f"cache file {path!r} has unknown header {first!r}")
-            for lineno, line in enumerate(handle, start=2):
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                parts = line.split("\t")
-                if len(parts) != 3 or parts[0] not in _CACHE_FAMILIES:
-                    raise UsageError(f"bad cache line {lineno} in {path!r}")
-                family, key_text, value_text = parts
-                try:
-                    value = int(value_text)
-                except ValueError:
-                    raise UsageError(f"bad cache value on line {lineno}") from None
-                entries[family][_parse_cache_key(family, key_text)] = value
-    except UnicodeDecodeError:
-        raise UsageError(f"cache file {path!r} is not ASCII text") from None
-    return entries
-
-
-_RECOMPUTE = {
-    "psi": lambda key: psi(key),
-    "alpha": lambda key: alpha(key),
-    "da": lambda key: d_a(*key),
-    "sij": lambda key: s_ij(*key),
-}
-
-
-def verify_cache_sample(entries):
-    """Recompute a deterministic 1% sample; returns mismatch strings."""
-    flat = [(family, key, value)
-            for family in _CACHE_FAMILIES
-            for key, value in sorted(entries[family].items())]
-    if not flat:
-        return []
-    count = max(1, len(flat) // 100)
-    rng = random.Random(_VERIFY_SEED)
-    mismatches = []
-    for family, key, value in rng.sample(flat, min(count, len(flat))):
-        fresh = _RECOMPUTE[family](key)
-        if fresh != value:
-            mismatches.append(
-                f"{family} {_format_cache_key(family, key)}: "
-                f"cached {value}, recomputed {fresh}"
-            )
-    return mismatches
-
-
-def install_cache(entries):
-    """Swap the coefficient memos for tracked ones seeded from the cache."""
-    memos = {
-        "psi": _TrackedMemo(entries["psi"]),
-        "alpha": _TrackedMemo(entries["alpha"]),
-        "da": _TrackedMemo(entries["da"]),
-        "sij": _TrackedMemo(entries["sij"]),
-    }
-    lascoux._psi_memo = memos["psi"]
-    lascoux._alpha_memo = memos["alpha"]
-    lascoux._da_memo = memos["da"]
-    lascoux._sij_memo = memos["sij"]
-    return memos
-
-
-def append_new_entries(path, memos):
-    lines = []
-    for family in _CACHE_FAMILIES:
-        memo = memos[family]
-        for key in memo:
-            if key not in memo.preloaded:
-                lines.append(
-                    f"{family}\t{_format_cache_key(family, key)}\t{memo[key]}"
-                )
-    lines.sort()
-    fresh = not os.path.exists(path) or os.path.getsize(path) == 0
-    if fresh or lines:
-        with open(path, "a", encoding="ascii") as handle:
-            if fresh:
-                handle.write(CACHE_HEADER + "\n")
-            for line in lines:
-                handle.write(line + "\n")
-    return len(lines)
-
-
 # ----------------------------------------------------------------- commands
 
 def _require(condition, message):
@@ -325,7 +148,17 @@ def _require(condition, message):
         raise UsageError(message)
 
 
-def cmd_psi(args, config):
+def _require_cap(args, label, value, kind=None):
+    """Refuse a size past its default cap (n per type, else d) unless
+    --unsafe-range lifts the caps."""
+    cap = _D_CAP if kind is None else _N_CAP[kind]
+    where = "" if kind is None else f" for type {kind!r}"
+    _require(args.unsafe_range or value <= cap,
+             f"{label}={value} is past the default cap{where} "
+             f"(pass --unsafe-range to lift)")
+
+
+def cmd_psi(args):
     I = parse_set(args.set_)
     family = args.family
     pair = None
@@ -377,7 +210,7 @@ def cmd_psi(args, config):
     return {"query": query, "result": value, "path": path}, EXIT_OK
 
 
-def cmd_delta(args, config):
+def cmd_delta(args):
     try:
         kind = canonical_type(args.matrix_type)
     except ValueError as exc:
@@ -386,10 +219,7 @@ def cmd_delta(args, config):
     _require(n >= 1, "need n >= 1")
     _require(0 <= r <= n, "need 0 <= r <= n")
     _require(m >= 0, "need m >= 0")
-    if not config.unsafe_range:
-        _require(n <= _N_CAP[kind],
-                 f"n={n} is past the default cap for type {kind!r} "
-                 f"(pass --unsafe-range to lift)")
+    _require_cap(args, "n", n, kind)
     path = args.path
     if path in ("nrs", "both"):
         _require(m >= 1, "closed form needs m >= 1")
@@ -399,10 +229,10 @@ def cmd_delta(args, config):
     paths = {}
     values = {}
     if path in ("direct", "both"):
-        values["direct"], terms = delta_direct_info(kind, m, n, r, config.jobs)
+        values["direct"], terms = delta_direct_info(kind, m, n, r, args.jobs)
         paths["direct"] = {"terms": terms, "value": values["direct"]}
     if path in ("nrs", "both"):
-        values["nrs"], terms = delta_nrs_info(kind, m, n, r, config.jobs)
+        values["nrs"], terms = delta_nrs_info(kind, m, n, r, args.jobs)
         paths["nrs"] = {"terms": terms, "value": values["nrs"]}
 
     payload = {"paths": paths, "query": query}
@@ -418,7 +248,7 @@ def cmd_delta(args, config):
     return payload, EXIT_OK
 
 
-def cmd_phi(args, config):
+def cmd_phi(args):
     try:
         kind = canonical_type(args.matrix_type)
     except ValueError as exc:
@@ -429,10 +259,7 @@ def cmd_phi(args, config):
                  "--table does not combine with -n, -d or --poly")
         dmax = args.table
         _require(dmax >= 1, "--table needs DMAX >= 1")
-        if not config.unsafe_range:
-            _require(dmax <= _D_CAP,
-                     f"DMAX={dmax} is past the default cap "
-                     f"(pass --unsafe-range to lift)")
+        _require_cap(args, "DMAX", dmax)
         header = "d," + ",".join(f"coeff_{k}" for k in range(dmax))
         lines = [header]
         for d in range(1, dmax + 1):
@@ -447,9 +274,7 @@ def cmd_phi(args, config):
         _require(args.n is None, "--poly does not take -n")
         d = args.d
         _require(d >= 1, "need d >= 1")
-        if not config.unsafe_range:
-            _require(d <= _D_CAP,
-                     f"d={d} is past the default cap (pass --unsafe-range to lift)")
+        _require_cap(args, "d", d)
         poly = phi_poly(kind, d)
         coeffs = [_render_q(c) for c in poly.coeffs]
         query = {"d": d, "family": "phi", "poly": True, "type": kind}
@@ -459,22 +284,18 @@ def cmd_phi(args, config):
              "value query needs both -n and -d")
     n, d = args.n, args.d
     _require(n >= 1 and d >= 1, "need n >= 1 and d >= 1")
-    if not config.unsafe_range:
-        _require(n <= _N_CAP[kind],
-                 f"n={n} is past the default cap for type {kind!r} "
-                 f"(pass --unsafe-range to lift)")
-        _require(d <= _D_CAP,
-                 f"d={d} is past the default cap (pass --unsafe-range to lift)")
+    _require_cap(args, "n", n, kind)
+    _require_cap(args, "d", d)
     value = phi_value(kind, n, d)
     query = {"d": d, "family": "phi", "n": n, "type": kind}
     return {"query": query, "result": value}, EXIT_OK
 
 
-def cmd_check(args, config):
+def cmd_check(args):
     for flag, value in (("--nmax", args.nmax), ("--sum-max", args.sum_max)):
         _require(value is None or value >= 0, f"{flag} needs a nonnegative value")
     results, failures = checks.run_suite(
-        args.suite, nmax=args.nmax, sum_max=args.sum_max, jobs=config.jobs
+        args.suite, nmax=args.nmax, sum_max=args.sum_max, jobs=args.jobs
     )
     payload = {
         "failures": [{"detail": f["detail"], "task": f["task"]} for f in failures],
@@ -491,32 +312,11 @@ _DISPATCH = {"psi": cmd_psi, "delta": cmd_delta, "phi": cmd_phi, "check": cmd_ch
 # --------------------------------------------------------------------- main
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    config = RunConfig(
-        jobs=args.jobs,
-        cache_path=args.cache or os.environ.get(CACHE_ENV),
-        verify_cache=args.verify_cache,
-        unsafe_range=args.unsafe_range,
-    )
+    args = build_parser().parse_args(argv)
     started = time.monotonic()
-    memos = None
     try:
-        _require(config.jobs >= 1, "--jobs needs N >= 1")
-        if config.verify_cache:
-            _require(config.cache_path is not None,
-                     "--verify-cache needs --cache or MLDEG_CACHE")
-        if config.cache_path:
-            probe_cache(config.cache_path)
-            entries = load_cache(config.cache_path)
-            if config.verify_cache:
-                mismatches = verify_cache_sample(entries)
-                if mismatches:
-                    for line in mismatches:
-                        print(f"cache mismatch: {line}", file=sys.stderr)
-                    return EXIT_DISAGREE
-            memos = install_cache(entries)
-        payload, code = _DISPATCH[args.command](args, config)
+        _require(args.jobs >= 1, "--jobs needs N >= 1")
+        payload, code = _DISPATCH[args.command](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -524,14 +324,10 @@ def main(argv=None):
         print(f"internal disagreement: {exc}", file=sys.stderr)
         return EXIT_DISAGREE
 
-    if config.cache_path and memos is not None:
-        append_new_entries(config.cache_path, memos)
-    hits = sum(memo.hits for memo in memos.values()) if memos else 0
-    record = OutputRecord(
-        payload=payload,
-        wall_time_s=time.monotonic() - started,
-        cache_hits=hits,
-        csv_lines=payload.get("csv"),
-    )
-    record.emit()
+    if "csv" in payload:
+        for line in payload["csv"]:
+            print(line)
+    else:
+        print(json.dumps(payload, sort_keys=True, default=_json_default))
+    print(f"wall_time_s={time.monotonic() - started:.3f}", file=sys.stderr)
     return code

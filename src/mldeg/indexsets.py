@@ -102,17 +102,6 @@ def format_indexset(I):
     return "{" + ",".join(str(x) for x in I) + "}"
 
 
-def parse_indexset(text):
-    """Parse '{0,2,5}' (whitespace tolerated); '{}' is the empty set."""
-    s = text.strip()
-    if not (s.startswith("{") and s.endswith("}")):
-        raise ValueError(f"bad index set literal: {text!r}")
-    body = s[1:-1].strip()
-    if not body:
-        return ()
-    return check_indexset(int(p.strip()) for p in body.split(","))
-
-
 def conjugate(lam):
     """Conjugate partition (zeros dropped in the result)."""
     parts = [p for p in lam if p > 0]

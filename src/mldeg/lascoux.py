@@ -14,7 +14,6 @@ import itertools
 from .exact import binom, det, pfaffian
 from .indexsets import check_indexset, complement, lower_sets
 
-_psi_memo = {}
 _pf_memo = {0: 1}
 _pair_memo = {}
 _psi_rec_memo = {}
@@ -47,17 +46,14 @@ def psi(I):
 
     The Pfaffian is expanded along its first row, and the sub-Pfaffians
     are memoized by the bitmask of their set, so every set of a sweep
-    shares them.  Sets above _EXPANSION_MAX elements build the matrix.
+    shares them.  Sets above _EXPANSION_MAX elements build the matrix
+    and keep the value in the same memo.
     """
     I = check_indexset(I)
-    if I in _psi_memo:
-        return _psi_memo[I]
-    if len(I) > _EXPANSION_MAX:
-        result = pfaffian(_pair_matrix(I))
-    else:
-        result = _pf(sum(1 << i for i in I))
-    _psi_memo[I] = result
-    return result
+    mask = sum(1 << i for i in I)
+    if len(I) > _EXPANSION_MAX and mask not in _pf_memo:
+        _pf_memo[mask] = pfaffian(_pair_matrix(I))
+    return _pf(mask)
 
 
 def _members(mask):

@@ -7,7 +7,6 @@ warm (memoization may only help, never change values).
 """
 
 import json
-import os
 import subprocess
 import sys
 import time
@@ -146,13 +145,10 @@ def test_criterion_10_phi_polynomials_and_regression():
 
 def test_criterion_11_worker_count_invariance():
     t0 = time.monotonic()
-    env = dict(os.environ)
-    env.pop("MLDEG_CACHE", None)
-
     def cli(*argv):
         proc = subprocess.run(
             [sys.executable, "-m", "mldeg", *argv],
-            capture_output=True, text=True, env=env,
+            capture_output=True, text=True,
         )
         assert proc.returncode == 0, proc.stderr
         return proc.stdout

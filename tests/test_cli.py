@@ -1,4 +1,4 @@
-"""Command line contract: exit codes, JSON shape, cache, worker counts."""
+"""Command line contract: exit codes, JSON shape, worker counts."""
 
 import json
 import os
@@ -8,20 +8,12 @@ from fractions import Fraction
 
 import pytest
 
-from mldeg import checks, cli, degrees
-from mldeg.cli import CACHE_HEADER, UsageError, main, parse_set
+from mldeg import checks, degrees
+from mldeg.cli import UsageError, main, parse_set
+from mldeg.indexsets import format_indexset
 
 
-@pytest.fixture(autouse=True)
-def _no_ambient_cache(monkeypatch):
-    monkeypatch.delenv("MLDEG_CACHE", raising=False)
-
-
-def run_cli(*argv, env_extra=None):
-    env = dict(os.environ)
-    env.pop("MLDEG_CACHE", None)
-    if env_extra:
-        env.update(env_extra)
+def run_cli(*argv, env=None):
     return subprocess.run(
         [sys.executable, "-m", "mldeg", *argv],
         capture_output=True, text=True, env=env,
@@ -40,6 +32,8 @@ def test_parse_set():
     assert parse_set("{}") == ()
     assert parse_set("") == ()
     assert parse_set("{ 2 , 5 }") == (2, 5)
+    for I in ((), (0,), (0, 2, 5), (1, 3, 4, 10)):
+        assert parse_set(format_indexset(I)) == I
     for bad in ("{0,0}", "{-1}", "{a}", "0;1", "{3,1}", "{1,-2}"):
         with pytest.raises(UsageError):
             parse_set(bad)
@@ -50,7 +44,6 @@ def test_bad_set_is_usage_error_under_optimize():
         proc = subprocess.run(
             [sys.executable, "-O", "-m", "mldeg", "psi", "--set", text],
             capture_output=True, text=True,
-            env={k: v for k, v in os.environ.items() if k != "MLDEG_CACHE"},
         )
         assert proc.returncode == 2, (text, proc.stderr)
         assert not proc.stdout
@@ -64,7 +57,7 @@ def test_psi_basic(capsys):
     data = json.loads(out)
     assert data["result"] == 7
     assert data["path"] == "pfaffian"
-    assert "wall_time_s=" in err and "cache_hits=" in err
+    assert "wall_time_s=" in err
 
     code, out, _ = run_main(capsys, "psi", "--set", "{0,3}", "--path", "oracle")
     assert code == 0
@@ -112,7 +105,6 @@ def test_usage_errors(capsys):
         ("phi", "-n", "3"),
         ("phi", "--poly", "-d", "13"),
         ("phi", "--table", "0"),
-        ("check", "worked", "--verify-cache"),
         ("psi", "--set", "{0}", "--jobs", "0"),
         ("delta", "-m", "2", "-n", "3", "-r", "2", "--jobs", "-1"),
         ("check", "duality", "--nmax", "-3"),
@@ -234,81 +226,6 @@ def test_check_respects_caps(capsys):
     assert json.loads(out)["tasks"] == 3
 
 
-def test_cache_roundtrip(tmp_path):
-    cache = str(tmp_path / "coeffs.tsv")
-    first = run_cli("delta", "--type", "sym", "-m", "4", "-n", "4", "-r", "2",
-                    "--path", "both", "--cache", cache)
-    assert first.returncode == 0
-    with open(cache) as handle:
-        content = handle.read()
-    assert content.splitlines()[0] == CACHE_HEADER
-    assert "psi\t" in content
-
-    second = run_cli("delta", "--type", "sym", "-m", "4", "-n", "4", "-r", "2",
-                     "--path", "both", "--cache", cache)
-    assert second.returncode == 0
-    assert second.stdout == first.stdout
-    hits = int(second.stderr.rsplit("cache_hits=", 1)[1])
-    assert hits > 0
-
-    # Reload produced no new rows, so the file is unchanged.
-    with open(cache) as handle:
-        assert handle.read() == content
-
-    verified = run_cli("delta", "--type", "sym", "-m", "4", "-n", "4", "-r", "2",
-                       "--path", "both", "--cache", cache, "--verify-cache")
-    assert verified.returncode == 0
-    assert verified.stdout == first.stdout
-
-
-def test_cache_corruption_detected(tmp_path):
-    cache = str(tmp_path / "coeffs.tsv")
-    seeded = run_cli("psi", "--set", "{1,3}", "--cache", cache)
-    assert seeded.returncode == 0
-    with open(cache) as handle:
-        lines = handle.read().splitlines()
-    broken = [lines[0]]
-    for line in lines[1:]:
-        family, key, _ = line.split("\t")
-        broken.append(f"{family}\t{key}\t424242")
-    with open(cache, "w") as handle:
-        handle.write("\n".join(broken) + "\n")
-
-    proc = run_cli("psi", "--set", "{1,3}", "--cache", cache, "--verify-cache")
-    assert proc.returncode == 3
-    assert "cache mismatch" in proc.stderr
-
-
-def test_cache_bad_header(tmp_path):
-    cache = tmp_path / "coeffs.tsv"
-    cache.write_text("bogus\npsi\t{0}\t1\n")
-    proc = run_cli("psi", "--set", "{0}", "--cache", str(cache))
-    assert proc.returncode == 2
-
-
-def test_cache_bad_path_fails_before_work(tmp_path, capsys, monkeypatch):
-    def no_work(args, config):
-        raise AssertionError("command ran despite a bad cache path")
-
-    monkeypatch.setitem(cli._DISPATCH, "psi", no_work)
-    (tmp_path / "plain").write_text("")
-    for path in (tmp_path / "missing" / "c.tsv", tmp_path / "plain" / "c.tsv", tmp_path):
-        code, out, err = run_main(capsys, "psi", "--set", "{0}", "--cache", str(path))
-        assert code == 2, path
-        assert not out
-        lines = err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error:"), err
-
-
-def test_cache_non_ascii_is_usage_error(tmp_path, capsys):
-    cache = tmp_path / "coeffs.tsv"
-    cache.write_bytes(b"# coeff-cache v1\npsi\t{0}\t\xe9\n")
-    code, out, err = run_main(capsys, "psi", "--set", "{0}", "--cache", str(cache))
-    assert code == 2 and not out
-    lines = err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error:"), err
-
-
 _BROKEN_DIVISION = """
 import random, sys
 from fractions import Fraction
@@ -337,7 +254,6 @@ def test_broken_exact_division_exits_3_under_optimize():
     proc = subprocess.run(
         [sys.executable, "-O", "-c", _BROKEN_DIVISION],
         capture_output=True, text=True,
-        env={k: v for k, v in os.environ.items() if k != "MLDEG_CACHE"},
     )
     assert proc.returncode == 3, proc.stderr
     assert not proc.stdout
@@ -346,12 +262,21 @@ def test_broken_exact_division_exits_3_under_optimize():
 
 
 def test_cache_env_var(tmp_path):
-    cache = str(tmp_path / "env.tsv")
-    proc = run_cli("psi", "--set", "{2,3}", env_extra={"MLDEG_CACHE": cache})
+    # There is no persistent coefficient cache: --cache and --verify-cache
+    # are usage errors, MLDEG_CACHE is ignored, and no file is written.
+    cache = tmp_path / "coeffs.tsv"
+    proc = run_cli("psi", "--set", "{0,3}", "--cache", str(cache))
+    assert proc.returncode == 2 and not proc.stdout
+
+    proc = run_cli("check", "worked", "--verify-cache")
+    assert proc.returncode == 2 and not proc.stdout
+
+    env = dict(os.environ, MLDEG_CACHE=str(cache))
+    proc = run_cli("psi", "--set", "{0,3}", env=env)
     assert proc.returncode == 0
-    with open(cache) as handle:
-        content = handle.read()
-    assert "psi\t{2,3}\t10" in content
+    assert json.loads(proc.stdout)["result"] == 7
+
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_jobs_byte_identity():

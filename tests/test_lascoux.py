@@ -105,11 +105,16 @@ def test_psi_matches_padded_pair_matrix_pfaffian():
 
 def test_psi_large_sets_eliminate(monkeypatch):
     # Above the expansion cap psi eliminates the matrix; both routes agree.
-    monkeypatch.setattr(lascoux, "_psi_memo", {})
+    # The expansion values are recorded first, and the eliminations run
+    # on a fresh memo, so neither route reads the other's entries.
+    sets = [I for r in range(4, 8) for I in itertools.combinations(range(9), r)]
+    expanded = {I: psi(I) for I in sets}
+    monkeypatch.setattr(lascoux, "_pf_memo", {0: 1})
     monkeypatch.setattr(lascoux, "_EXPANSION_MAX", 3)
-    for r in range(4, 8):
-        for I in itertools.combinations(range(9), r):
-            assert psi(I) == lascoux._pf(sum(1 << i for i in I)), I
+    for I in sets:
+        assert psi(I) == expanded[I], I
+    # Only the sets themselves were stored: no sub-Pfaffian was expanded.
+    assert len(lascoux._pf_memo) == len(sets) + 1
     monkeypatch.undo()
     assert psi(tuple(range(40))) == 1
     assert psi_complement((0,), 40) == psi_recursion(tuple(range(1, 40)))

@@ -33,7 +33,6 @@ print(json.dumps({"codes": codes, "missing": tracer.missing,
 
 def test_spans_cover_degree_layers():
     env = dict(os.environ)
-    env.pop("MLDEG_CACHE", None)
     env["PYTHONPATH"] = str(ROOT / "src")
     proc = subprocess.run(
         [sys.executable, "-c", SCRIPT, str(ROOT / "perfbench")],
