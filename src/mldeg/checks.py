@@ -44,6 +44,7 @@ from .poly_n import (
     lp_poly,
     lp_shift_residual,
 )
+from .pool import fork_map
 from .qschur import b_poly, d_value
 from .schur_oracle import alpha_oracle, d_oracle, psi_oracle
 
@@ -511,15 +512,6 @@ def build_suite(name, nmax=None, sum_max=None):
 def run_suite(name, nmax=None, sum_max=None, jobs=1):
     """Run one suite; returns (all results, failing results)."""
     tasks = build_suite(name, nmax=nmax, sum_max=sum_max)
-    if jobs and jobs > 1:
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        chunk = max(1, len(tasks) // (4 * jobs))
-        ctx = multiprocessing.get_context("fork")
-        with ProcessPoolExecutor(max_workers=jobs, mp_context=ctx) as pool:
-            results = list(pool.map(run_task, tasks, chunksize=chunk))
-    else:
-        results = [run_task(t) for t in tasks]
+    results = fork_map(run_task, tasks, jobs)
     failures = [r for r in results if not r["ok"]]
     return results, failures

@@ -91,7 +91,8 @@ def parse_set(text):
 def build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="worker processes; results do not depend on N")
+                        help="fork N workers for work left after a short serial "
+                             "start; output does not depend on N")
     common.add_argument("--unsafe-range", action="store_true",
                         help="lift the default size caps")
 

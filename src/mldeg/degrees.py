@@ -19,6 +19,7 @@ functions run every type through it.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
 from .exact import ConsistencyError, binom
@@ -29,9 +30,8 @@ from .indexsets import (
     lambda_of,
 )
 from .lascoux import alpha, alpha_complement, d_a, d_a_complement, psi, psi_complement
+from .pool import fork_map
 from .qschur import b_value, d_value
-
-_aij_poly_memo = {}
 
 
 # ---------------------------------------------------------------- symmetric
@@ -124,16 +124,16 @@ def a_ij_poly(I, J):
     I = check_indexset(I)
     J = check_indexset(J)
     assert len(I) == len(J), "a_ij_poly: size mismatch"
-    key = (I, J)
-    if key in _aij_poly_memo:
-        return _aij_poly_memo[key]
+    return _a_ij_poly(I, J)
+
+
+@functools.cache
+def _a_ij_poly(I, J):
     from .exact import N, PolyQ
 
-    nu = _glued_shape(I, J)
     poly = PolyQ((1,))
-    for n_plus, hook in _content_hook_cells(nu):
+    for n_plus, hook in _content_hook_cells(_glued_shape(I, J)):
         poly = poly * (N + n_plus) * Fraction(1, hook)
-    _aij_poly_memo[key] = poly
     return poly
 
 
@@ -316,17 +316,16 @@ def _partial_chunk(payload):
     return TYPE_TABLE[(kind, role)](n, chunk)
 
 
-def _pooled_sum(kind, role, n, items, jobs):
-    """The role's partial sum over all items, split across jobs workers."""
-    if jobs <= 1 or len(items) <= 1:
-        return TYPE_TABLE[(kind, role)](n, items)
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
+# Terms per partial-sum call: small enough that pool.fork_map checks its
+# time budget often, large enough that the calls cost nothing.
+_CHUNK = 64
 
-    chunks = [items[k::jobs] for k in range(jobs)]
-    ctx = multiprocessing.get_context("fork")
-    with ProcessPoolExecutor(max_workers=jobs, mp_context=ctx) as pool:
-        return sum(pool.map(_partial_chunk, [(kind, role, n, c) for c in chunks]))
+
+def _pooled_sum(kind, role, n, items, jobs):
+    """The role's partial sum over all items, through pool.fork_map."""
+    payloads = [(kind, role, n, items[k:k + _CHUNK])
+                for k in range(0, len(items), _CHUNK)]
+    return sum(fork_map(_partial_chunk, payloads, jobs))
 
 
 def delta_direct_info(matrix_type, m, n, r, jobs=1):

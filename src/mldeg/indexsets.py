@@ -12,10 +12,14 @@ from .exact import binom
 
 
 def check_indexset(I):
+    """I as a tuple; ValueError unless its entries are strictly
+    increasing nonnegative ints."""
     I = tuple(I)
     for k, v in enumerate(I):
-        assert isinstance(v, int) and v >= 0, f"bad index entry {v!r}"
-        assert k == 0 or I[k - 1] < v, f"not strictly increasing: {I}"
+        if not isinstance(v, int) or v < 0:
+            raise ValueError(f"bad index entry {v!r}")
+        if k and I[k - 1] >= v:
+            raise ValueError(f"not strictly increasing: {I}")
     return I
 
 

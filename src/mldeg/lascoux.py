@@ -9,18 +9,11 @@ entries, and the binomial-minor change-of-basis coefficients.
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 from .exact import binom, det, pfaffian
 from .indexsets import check_indexset, complement, lower_sets
-
-_pf_memo = {0: 1}
-_pair_memo = {}
-_psi_rec_memo = {}
-_alpha_memo = {}
-_sij_memo = {}
-_da_memo = {}
-_da_rec_memo = {}
 
 # The first-row expansion of a set of size s visits about 1.618**s
 # sub-sets; above this size psi eliminates the pair matrix instead.
@@ -31,29 +24,22 @@ def psi_single(i):
     return 1 << i
 
 
+@functools.cache
 def psi_pair(i, j):
     """Two-element value: sum of the middle binomials of row i+j."""
     if not 0 <= i < j:
         raise ValueError(f"psi_pair: need 0 <= i < j, got ({i}, {j})")
-    key = (i, j)
-    if key not in _pair_memo:
-        _pair_memo[key] = sum(binom(i + j, k) for k in range(i + 1, j + 1))
-    return _pair_memo[key]
+    return sum(binom(i + j, k) for k in range(i + 1, j + 1))
 
 
 def psi(I):
     """Pfaffian route; odd sizes get a front pad row of singleton values.
 
     The Pfaffian is expanded along its first row, and the sub-Pfaffians
-    are memoized by the bitmask of their set, so every set of a sweep
-    shares them.  Sets above _EXPANSION_MAX elements build the matrix
-    and keep the value in the same memo.
+    are cached by the bitmask of their set, so every set of a sweep
+    shares them.
     """
-    I = check_indexset(I)
-    mask = sum(1 << i for i in I)
-    if len(I) > _EXPANSION_MAX and mask not in _pf_memo:
-        _pf_memo[mask] = pfaffian(_pair_matrix(I))
-    return _pf(mask)
+    return _pf(sum(1 << i for i in check_indexset(I)))
 
 
 def _members(mask):
@@ -65,16 +51,20 @@ def _members(mask):
     return out
 
 
+@functools.cache
 def _pf(mask):
     """Pfaffian of the pair matrix on the set whose bitmask is mask.
 
     An even set expands along its first row, pf(S) = sum over t of
     (-1)^t psi_pair(min S, s_t) pf(S minus {min S, s_t}); an odd set
     expands along the pad row, whose entries are the singleton values.
+    Sets above _EXPANSION_MAX elements eliminate the matrix instead.
     """
-    if mask in _pf_memo:
-        return _pf_memo[mask]
     members = _members(mask)
+    if len(members) > _EXPANSION_MAX:
+        return pfaffian(_pair_matrix(tuple(members)))
+    if not members:
+        return 1
     if len(members) % 2:
         row = [(psi_single(i), mask ^ (1 << i)) for i in members]
     else:
@@ -83,11 +73,7 @@ def _pf(mask):
         row = [(psi_pair(low, j), rest ^ (1 << j)) for j in members[1:]]
     result = 0
     for t, (entry, sub) in enumerate(row):
-        value = _pf_memo.get(sub)
-        if value is None:
-            value = _pf(sub)
-        result += -entry * value if t % 2 else entry * value
-    _pf_memo[mask] = result
+        result += -entry * _pf(sub) if t % 2 else entry * _pf(sub)
     return result
 
 
@@ -111,12 +97,12 @@ def s_ij(I, J):
     I = check_indexset(I)
     J = check_indexset(J)
     assert len(I) == len(J), "s_ij: size mismatch"
-    key = (I, J)
-    if key in _sij_memo:
-        return _sij_memo[key]
-    result = det([[binom(i, j) for j in J] for i in I])
-    _sij_memo[key] = result
-    return result
+    return _s_ij(I, J)
+
+
+@functools.cache
+def _s_ij(I, J):
+    return det([[binom(i, j) for j in J] for i in I])
 
 
 def psi_pascal(I):
@@ -135,9 +121,8 @@ def psi_recursion(I):
     return _psi_recursion(check_indexset(I))
 
 
+@functools.cache
 def _psi_recursion(I):
-    if I in _psi_rec_memo:
-        return _psi_rec_memo[I]
     r = len(I)
     if r == 0:
         result = 1
@@ -152,7 +137,6 @@ def _psi_recursion(I):
                 dec = lifted[: pos + 1] + (I[pos] - 1,) + I[pos + 1:]
                 result -= 2 * _psi_recursion(dec)
             prev = I[pos]
-    _psi_rec_memo[I] = result
     return result
 
 
@@ -169,20 +153,16 @@ def alpha(I):
     return _alpha(check_indexset(I))
 
 
+@functools.cache
 def _alpha(I):
-    if I in _alpha_memo:
-        return _alpha_memo[I]
     r = len(I)
     if r == 0:
-        result = 1
-    elif I[0] == 0:
-        result = sum(_alpha(B) for B in _boxes(I))
-    elif r % 2:
-        result = 0
-    else:
-        result = _alpha((0,) + I)
-    _alpha_memo[I] = result
-    return result
+        return 1
+    if I[0] == 0:
+        return sum(_alpha(B) for B in _boxes(I))
+    if r % 2:
+        return 0
+    return _alpha((0,) + I)
 
 
 def alpha_complement(I, k):
@@ -204,21 +184,16 @@ def d_a(I, J):
     J = check_indexset(J)
     if len(I) > len(J):
         I, J = J, I
-    key = (I, J)
-    if key in _da_memo:
-        return _da_memo[key]
-    r, s = len(I), len(J)
-    if r == s:
-        result = det([[binom(i + j, i) for j in J] for i in I])
-    else:
-        t = s - r
-        if J[:t] != tuple(range(t)):
-            result = 0
-        else:
-            jj = tuple(x - t for x in J[t:])
-            result = det([[binom(t + i + j, i) for j in jj] for i in I])
-    _da_memo[key] = result
-    return result
+    return _d_a(I, J)
+
+
+@functools.cache
+def _d_a(I, J):
+    t = len(J) - len(I)
+    if J[:t] != tuple(range(t)):
+        return 0
+    jj = tuple(x - t for x in J[t:])
+    return det([[binom(t + i + j, i) for j in jj] for i in I])
 
 
 def d_a_recursion(I, J):
@@ -230,10 +205,8 @@ def d_a_recursion(I, J):
     return _d_a_recursion(I, J)
 
 
+@functools.cache
 def _d_a_recursion(I, J):
-    key = (I, J)
-    if key in _da_rec_memo:
-        return _da_rec_memo[key]
     s = len(I)
     if s == 0:
         result = 1
@@ -256,7 +229,6 @@ def _d_a_recursion(I, J):
             if dec > lifted_j[pos]:
                 right = lifted_j[: pos + 1] + (dec,) + J[pos + 1:]
                 result -= _d_a_recursion(lifted_i, right)
-    _da_rec_memo[key] = result
     return result
 
 

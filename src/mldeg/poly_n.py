@@ -11,6 +11,7 @@ means a formula path is broken.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -25,10 +26,6 @@ from .degrees import (
 from .exact import ConsistencyError, PolyQ, binom
 from .indexsets import check_indexset
 from .lascoux import alpha_complement, d_a_complement, psi_complement
-
-_lp_memo = {}
-_lp_a_memo = {}
-_lp_d_memo = {}
 
 
 def _log():
@@ -147,16 +144,17 @@ def lp_poly(I):
     coefficient must reproduce the closed form; either failing is a
     formula-path bug, not an input error.
     """
-    I = check_indexset(I)
-    if I in _lp_memo:
-        return _lp_memo[I]
+    return _lp_poly(check_indexset(I))
+
+
+@functools.cache
+def _lp_poly(I):
     degree = sum(I) + len(I)
     poly = _fit(lambda n: psi_complement(I, n), degree)
     if poly is None:
         raise ConsistencyError(f"complement values of {I} missed the degree-{degree} fit")
     if poly.degree != degree or poly.coeffs[-1] != lp_leading_coeff(I):
         raise ConsistencyError(f"leading coefficient certificate failed for {I}")
-    _lp_memo[I] = poly
     return poly
 
 
@@ -170,31 +168,29 @@ def lp_a_poly(I, J):
     I = check_indexset(I)
     J = check_indexset(J)
     assert len(I) == len(J), "lp_a_poly: size mismatch"
-    key = (I, J)
-    if key in _lp_a_memo:
-        return _lp_a_memo[key]
+    return _lp_a_poly(I, J)
+
+
+@functools.cache
+def _lp_a_poly(I, J):
     degree = sum(I) + sum(J) + len(I)
-    poly = _fit_escalating(
+    return _fit_escalating(
         f"lp_a_poly{I},{J}", lambda n: d_a_complement(I, J, n), degree)
-    _lp_a_memo[key] = poly
-    return poly
 
 
 def lp_d_quasipoly(I):
     """Period-2 family through the skew complement values."""
-    I = check_indexset(I)
-    if I in _lp_d_memo:
-        return _lp_d_memo[I]
+    return _lp_d_quasipoly(check_indexset(I))
+
+
+@functools.cache
+def _lp_d_quasipoly(I):
     degree = sum(I) + len(I)
-    branches = []
-    for parity in (0, 1):
-        branches.append(_fit_escalating(
-            f"lp_d_quasipoly{I}[{parity}]",
-            lambda k: alpha_complement(I, k),
-            degree, start=parity, step=2))
-    result = QuasiPolyQ(branches)
-    _lp_d_memo[I] = result
-    return result
+    return QuasiPolyQ(
+        _fit_escalating(f"lp_d_quasipoly{I}[{parity}]",
+                        lambda k: alpha_complement(I, k),
+                        degree, start=parity, step=2)
+        for parity in (0, 1))
 
 
 def delta_poly(matrix_type, m, s):

@@ -14,16 +14,13 @@ public values divide by the power of two, once.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
 from .exact import ConsistencyError, N, PolyQ
 from .indexsets import check_indexset
 
-_onerow_poly = {}
 _onerow_tables = {}
-_tworow_val = {}
-_qpf_poly = {}
-_qpf_val = {}
 
 
 def q_onerow(a, order=None):
@@ -36,17 +33,17 @@ def q_onerow(a, order=None):
     assert a >= 0
     if order is not None and a > order:
         raise ValueError(f"q_onerow: index {a} above truncation order {order}")
-    if a in _onerow_poly:
-        return _onerow_poly[a]
+    return _q_onerow(a)
+
+
+@functools.cache
+def _q_onerow(a):
     if a == 0:
-        result = PolyQ((1,))
-    else:
-        acc = PolyQ()
-        for j in range(1, a + 1, 2):
-            acc = acc + q_onerow(a - j) * Fraction(1, 1 << (j - 1))
-        result = N * acc * Fraction(1, a)
-    _onerow_poly[a] = result
-    return result
+        return PolyQ((1,))
+    acc = PolyQ()
+    for j in range(1, a + 1, 2):
+        acc = acc + _q_onerow(a - j) * Fraction(1, 1 << (j - 1))
+    return N * acc * Fraction(1, a)
 
 
 def q_onerow_at(a, n):
@@ -90,17 +87,14 @@ def q_tworow(a, b):
     return acc
 
 
+@functools.cache
 def _tworow_at(a, b, n):
-    """2^(a+b) times the two-row value at integer n; memoized."""
-    key = (a, b, n)
-    if key in _tworow_val:
-        return _tworow_val[key]
+    """2^(a+b) times the two-row value at integer n."""
     g = _onerow_ints(a + b, n)
     acc = g[a] * g[b]
     for k in range(1, b + 1):
         term = 2 * g[a + k] * g[b - k]
         acc = acc - term if k % 2 else acc + term
-    _tworow_val[key] = acc
     return acc
 
 
@@ -116,10 +110,9 @@ def _pad(parts):
     return parts if len(parts) % 2 == 0 else parts + (0,)
 
 
+@functools.cache
 def _qpf(parts):
     """Pfaffian expansion along the first row, exact polynomials."""
-    if parts in _qpf_poly:
-        return _qpf_poly[parts]
     if not parts:
         return PolyQ((1,))
     first = parts[0]
@@ -129,20 +122,16 @@ def _qpf(parts):
         second = parts[j]
         term = (q_onerow(first) if second == 0 else q_tworow(first, second)) * _qpf(rest)
         acc = acc - term if j % 2 == 0 else acc + term
-    _qpf_poly[parts] = acc
     return acc
 
 
+@functools.cache
 def _qpf_at(parts, n):
     """Pfaffian expansion with scalar values; the sweep workhorse.
 
-    Returns 2^sum(parts) times the value, an int.  Memoized globally on
-    the part tuple so sub-Pfaffians are shared across all index sets of
-    a sweep.
+    Returns 2^sum(parts) times the value, an int.  Cached on the part
+    tuple so sub-Pfaffians are shared across all index sets of a sweep.
     """
-    key = (parts, n)
-    if key in _qpf_val:
-        return _qpf_val[key]
     if not parts:
         return 1
     first = parts[0]
@@ -151,7 +140,6 @@ def _qpf_at(parts, n):
         rest = parts[1:j] + parts[j + 1:]
         term = _tworow_at(first, parts[j], n) * _qpf_at(rest, n)
         acc = acc - term if j % 2 == 0 else acc + term
-    _qpf_val[key] = acc
     return acc
 
 
@@ -159,12 +147,6 @@ def q_strict(parts):
     """Q specialization of a strict partition as a PolyQ in n."""
     parts = _check_strict(parts)
     return _qpf(_pad(parts))
-
-
-def q_strict_at(parts, n):
-    """Value of q_strict(parts) at integer n."""
-    parts = _check_strict(parts)
-    return Fraction(_qpf_at(_pad(parts), n), 1 << sum(parts))
 
 
 def b_poly(I):

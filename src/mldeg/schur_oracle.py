@@ -19,6 +19,7 @@ independent of every fast path it is used to check.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections import defaultdict
@@ -26,10 +27,7 @@ from collections import defaultdict
 from .exact import ConsistencyError, binom
 from .indexsets import check_indexset, lambda_of, lower_sets, partition_weight
 
-_ssyt_memo = {}
 _series_memo = {}
-_row_sums_memo = {}
-_cross_memo = {}
 
 
 def unit_form(i, nvars):
@@ -46,50 +44,33 @@ def _add_form(target, poly, form):
                 target[key] += c * fc
 
 
-def hom_full(forms, degree, nvars):
-    """Monomial dicts of h_0, ..., h_degree at the given linear forms.
-
-    Multiplying in one geometric series per form: after each form f the
-    running list equals the previous one times 1/(1 - f), truncated.
-    """
-    series = [defaultdict(int) for _ in range(degree + 1)]
-    series[0][(0,) * nvars] = 1
-    for form in forms:
-        for a in range(1, degree + 1):
-            _add_form(series[a], series[a - 1], form)
-    return [dict((k, v) for k, v in level.items() if v) for level in series]
-
-
 def schur_full(shape, nvars):
     """All monomials of the Schur polynomial s_shape(x_1..x_nvars).
 
     Branching on the last variable: strip a horizontal strip (the
     interlacing condition) and recurse on one variable fewer.
     """
-    shape = tuple(p for p in shape if p)
-    key = (shape, nvars)
-    if key in _ssyt_memo:
-        return _ssyt_memo[key]
-    if not shape:
-        result = {(0,) * nvars: 1}
-    elif len(shape) > nvars:
-        result = {}
-    else:
-        result = defaultdict(int)
-        lam = shape
-        ranges = []
-        for i in range(len(lam)):
-            lo = lam[i + 1] if i + 1 < len(lam) else 0
-            ranges.append(range(lo, lam[i] + 1))
-        total = sum(lam)
-        for mu in itertools.product(*ranges):
-            sub = schur_full(mu, nvars - 1)
-            last = total - sum(mu)
-            for mono, c in sub.items():
-                result[mono + (last,)] += c
-        result = dict(result)
-    _ssyt_memo[key] = result
-    return result
+    return _schur_full(tuple(p for p in shape if p), nvars)
+
+
+@functools.cache
+def _schur_full(lam, nvars):
+    if not lam:
+        return {(0,) * nvars: 1}
+    if len(lam) > nvars:
+        return {}
+    result = defaultdict(int)
+    ranges = []
+    for i in range(len(lam)):
+        lo = lam[i + 1] if i + 1 < len(lam) else 0
+        ranges.append(range(lo, lam[i] + 1))
+    total = sum(lam)
+    for mu in itertools.product(*ranges):
+        sub = schur_full(mu, nvars - 1)
+        last = total - sum(mu)
+        for mono, c in sub.items():
+            result[mono + (last,)] += c
+    return dict(result)
 
 
 def orbit_size(dominant):
@@ -211,23 +192,18 @@ def _compositions(total, parts):
             yield (first,) + rest
 
 
+@functools.cache
 def _row_sums(b, rows):
     """Row-sum vector R -> number of rows x len(b) matrices over N with
-    column sums b and row sums R; one column at a time, memoized."""
-    key = (b, rows)
-    if key in _row_sums_memo:
-        return _row_sums_memo[key]
+    column sums b and row sums R; one column at a time."""
     if not b:
-        result = {(0,) * rows: 1}
-    else:
-        result = defaultdict(int)
-        columns = list(_compositions(b[-1], rows))
-        for R, count in _row_sums(b[:-1], rows).items():
-            for col in columns:
-                result[tuple(x + y for x, y in zip(R, col))] += count
-        result = dict(result)
-    _row_sums_memo[key] = result
-    return result
+        return {(0,) * rows: 1}
+    result = defaultdict(int)
+    columns = list(_compositions(b[-1], rows))
+    for R, count in _row_sums(b[:-1], rows).items():
+        for col in columns:
+            result[tuple(x + y for x, y in zip(R, col))] += count
+    return dict(result)
 
 
 def cross_coefficient(a, b):
@@ -239,11 +215,11 @@ def cross_coefficient(a, b):
 
         sum over R of N_b(R) * prod_i C(a_i + R_i + s - 1, a_i).
     """
-    a = tuple(sorted(a))
-    b = tuple(sorted(b))
-    key = (a, b)
-    if key in _cross_memo:
-        return _cross_memo[key]
+    return _cross(tuple(sorted(a)), tuple(sorted(b)))
+
+
+@functools.cache
+def _cross(a, b):
     s = len(b)
     total = 0
     for R, count in _row_sums(b, len(a)).items():
@@ -253,7 +229,6 @@ def cross_coefficient(a, b):
             if not count:
                 break
         total += count
-    _cross_memo[key] = total
     return total
 
 

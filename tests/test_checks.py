@@ -1,7 +1,10 @@
 """Suite registry sanity: builders, dispatch, parallel determinism."""
 
+import concurrent.futures
+
 import pytest
 
+from mldeg import pool
 from mldeg.checks import build_suite, run_suite, run_task, suite_names, task_label
 
 
@@ -57,6 +60,23 @@ def test_parallel_matches_serial():
     serial, _ = run_suite("duality", nmax=4, jobs=1)
     parallel, _ = run_suite("duality", nmax=4, jobs=3)
     assert serial == parallel
+
+
+def test_forked_suite_matches_serial(monkeypatch):
+    # A zero budget forks before the first task.
+    serial, _ = run_suite("certificates", jobs=1)
+    monkeypatch.setattr(pool, "FORK_AFTER_S", 0)
+    forked, failures = run_suite("certificates", jobs=2)
+    assert forked == serial and not failures
+
+
+def test_small_suite_forks_nothing(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("forked a pool for work inside the budget")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+    results, failures = run_suite("worked", jobs=2)
+    assert results and not failures
 
 
 def test_failure_surfaces_counterexample():

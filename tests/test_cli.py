@@ -88,6 +88,13 @@ def test_psi_families(capsys):
     assert code == 0 and json.loads(out)["result"] == 23
 
 
+def test_deep_set_exits_0():
+    # A fresh process: the box sum of {0,5000} walks 5000 cold sets.
+    proc = run_cli("psi", "--family", "alpha", "--set", "{0,5000}")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["result"] == 1
+
+
 def test_usage_errors(capsys):
     bad_calls = [
         ("psi", "--set", "{0,0}"),

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from mldeg import pool
 from mldeg.cli import _D_CAP, _N_CAP
 from mldeg.exact import N, PolyQ, binom
 from mldeg.degrees import (
@@ -205,6 +206,19 @@ def test_delta_info_independent_of_jobs(kind, m, n, r):
         serial = info(kind, m, n, r, jobs=1)
         assert serial[1] > 1
         assert info(kind, m, n, r, jobs=2) == serial
+
+
+@pytest.mark.parametrize("kind, m, n, r", [
+    ("sym", 20, 7, 3), ("a", 10, 4, 2), ("d", 16, 4, 2),
+])
+def test_delta_info_forked_matches_serial(monkeypatch, kind, m, n, r):
+    # A zero budget forks before the first chunk of terms; each closed
+    # form here has two chunks, one per worker.
+    for info in (delta_direct_info, delta_nrs_info):
+        serial = info(kind, m, n, r, jobs=1)
+        monkeypatch.setattr(pool, "FORK_AFTER_S", 0)
+        assert info(kind, m, n, r, jobs=2) == serial
+        monkeypatch.undo()
 
 
 def _upper_sets(J, cap):

@@ -1,10 +1,13 @@
 import itertools
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mldeg.indexsets import (
+    check_indexset,
     complement,
     conjugate,
     enumerate_indexsets,
@@ -14,6 +17,21 @@ from mldeg.indexsets import (
     leq,
     partition_weight,
 )
+
+
+def test_check_indexset_raises_under_optimize():
+    assert check_indexset([0, 2]) == (0, 2)
+    for bad in ((3, 1), (1, 1), (-1,), (0.5,)):
+        with pytest.raises(ValueError):
+            check_indexset(bad)
+    # No assert does the checking, so -O still rejects the set.
+    script = ("from mldeg.indexsets import check_indexset\n"
+              "try:\n    check_indexset((3, 1))\n"
+              "except ValueError as exc:\n    print(exc)\n")
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "not strictly increasing: (3, 1)\n"
 
 
 def test_lambda_of_examples():

@@ -23,11 +23,11 @@ from mldeg.lascoux import (
 from mldeg.schur_oracle import (
     alpha_oracle,
     d_oracle,
-    hom_full,
     psi_oracle,
     schur_full,
     sij_row_oracle,
 )
+from test_schur_oracle import hom_full
 
 
 def test_psi_anchor_values():
@@ -106,18 +106,26 @@ def test_psi_matches_padded_pair_matrix_pfaffian():
 def test_psi_large_sets_eliminate(monkeypatch):
     # Above the expansion cap psi eliminates the matrix; both routes agree.
     # The expansion values are recorded first, and the eliminations run
-    # on a fresh memo, so neither route reads the other's entries.
+    # on a cleared cache, so neither route reads the other's entries.
     sets = [I for r in range(4, 8) for I in itertools.combinations(range(9), r)]
     expanded = {I: psi(I) for I in sets}
-    monkeypatch.setattr(lascoux, "_pf_memo", {0: 1})
+    lascoux._pf.cache_clear()
     monkeypatch.setattr(lascoux, "_EXPANSION_MAX", 3)
     for I in sets:
         assert psi(I) == expanded[I], I
-    # Only the sets themselves were stored: no sub-Pfaffian was expanded.
-    assert len(lascoux._pf_memo) == len(sets) + 1
+    # Only the sets themselves were cached: no sub-Pfaffian was expanded.
+    assert lascoux._pf.cache_info().currsize == len(sets)
     monkeypatch.undo()
+    lascoux._pf.cache_clear()
     assert psi(tuple(range(40))) == 1
     assert psi_complement((0,), 40) == psi_recursion(tuple(range(1, 40)))
+
+
+def test_cached_recursions_handle_deep_sets():
+    # Each lifting and box step is one cached call; a wide gap must not
+    # nest them past the recursion limit.
+    assert psi_recursion((1500,)) == 2 ** 1500
+    assert alpha((0, 5000)) == 1
 
 
 def test_pair_matrix_jacobi_cofactor():

@@ -14,9 +14,14 @@ from mldeg.qschur import (
     q_onerow,
     q_onerow_at,
     q_strict,
-    q_strict_at,
     q_tworow,
 )
+
+
+def q_strict_at(parts, n):
+    """Value of q_strict(parts) at integer n, by the int point route."""
+    parts = qschur._check_strict(parts)
+    return Fraction(qschur._qpf_at(qschur._pad(parts), n), 1 << sum(parts))
 
 
 def test_q_onerow_small():

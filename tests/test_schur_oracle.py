@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import defaultdict
 
 import pytest
 
@@ -7,17 +8,31 @@ from mldeg.exact import ConsistencyError
 from mldeg.indexsets import enumerate_indexsets, index_of, lambda_of
 from mldeg.lascoux import alpha, d_a, psi
 from mldeg.schur_oracle import (
+    _add_form,
     alpha_oracle,
     alternant_terms,
     check_symmetric,
     cross_coefficient,
     d_oracle,
-    hom_full,
     psi_oracle,
     schur_full,
     sij_row_oracle,
     unit_form,
 )
+
+
+def hom_full(forms, degree, nvars):
+    """Monomial dicts of h_0, ..., h_degree at the given linear forms.
+
+    Multiplying in one geometric series per form: after each form f the
+    running list equals the previous one times 1/(1 - f), truncated.
+    """
+    series = [defaultdict(int) for _ in range(degree + 1)]
+    series[0][(0,) * nvars] = 1
+    for form in forms:
+        for a in range(1, degree + 1):
+            _add_form(series[a], series[a - 1], form)
+    return [dict((k, v) for k, v in level.items() if v) for level in series]
 
 
 def _schur_coefficients(poly, nvars, degree):
