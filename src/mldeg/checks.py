@@ -234,9 +234,9 @@ def conormal_line(n):
 
 @_task
 def quasi_d_line(I):
-    q = lp_d_quasipoly(I)
+    branches = lp_d_quasipoly(I)
     for k in range(13):
-        if q(k) != alpha_complement(I, k):
+        if branches[k % 2](k) != alpha_complement(I, k):
             return f"quasi-polynomial miss at {format_indexset(I)}, k={k}"
     return None
 

@@ -24,7 +24,7 @@ from fractions import Fraction
 
 from .exact import ConsistencyError, binom
 from .indexsets import (
-    check_indexset,
+    check_same_size,
     conjugate,
     enumerate_indexsets,
     lambda_of,
@@ -43,7 +43,8 @@ def delta_sym(m, n, r):
 
 def delta_sym_items(m, n, r):
     """Index sets the direct sum ranges over; one term per set."""
-    assert n >= 0
+    if n < 0:
+        raise ValueError(f"need n >= 0, got {n}")
     size = n - r
     if size < 0 or size > n:
         return []
@@ -61,7 +62,8 @@ def delta_sym_nrs(m, n, s):
 
 def delta_sym_nrs_items(m, s):
     """Weighted index sets of the alternating closed-form sum."""
-    assert m > 0 and s > 0
+    if m <= 0 or s <= 0:
+        raise ValueError(f"need m > 0 and s > 0, got m={m}, s={s}")
     items = []
     for t in range(binom(s, 2), m - s + 1):
         sign = -1 if (m - s - t) % 2 else 1
@@ -92,7 +94,8 @@ def delta_type_a(m, n, r):
 
 
 def delta_type_a_items(m, n, r):
-    assert n >= 0
+    if n < 0:
+        raise ValueError(f"need n >= 0, got {n}")
     size = n - r
     if size < 0 or size > n:
         return []
@@ -121,10 +124,7 @@ def a_ij_poly(I, J):
     principal specialization is the content-over-hook product, a
     polynomial in n that vanishes at integers below the row count.
     """
-    I = check_indexset(I)
-    J = check_indexset(J)
-    assert len(I) == len(J), "a_ij_poly: size mismatch"
-    return _a_ij_poly(I, J)
+    return _a_ij_poly(*check_same_size(I, J, "a_ij_poly"))
 
 
 @functools.cache
@@ -172,7 +172,8 @@ def delta_type_a_nrs(m, n, r):
 
 
 def delta_type_a_nrs_items(m, r):
-    assert m > 0 and r > 0
+    if m <= 0 or r <= 0:
+        raise ValueError(f"need m > 0 and r > 0, got m={m}, r={r}")
     items = []
     for u in range(2 * binom(r, 2), m - r + 1):
         sign = -1 if (m - r - u) % 2 else 1
@@ -206,7 +207,8 @@ def delta_type_d(m, n, r):
 
 
 def delta_type_d_items(m, n, r):
-    assert n >= 0
+    if n < 0:
+        raise ValueError(f"need n >= 0, got {n}")
     size = 2 * n - 2 * r
     if size < 0 or size > 2 * n:
         return []
@@ -228,7 +230,8 @@ def delta_type_d_nrs(m, n, r):
 
 
 def delta_type_d_nrs_items(m, r):
-    assert m > 0 and r > 0
+    if m <= 0 or r <= 0:
+        raise ValueError(f"need m > 0 and r > 0, got m={m}, r={r}")
     items = []
     for t in range(binom(2 * r, 2), m + 1):
         sign = -1 if (m - t) % 2 else 1
@@ -307,7 +310,8 @@ def pataki_window(matrix_type, n, r):
     Windows match the support of the defining sums, which is also what
     the duality and closed-form equality tests pin down.
     """
-    assert 0 < r < n, "window defined for intermediate ranks only"
+    if not 0 < r < n:
+        raise ValueError(f"window defined for ranks 0 < r < n only, got n={n}, r={r}")
     return TYPE_TABLE[(canonical_type(matrix_type), "window")](n, r)
 
 
@@ -342,7 +346,8 @@ def delta_nrs_info(matrix_type, m, n, r, jobs=1):
     formula path is broken.
     """
     kind = canonical_type(matrix_type)
-    assert n > 0
+    if n <= 0:
+        raise ValueError(f"need n > 0, got {n}")
     items = TYPE_TABLE[(kind, "nrs_items")](m, n - r)
     total = Fraction(_pooled_sum(kind, "nrs_partial", n, items, jobs))
     if total.denominator != 1:
@@ -359,7 +364,8 @@ def _rank_sum(kind, n, d):
     A corank whose window starts past d has no terms, and the window
     start grows with the corank, so the loop stops at the first one.
     """
-    assert n > 0 and d > 0
+    if n <= 0 or d <= 0:
+        raise ValueError(f"need n > 0 and d > 0, got n={n}, d={d}")
     window = TYPE_TABLE[(kind, "window")]
     total = 0
     for s in range(1, n + 1):

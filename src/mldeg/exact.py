@@ -118,7 +118,8 @@ class PolyQ:
     __rmul__ = __mul__
 
     def __pow__(self, k):
-        assert isinstance(k, int) and k >= 0
+        if not isinstance(k, int) or k < 0:
+            raise ValueError(f"PolyQ power needs a nonnegative int, got {k!r}")
         result = PolyQ((1,))
         base = self
         while k:

@@ -23,6 +23,16 @@ def check_indexset(I):
     return I
 
 
+def check_same_size(I, J, label):
+    """(I, J) as checked index sets; ValueError naming label unless
+    they have the same size."""
+    I = check_indexset(I)
+    J = check_indexset(J)
+    if len(I) != len(J):
+        raise ValueError(f"{label}: sets of different sizes {I}, {J}")
+    return I, J
+
+
 def lambda_of(I):
     """Partition of I: subtract the staircase, largest part first.
 
@@ -38,10 +48,8 @@ def index_of(lam):
     """Inverse of lambda_of; the partition length (zeros included) sets the size."""
     lam = tuple(lam)
     r = len(lam)
-    for k in range(1, r):
-        assert lam[k - 1] >= lam[k] >= 0, f"not a partition: {lam}"
-    if r:
-        assert lam[r - 1] >= 0
+    if any(a < b for a, b in zip(lam, lam[1:])) or (r and lam[-1] < 0):
+        raise ValueError(f"not a partition: {lam}")
     return tuple(lam[r - 1 - k] + k for k in range(r))
 
 
@@ -56,9 +64,7 @@ def complement(I, n):
 
 def leq(I, J):
     """Componentwise order on equal-size index sets."""
-    I = check_indexset(I)
-    J = check_indexset(J)
-    assert len(I) == len(J), "leq: size mismatch"
+    I, J = check_same_size(I, J, "leq")
     return all(a <= b for a, b in zip(I, J))
 
 
@@ -81,7 +87,8 @@ def enumerate_indexsets(size, total, bound=None):
     Elements are < bound when bound is given.  Lexicographic order, so
     downstream sums and emitted files are reproducible.
     """
-    assert size >= 0
+    if size < 0:
+        raise ValueError(f"enumerate_indexsets: negative size {size}")
 
     def rec(prefix, remaining, lo, slots):
         if slots == 0:

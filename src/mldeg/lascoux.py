@@ -13,7 +13,7 @@ import functools
 import itertools
 
 from .exact import binom, det, pfaffian
-from .indexsets import check_indexset, complement, lower_sets
+from .indexsets import check_indexset, check_same_size, complement, lower_sets
 
 # The first-row expansion of a set of size s visits about 1.618**s
 # sub-sets; above this size psi eliminates the pair matrix instead.
@@ -94,10 +94,7 @@ def _pair_matrix(I):
 
 def s_ij(I, J):
     """Minor of the Pascal triangle: det of C(i_k, j_l)."""
-    I = check_indexset(I)
-    J = check_indexset(J)
-    assert len(I) == len(J), "s_ij: size mismatch"
-    return _s_ij(I, J)
+    return _s_ij(*check_same_size(I, J, "s_ij"))
 
 
 @functools.cache

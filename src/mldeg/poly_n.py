@@ -1,12 +1,12 @@
 """Polynomials in the size parameter, recovered by exact interpolation.
 
-Each family here is pinned by more data than the fit consumes: extra
-evaluation points must land on the interpolated polynomial, degree
-guesses escalate only when the data forces them to, and the
-complement-value family additionally carries a closed-form leading
-coefficient that the fit has to reproduce.  The recurrence residuals
-at the bottom are exact polynomial certificates; a nonzero residual
-means a formula path is broken.
+Every family here has a proven degree in n, so each is fitted once at
+that degree, and five more evaluation points must land on the fit.  The
+skew complement family is a pair of polynomials, one per parity of its
+argument; the complement-value family also carries a closed-form
+leading coefficient that the fit has to reproduce.  A missed point, a
+wrong leading coefficient or a nonzero residual of the recurrence
+certificates at the bottom means a formula path is broken.
 """
 
 from __future__ import annotations
@@ -16,76 +16,18 @@ import itertools
 import math
 from fractions import Fraction
 
-from .degrees import (
-    canonical_type,
-    delta_sym,
-    delta_type_a,
-    delta_type_d,
-    phi_value,
-)
-from .exact import ConsistencyError, PolyQ, binom
-from .indexsets import check_indexset
+from .degrees import canonical_type, delta_direct_info, phi_value
+from .exact import ConsistencyError, PolyQ
+from .indexsets import check_indexset, check_same_size
 from .lascoux import alpha_complement, d_a_complement, psi_complement
-
-
-def _log():
-    # logging is imported only on the branches that log: it costs
-    # start-up time on every query, and these branches are rare.
-    import logging
-
-    return logging.getLogger(__name__)
-
-
-class QuasiPolyQ:
-    """Finite family of polynomials indexed by residue of the argument.
-
-    branches[k] answers arguments congruent to k modulo the period.  A
-    family whose branches all agree is a polynomial in disguise;
-    collapse() hands that polynomial back.
-    """
-
-    __slots__ = ("branches",)
-
-    def __init__(self, branches):
-        branches = tuple(branches)
-        assert branches, "QuasiPolyQ needs at least one branch"
-        assert all(isinstance(b, PolyQ) for b in branches)
-        object.__setattr__(self, "branches", branches)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("QuasiPolyQ is immutable")
-
-    @property
-    def period(self):
-        return len(self.branches)
-
-    def __call__(self, n):
-        return self.branches[n % self.period](n)
-
-    def collapse(self):
-        first = self.branches[0]
-        if all(b == first for b in self.branches):
-            return first
-        return self
-
-    def __eq__(self, other):
-        if isinstance(other, QuasiPolyQ):
-            return self.branches == other.branches
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.branches)
-
-    def __repr__(self):
-        return f"QuasiPolyQ({list(self.branches)!r})"
 
 
 def interpolate(points):
     """Newton-form interpolation through points with distinct abscissae."""
     pts = [(Fraction(x), Fraction(y)) for x, y in points]
-    assert pts, "interpolate: need at least one point"
     xs = [x for x, _ in pts]
-    assert len(set(xs)) == len(xs), "interpolate: repeated abscissa"
+    if not pts or len(set(xs)) != len(xs):
+        raise ValueError("interpolate: need points with distinct abscissae")
     dd = [y for _, y in pts]
     for j in range(1, len(pts)):
         for i in range(len(pts) - 1, j - 1, -1):
@@ -96,30 +38,18 @@ def interpolate(points):
     return poly
 
 
-def _fit(value_at, degree, start=0, step=1, extra=5):
-    """Interpolate on an arithmetic grid; None when extra points disagree."""
-    assert degree >= 0 and step >= 1
-    grid = [start + step * t for t in range(degree + 1 + extra)]
+def _fit(label, value_at, degree, start=0, step=1):
+    """Interpolate at a proven degree on an arithmetic grid.
+
+    The degree + 1 nodes fix the polynomial; the five grid points after
+    them must land on it, or the values are not that polynomial.
+    """
+    grid = [start + step * t for t in range(degree + 6)]
     poly = interpolate([(x, value_at(x)) for x in grid[: degree + 1]])
     for x in grid[degree + 1:]:
         if poly(x) != value_at(x):
-            return None
+            raise ConsistencyError(f"{label}: degree-{degree} fit misses the value at {x}")
     return poly
-
-
-def _fit_escalating(label, value_at, degree, start=0, step=1, extra=5, limit=None):
-    """Fit with an automatically raised degree bound, loudly when raised."""
-    if limit is None:
-        limit = degree + 12
-    guess = degree
-    while guess <= limit:
-        poly = _fit(value_at, guess, start=start, step=step, extra=extra)
-        if poly is not None:
-            if guess != degree:
-                _log().info("%s: degree bound %d too low, fit at %d", label, degree, guess)
-            return poly
-        guess += 2
-    raise ConsistencyError(f"{label}: no polynomial of degree <= {limit} fits the data")
 
 
 def lp_leading_coeff(I):
@@ -150,9 +80,7 @@ def lp_poly(I):
 @functools.cache
 def _lp_poly(I):
     degree = sum(I) + len(I)
-    poly = _fit(lambda n: psi_complement(I, n), degree)
-    if poly is None:
-        raise ConsistencyError(f"complement values of {I} missed the degree-{degree} fit")
+    poly = _fit(f"lp_poly{I}", lambda n: psi_complement(I, n), degree)
     if poly.degree != degree or poly.coeffs[-1] != lp_leading_coeff(I):
         raise ConsistencyError(f"leading coefficient certificate failed for {I}")
     return poly
@@ -161,72 +89,48 @@ def _lp_poly(I):
 def lp_a_poly(I, J):
     """Polynomial through the two-set complement entries at n >= 0.
 
-    No proven degree bound is available, so sum(I) + sum(J) + len(I)
-    is a starting guess, over-determined by extra points and escalated
-    when they disagree.
+    Its degree is at most sum(I) + sum(J) + len(I): the entry is a
+    signed sum over L <= I of s_ij(I, L) a_ij_poly(L, J), whose glued
+    shape has sum(L) + sum(J) + len(L) cells.
     """
-    I = check_indexset(I)
-    J = check_indexset(J)
-    assert len(I) == len(J), "lp_a_poly: size mismatch"
-    return _lp_a_poly(I, J)
+    return _lp_a_poly(*check_same_size(I, J, "lp_a_poly"))
 
 
 @functools.cache
 def _lp_a_poly(I, J):
-    degree = sum(I) + sum(J) + len(I)
-    return _fit_escalating(
-        f"lp_a_poly{I},{J}", lambda n: d_a_complement(I, J, n), degree)
+    return _fit(f"lp_a_poly{I},{J}", lambda n: d_a_complement(I, J, n),
+                sum(I) + sum(J) + len(I))
 
 
 def lp_d_quasipoly(I):
-    """Period-2 family through the skew complement values."""
+    """(even, odd) polynomials through alpha_complement(I, k) at even
+    and at odd k, each of degree at most sum(I): the value is a signed
+    sum of d_value(J, k) over J <= I, and on one parity of k each
+    d_value(J, k) is 0 or d_poly(J), of degree sum(J).
+    """
     return _lp_d_quasipoly(check_indexset(I))
 
 
 @functools.cache
 def _lp_d_quasipoly(I):
-    degree = sum(I) + len(I)
-    return QuasiPolyQ(
-        _fit_escalating(f"lp_d_quasipoly{I}[{parity}]",
-                        lambda k: alpha_complement(I, k),
-                        degree, start=parity, step=2)
+    return tuple(
+        _fit(f"lp_d_quasipoly{I}[{parity}]", lambda k: alpha_complement(I, k),
+             sum(I), start=parity, step=2)
         for parity in (0, 1))
 
 
 def delta_poly(matrix_type, m, s):
     """Dual degree as a polynomial in the size, at fixed m and corank s.
 
-    The symmetric family has proven degree m and vanishes at 0, so the
-    fit is rigid there.  The square and skew families get the same
-    starting guess with escalation; the skew family falls back to a
-    period-2 pair of branches if no single polynomial fits.
+    Every type has degree m: each term of the direct sum is a
+    coefficient times a complement polynomial of degree m, the skew one
+    taken on its even branch at k = 2n.
     """
-    mt = canonical_type(matrix_type)
-    assert m > 0 and s > 0
-    if mt == "sym":
-        if binom(s + 1, 2) > m:
-            return PolyQ(())
-        poly = _fit(lambda n: delta_sym(m, n, n - s), m)
-        if poly is None:
-            raise ConsistencyError(f"degree-{m} fit failed at (sym, m={m}, s={s})")
-        if poly(0) != 0:
-            raise ConsistencyError(f"(sym, m={m}, s={s}) fit has nonzero value at 0")
-        return poly
-    if mt == "a":
-        return _fit_escalating(
-            f"delta_poly(a,{m},{s})", lambda n: delta_type_a(m, n, n - s), m)
-    try:
-        return _fit_escalating(
-            f"delta_poly(d,{m},{s})", lambda n: delta_type_d(m, n, n - s), m)
-    except ConsistencyError:
-        _log().info("delta_poly(d,%d,%d): splitting into period-2 branches", m, s)
-        branches = [
-            _fit_escalating(
-                f"delta_poly(d,{m},{s})[{parity}]",
-                lambda n: delta_type_d(m, n, n - s), m, start=parity, step=2)
-            for parity in (0, 1)
-        ]
-        return QuasiPolyQ(branches)
+    kind = canonical_type(matrix_type)
+    if m <= 0 or s <= 0:
+        raise ValueError(f"delta_poly: need m > 0 and s > 0, got m={m}, s={s}")
+    return _fit(f"delta_poly({kind},{m},{s})",
+                lambda n: delta_direct_info(kind, m, n, n - s)[0], m)
 
 
 def phi_poly(matrix_type, d):
@@ -235,11 +139,9 @@ def phi_poly(matrix_type, d):
     Degree d - 1 through nodes n = 1..d, then five checked points.
     """
     mt = canonical_type(matrix_type)
-    assert d > 0
-    poly = _fit(lambda n: phi_value(mt, n, d), d - 1, start=1)
-    if poly is None:
-        raise ConsistencyError(f"degree-{d - 1} fit failed at ({mt}, d={d})")
-    return poly
+    if d <= 0:
+        raise ValueError(f"phi_poly: need d > 0, got {d}")
+    return _fit(f"phi_poly({mt},{d})", lambda n: phi_value(mt, n, d), d - 1, start=1)
 
 
 def _bump_set(I, e):
@@ -256,7 +158,8 @@ def lp_lift_residual(I):
                        of value(I with 0 and e removed, e + 1 added)
     """
     I = check_indexset(I)
-    assert I and I[0] == 0
+    if not I or I[0] != 0:
+        raise ValueError(f"lp_lift_residual: {I} does not contain 0")
     r = len(I)
     rest = I[1:]
     rhs = PolyQ((1 - r, 1)) * lp_poly(rest)
@@ -274,7 +177,8 @@ def lp_shift_residual(I):
     decrements that collide.
     """
     I = check_indexset(I)
-    assert 0 not in I
+    if 0 in I:
+        raise ValueError(f"lp_shift_residual: {I} contains 0")
     lhs = lp_poly(I) - lp_poly(I).shift_arg(-1)
     rhs = PolyQ(())
     for eps in itertools.product((0, 1), repeat=len(I)):
@@ -290,10 +194,9 @@ def lp_shift_residual(I):
 def lp_a_lift_residual(I, J):
     """Two-set analogue of lp_lift_residual; the correction terms come
     without the factor 2, one sum per side."""
-    I = check_indexset(I)
-    J = check_indexset(J)
-    assert len(I) == len(J), "lp_a_lift_residual: size mismatch"
-    assert I and J and I[0] == 0 and J[0] == 0
+    I, J = check_same_size(I, J, "lp_a_lift_residual")
+    if not I or I[0] != 0 or J[0] != 0:
+        raise ValueError(f"lp_a_lift_residual: {I}, {J} do not both contain 0")
     r = len(I)
     ri, rj = I[1:], J[1:]
     rhs = PolyQ((1 - r, 1)) * lp_a_poly(ri, rj)
@@ -309,10 +212,9 @@ def lp_a_lift_residual(I, J):
 def lp_a_shift_residual(I, J):
     """Two-set analogue of lp_shift_residual: decrement any nonempty
     choice of entries on either side, skipping collisions."""
-    I = check_indexset(I)
-    J = check_indexset(J)
-    assert len(I) == len(J), "lp_a_shift_residual: size mismatch"
-    assert 0 not in I and 0 not in J
+    I, J = check_same_size(I, J, "lp_a_shift_residual")
+    if 0 in I or 0 in J:
+        raise ValueError(f"lp_a_shift_residual: {I} or {J} contains 0")
     lhs = lp_a_poly(I, J) - lp_a_poly(I, J).shift_arg(-1)
     rhs = PolyQ(())
     for eps in itertools.product((0, 1), repeat=len(I)):
@@ -331,14 +233,9 @@ def lp_d_parity_residuals(I):
     """Residual pair for the skew family with 0 present: the branch with
     argument minus size even must drop the 0, the other branch must die."""
     I = check_indexset(I)
-    assert I and I[0] == 0
+    if not I or I[0] != 0:
+        raise ValueError(f"lp_d_parity_residuals: {I} does not contain 0")
     q = lp_d_quasipoly(I)
     sub = lp_d_quasipoly(I[1:])
     keep = len(I) % 2
-    out = []
-    for parity in (0, 1):
-        if parity == keep:
-            out.append(q.branches[parity] - sub.branches[parity])
-        else:
-            out.append(q.branches[parity] - PolyQ(()))
-    return tuple(out)
+    return tuple(q[p] - sub[p] if p == keep else q[p] for p in (0, 1))

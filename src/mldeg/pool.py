@@ -2,8 +2,9 @@
 
 Forking costs more than most queries, and a worker forked cold
 rebuilds the coefficient caches its siblings also build.  So the
-items run here first, and only work that outlasts FORK_AFTER_S is
-split: the workers are forked then, with every cache warm.
+items run here first, and only work that outlasts FORK_AFTER_S, and
+has enough left to pay for a fork, is split: the workers are forked
+then, with every cache warm.
 """
 
 from __future__ import annotations
@@ -19,16 +20,21 @@ FORK_AFTER_S = 0.1
 def fork_map(fn, items, jobs):
     """[fn(item) for item in items], in item order; items is a list.
 
-    The items run in this process until FORK_AFTER_S has passed; if
-    jobs > 1 the rest then go to jobs forked workers.  fn must be
-    reachable by import path, as workers receive it pickled.
+    The items run in this process until FORK_AFTER_S has passed.  If
+    jobs > 1, the rest then go to jobs forked workers, once at least
+    two are left and, at the mean time per item so far, they would run
+    longer than FORK_AFTER_S.  fn must be reachable by import path, as
+    workers receive it pickled.
     """
     results = []
-    deadline = time.perf_counter() + FORK_AFTER_S
-    for k, item in enumerate(items):
-        if jobs > 1 and time.perf_counter() >= deadline:
-            return results + _forked(fn, items[k:], jobs)
+    started = time.perf_counter()
+    for k, item in enumerate(items, 1):
         results.append(fn(item))
+        spent = time.perf_counter() - started
+        left = len(items) - k
+        if (jobs > 1 and left >= 2 and spent >= FORK_AFTER_S
+                and spent / k * left > FORK_AFTER_S):
+            return results + _forked(fn, items[k:], jobs)
     return results
 
 

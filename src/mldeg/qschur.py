@@ -23,16 +23,15 @@ from .indexsets import check_indexset
 _onerow_tables = {}
 
 
-def q_onerow(a, order=None):
+def q_onerow(a):
     """Coefficient of t^a in ((1+t/2)/(1-t/2))^n as a PolyQ in n.
 
     The generating function is exp(n*L) with L = log((1+t/2)/(1-t/2))
     = sum over odd j of t^j/(j*2^(j-1)); differentiating gives the
     recurrence a*F_a = n * sum over odd j <= a of F_(a-j)/2^(j-1).
     """
-    assert a >= 0
-    if order is not None and a > order:
-        raise ValueError(f"q_onerow: index {a} above truncation order {order}")
+    if a < 0:
+        raise ValueError(f"q_onerow: negative index {a}")
     return _q_onerow(a)
 
 
@@ -100,9 +99,8 @@ def _tworow_at(a, b, n):
 
 def _check_strict(parts):
     parts = tuple(parts)
-    for k, p in enumerate(parts):
-        assert p > 0, f"strict partition with nonpositive part: {parts}"
-        assert k == 0 or parts[k - 1] > p, f"parts not strictly decreasing: {parts}"
+    if any(p <= 0 for p in parts) or any(a <= b for a, b in zip(parts, parts[1:])):
+        raise ValueError(f"not a strict partition of positive parts: {parts}")
     return parts
 
 

@@ -62,12 +62,42 @@ def test_parallel_matches_serial():
     assert serial == parallel
 
 
-def test_forked_suite_matches_serial(monkeypatch):
-    # A zero budget forks before the first task.
+def test_forked_suite_matches_serial(monkeypatch, fork_calls):
+    # A zero budget forks once the first task is done.
     serial, _ = run_suite("certificates", jobs=1)
     monkeypatch.setattr(pool, "FORK_AFTER_S", 0)
     forked, failures = run_suite("certificates", jobs=2)
     assert forked == serial and not failures
+    assert fork_calls == [len(serial) - 1]
+
+
+class _FakeTime:
+    """Stands in for the time module in pool: sleeping moves its clock."""
+
+    def __init__(self):
+        self.now = 0.0
+
+    def perf_counter(self):
+        return self.now
+
+    def sleep(self, seconds):
+        self.now += seconds
+
+
+@pytest.mark.parametrize("delays", [
+    [0.04, 0.04, 0.0],  # one item left once the budget is spent
+    [0.01] * 8,  # three left, but together cheaper than the budget
+])
+def test_cheap_tail_forks_nothing(monkeypatch, delays):
+    def refuse(*args, **kwargs):
+        raise AssertionError("forked a pool for a tail cheaper than the budget")
+
+    clock = _FakeTime()
+    monkeypatch.setattr(pool, "time", clock)
+    monkeypatch.setattr(pool, "FORK_AFTER_S", 0.05)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+    assert pool.fork_map(clock.sleep, delays, 2) == [None] * len(delays)
+    assert clock.now == sum(delays)
 
 
 def test_small_suite_forks_nothing(monkeypatch):

@@ -1,5 +1,7 @@
 """Command line contract: exit codes, JSON shape, worker counts."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -7,6 +9,8 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mldeg import checks, degrees
 from mldeg.cli import UsageError, main, parse_set
@@ -266,6 +270,95 @@ def test_broken_exact_division_exits_3_under_optimize():
     assert not proc.stdout
     assert proc.stderr.splitlines()[0] == "True True"
     assert "internal disagreement" in proc.stderr
+
+
+_BAD_ARGUMENTS = """
+from mldeg.degrees import pataki_window
+from mldeg.indexsets import enumerate_indexsets
+from mldeg.poly_n import delta_poly, lp_a_poly
+from mldeg.qschur import q_strict
+
+calls = (
+    lambda: delta_poly("sym", 0, 1),
+    lambda: lp_a_poly((0,), (0, 1)),
+    lambda: pataki_window("sym", 3, 0),
+    lambda: list(enumerate_indexsets(-1, 0)),
+    lambda: q_strict((1, 2)),
+)
+for call in calls:
+    try:
+        call()
+        print("returned")
+    except ValueError:
+        print("ValueError")
+"""
+
+
+def test_bad_arguments_raise_value_error_under_optimize():
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _BAD_ARGUMENTS],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["ValueError"] * 5
+
+
+def _option(flag, values):
+    return st.one_of(st.just([]), values.map(lambda v: [flag, v]))
+
+
+_SMALL_INTS = st.integers(-2, 14).map(str)
+_SETS = st.one_of(
+    st.lists(st.integers(0, 8), max_size=3, unique=True).map(
+        lambda xs: "{" + ",".join(map(str, sorted(xs))) + "}"),
+    st.sampled_from(["{3,1}", "{-1}", "x"]),
+)
+_TYPES = st.sampled_from(["sym", "a", "d", "skew", "hermitian"])
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(["psi", "delta", "phi", "check"]))
+    argv = [command]
+    if command == "psi":
+        family = draw(st.sampled_from(["psi", "alpha", "d", "beta"]))
+        argv += ["--set", draw(_SETS), "--family", family]
+        if family == "d":
+            argv += ["--pair", draw(_SETS)]
+        else:
+            argv += draw(_option("--pair", _SETS))
+        argv += draw(_option("--complement", _SMALL_INTS))
+        argv += draw(_option("--path", st.sampled_from(
+            ["pfaffian", "pascal", "recursion", "oracle", "fast"])))
+    elif command == "delta":
+        argv += draw(_option("--type", _TYPES))
+        for flag in ("-m", "-n", "-r"):
+            argv += [flag, draw(_SMALL_INTS)]
+        argv += draw(_option("--path", st.sampled_from(["direct", "nrs", "both", "fast"])))
+    elif command == "phi":
+        argv += draw(_option("--type", _TYPES))
+        flags = draw(st.sampled_from([("-n", "-d"), ("-d",), ("--table",), ("-n", "-d", "--table")]))
+        for flag in flags:
+            argv += [flag, draw(_SMALL_INTS)]
+        argv += draw(st.sampled_from([[], ["--poly"]]))
+    else:
+        argv += [draw(st.sampled_from(["worked", "conics", "duality", "pataki"]))]
+        argv += ["--nmax", str(draw(st.integers(-2, 3)))]
+    argv += draw(_option("--jobs", st.integers(-1, 2).map(str)))
+    return argv
+
+
+@given(_argv())
+@settings(max_examples=150, deadline=None)
+def test_any_argv_keeps_the_exit_code_contract(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+            assert code == 2, (argv, err.getvalue())
+    assert code in (0, 1, 2, 3), (argv, err.getvalue())
 
 
 def test_cache_env_var(tmp_path):

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from mldeg import pool
+from mldeg import degrees, pool
 from mldeg.cli import _D_CAP, _N_CAP
 from mldeg.exact import N, PolyQ, binom
 from mldeg.degrees import (
@@ -72,7 +72,7 @@ def test_pataki_windows():
     assert pataki_window("a", 3, 2) == (1, 5)
     assert pataki_window("general", 3, 1) == (4, 8)
     assert pataki_window("d", 2, 1) == (1, 5)
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         pataki_window("sym", 3, 3)
     with pytest.raises(ValueError):
         canonical_type("hermitian")
@@ -211,14 +211,16 @@ def test_delta_info_independent_of_jobs(kind, m, n, r):
 @pytest.mark.parametrize("kind, m, n, r", [
     ("sym", 20, 7, 3), ("a", 10, 4, 2), ("d", 16, 4, 2),
 ])
-def test_delta_info_forked_matches_serial(monkeypatch, kind, m, n, r):
-    # A zero budget forks before the first chunk of terms; each closed
-    # form here has two chunks, one per worker.
-    for info in (delta_direct_info, delta_nrs_info):
-        serial = info(kind, m, n, r, jobs=1)
-        monkeypatch.setattr(pool, "FORK_AFTER_S", 0)
-        assert info(kind, m, n, r, jobs=2) == serial
-        monkeypatch.undo()
+def test_delta_info_forked_matches_serial(monkeypatch, fork_calls, kind, m, n, r):
+    # With one-term chunks and a zero budget, a sum forks for all but its
+    # first term, unless that leaves fewer than two (the direct sum for
+    # sym has two terms).
+    infos = (delta_direct_info, delta_nrs_info)
+    serial = [info(kind, m, n, r, jobs=1) for info in infos]
+    monkeypatch.setattr(pool, "FORK_AFTER_S", 0)
+    monkeypatch.setattr(degrees, "_CHUNK", 1)
+    assert [info(kind, m, n, r, jobs=2) for info in infos] == serial
+    assert fork_calls == [terms - 1 for _, terms in serial if terms > 2]
 
 
 def _upper_sets(J, cap):

@@ -74,7 +74,7 @@ def test_leq():
     assert leq((0, 2), (1, 3))
     assert not leq((1, 2), (0, 5))
     assert leq((1, 2), (1, 2))
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         leq((1,), (1, 2))
 
 

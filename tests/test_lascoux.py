@@ -208,7 +208,7 @@ def test_s_ij_values():
     assert s_ij((0, 2), (0, 2)) == 1
     assert s_ij((2, 4), (2, 4)) == 1
     assert s_ij((1, 2), (0, 3)) == 0
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         s_ij((1,), (0, 1))
 
 

@@ -7,8 +7,8 @@ from mldeg.exact import ConsistencyError, N, PolyQ
 from mldeg.degrees import a_value, delta_sym, delta_type_a, delta_type_d, phi_sym, phi_type_a, phi_type_d
 from mldeg.indexsets import enumerate_indexsets
 from mldeg.lascoux import alpha_complement, d_a_complement, psi_complement, s_ij
+from mldeg import poly_n
 from mldeg.poly_n import (
-    QuasiPolyQ,
     delta_poly,
     interpolate,
     lp_a_lift_residual,
@@ -38,19 +38,8 @@ def test_interpolate():
     assert interpolate([(3, 7)]) == 7
     half = Fraction(1, 2)
     assert interpolate([(half, half * half), (0, 0), (1, 1)]) == PolyQ((0, 0, 1))
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         interpolate([(0, 1), (0, 2)])
-
-
-def test_quasipoly_basics():
-    q = QuasiPolyQ((PolyQ((0, 1)), PolyQ((5,))))
-    assert q.period == 2
-    assert q(4) == 4 and q(5) == 5
-    assert q.collapse() is q
-    c = QuasiPolyQ((PolyQ((3,)), PolyQ((3,))))
-    assert c.collapse() == 3
-    with pytest.raises(AttributeError):
-        q.branches = ()
 
 
 def test_lp_poly_anchors():
@@ -91,22 +80,36 @@ def test_lp_a_poly():
             if len(I) != len(J):
                 continue
             poly = lp_a_poly(I, J)
+            assert poly.degree == sum(I) + sum(J) + len(I), (I, J)
             for n in range(11):
                 assert poly(n) == d_a_complement(I, J, n), (I, J, n)
 
 
+def test_lp_a_poly_fits_only_its_proven_degree(monkeypatch):
+    # Values of a higher degree than the proof allows are a broken
+    # formula path, not a reason to fit a higher degree.
+    def lifted(I, J, n):
+        return d_a_complement(I, J, n) + n ** (sum(I) + sum(J) + len(I) + 2)
+
+    poly_n._lp_a_poly.cache_clear()
+    monkeypatch.setattr(poly_n, "d_a_complement", lifted)
+    try:
+        with pytest.raises(ConsistencyError, match="lp_a_poly"):
+            lp_a_poly((1,), (2,))
+    finally:
+        poly_n._lp_a_poly.cache_clear()
+
+
 def test_lp_d_quasipoly():
-    empty = lp_d_quasipoly(())
-    assert empty.branches == (PolyQ((1,)), PolyQ((1,)))
-    assert empty.collapse() == 1
-    zero_set = lp_d_quasipoly((0,))
-    assert zero_set.branches == (PolyQ(()), PolyQ((1,)))
+    assert lp_d_quasipoly(()) == (PolyQ((1,)), PolyQ((1,)))
+    assert lp_d_quasipoly((0,)) == (PolyQ(()), PolyQ((1,)))
     one_set = lp_d_quasipoly((1,))
-    assert one_set.branches == (PolyQ((0, Fraction(1, 2))), PolyQ((Fraction(-1, 2), Fraction(1, 2))))
+    assert one_set == (PolyQ((0, Fraction(1, 2))), PolyQ((Fraction(-1, 2), Fraction(1, 2))))
     for I in _small_sets(2, 5):
-        q = lp_d_quasipoly(I)
+        branches = lp_d_quasipoly(I)
+        assert all(b.degree <= sum(I) for b in branches), I
         for k in range(13):
-            assert q(k) == alpha_complement(I, k), (I, k)
+            assert branches[k % 2](k) == alpha_complement(I, k), (I, k)
 
 
 def test_delta_poly_sym():
@@ -126,6 +129,8 @@ def test_delta_poly_square_and_skew():
         for s in (1, 2):
             pa = delta_poly("a", m, s)
             pd = delta_poly("d", m, s)
+            for poly in (pa, pd):
+                assert isinstance(poly, PolyQ) and poly.degree <= m, (m, s)
             for n in range(9):
                 assert pa(n) == delta_type_a(m, n, n - s), (m, s, n)
                 assert pd(n) == delta_type_d(m, n, n - s), (m, s, n)

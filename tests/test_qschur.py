@@ -29,9 +29,8 @@ def test_q_onerow_small():
     assert q_onerow(1) == N
     assert q_onerow(2) == N * N * Fraction(1, 2)
     assert q_onerow(3) == N ** 3 * Fraction(1, 6) + N * Fraction(1, 12)
-    assert q_onerow(2, order=5) == q_onerow(2)
     with pytest.raises(ValueError):
-        q_onerow(6, order=5)
+        q_onerow(-1)
 
 
 def _series_mul(a, b, order):
@@ -77,9 +76,9 @@ def test_q_strict():
     assert q_strict((1,)) == N
     assert q_strict((2, 1)) == q_tworow(2, 1)
     assert q_strict_at((3, 2, 1), 3) == 1
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         q_strict((1, 2))
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         q_strict((2, 0))
 
 
