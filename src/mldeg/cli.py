@@ -23,7 +23,7 @@ from .degrees import (
     phi_value,
 )
 from .exact import ConsistencyError, format_fraction
-from .indexsets import format_indexset
+from .indexsets import format_indexset, partition_weight
 from .lascoux import (
     alpha,
     alpha_complement,
@@ -48,6 +48,10 @@ EXIT_DISAGREE = 3
 # library itself never enforces them.
 _N_CAP = {"sym": 7, "a": 4, "d": 4}
 _D_CAP = 12
+# psi: elements of each set (and --complement), and for a check route the
+# weight |lambda(I)| (+ |lambda(J)|) that its cost grows with.
+_SET_CAP = 20
+_WEIGHT_CAP = 20
 
 
 class UsageError(Exception):
@@ -149,65 +153,61 @@ def _require(condition, message):
         raise UsageError(message)
 
 
-def _require_cap(args, label, value, kind=None):
-    """Refuse a size past its default cap (n per type, else d) unless
-    --unsafe-range lifts the caps."""
-    cap = _D_CAP if kind is None else _N_CAP[kind]
+def _require_cap(args, label, value, cap=_D_CAP, kind=None):
+    """Refuse a size past its default cap unless --unsafe-range lifts
+    the caps; kind names the type an n cap belongs to."""
     where = "" if kind is None else f" for type {kind!r}"
     _require(args.unsafe_range or value <= cap,
              f"{label}={value} is past the default cap{where} "
              f"(pass --unsafe-range to lift)")
 
 
-def cmd_psi(args):
-    I = parse_set(args.set_)
-    family = args.family
-    pair = None
-    if args.pair is not None:
-        _require(family == "d", "--pair only applies to the two-set family")
-        pair = parse_set(args.pair)
-    if family == "d":
-        _require(args.pair is not None, "two-set family needs --pair")
+# (family, path) -> the function behind it, and each family's fast path;
+# the other paths check it.  One flat dict, so that perfbench/spans.py
+# can rebind its entries.
+_PSI_ROUTES = {
+    ("psi", "pfaffian"): psi, ("psi", "pascal"): psi_pascal,
+    ("psi", "recursion"): psi_recursion, ("psi", "oracle"): psi_oracle,
+    ("psi", "complement"): psi_complement,
+    ("alpha", "recursion"): alpha, ("alpha", "oracle"): alpha_oracle,
+    ("alpha", "complement"): alpha_complement,
+    ("d", "pascal"): d_a, ("d", "recursion"): d_a_recursion, ("d", "oracle"): d_oracle,
+    ("d", "complement"): d_a_complement,
+}
+_FAST_PATH = {"psi": "pfaffian", "alpha": "recursion", "d": "pascal"}
 
-    query = {"family": family, "set": format_indexset(I)}
-    if pair is not None:
-        query["pair"] = format_indexset(pair)
+
+def cmd_psi(args):
+    family = args.family
+    _require(args.pair is None or family == "d",
+             "--pair only applies to the two-set family")
+    _require(args.pair is not None or family != "d", "two-set family needs --pair")
+    sets = tuple(parse_set(text) for text in (args.set_, args.pair) if text is not None)
+    for label, S in zip(("--set", "--pair"), sets):
+        _require_cap(args, f"{label} size", len(S), _SET_CAP)
+
+    query = {"family": family, "set": format_indexset(sets[0])}
+    if family == "d":
+        query["pair"] = format_indexset(sets[1])
 
     if args.complement is not None:
         _require(args.path is None, "--path does not combine with --complement")
         n = args.complement
         _require(n >= 0, "--complement needs a nonnegative size")
+        _require_cap(args, "--complement", n, _SET_CAP)
         query["complement"] = n
-        if family == "psi":
-            value = psi_complement(I, n)
-        elif family == "alpha":
-            value = alpha_complement(I, n)
-        else:
-            value = d_a_complement(I, pair, n)
+        value = _PSI_ROUTES[(family, "complement")](*sets, n)
         return {"query": query, "result": value, "path": "complement"}, EXIT_OK
 
-    if family == "psi":
-        routes = {"pfaffian": psi, "pascal": psi_pascal,
-                  "recursion": psi_recursion, "oracle": psi_oracle}
-        path = args.path or "pfaffian"
-        value = routes[path](I)
-    elif family == "alpha":
-        path = args.path or "recursion"
-        _require(path in ("recursion", "oracle"),
-                 f"one-set skew family has no {path!r} path")
-        value = alpha(I) if path == "recursion" else alpha_oracle(I)
-    else:
-        path = args.path or "pascal"
-        _require(path in ("pascal", "recursion", "oracle"),
-                 f"two-set family has no {path!r} path")
-        if path == "recursion":
-            _require(len(I) == len(pair),
-                     "recursion path needs sets of equal size")
-            value = d_a_recursion(I, pair)
-        elif path == "oracle":
-            value = d_oracle(I, pair)
-        else:
-            value = d_a(I, pair)
+    path = args.path or _FAST_PATH[family]
+    _require((family, path) in _PSI_ROUTES, f"{family!r} family has no {path!r} path")
+    if path != _FAST_PATH[family]:
+        weight = sum(partition_weight(S) for S in sets)
+        _require_cap(args, "weight", weight, _WEIGHT_CAP)
+    if family == "d" and path == "recursion":
+        _require(len(sets[0]) == len(sets[1]),
+                 "recursion path needs sets of equal size")
+    value = _PSI_ROUTES[(family, path)](*sets)
     return {"query": query, "result": value, "path": path}, EXIT_OK
 
 
@@ -220,7 +220,7 @@ def cmd_delta(args):
     _require(n >= 1, "need n >= 1")
     _require(0 <= r <= n, "need 0 <= r <= n")
     _require(m >= 0, "need m >= 0")
-    _require_cap(args, "n", n, kind)
+    _require_cap(args, "n", n, _N_CAP[kind], kind)
     path = args.path
     if path in ("nrs", "both"):
         _require(m >= 1, "closed form needs m >= 1")
@@ -285,7 +285,7 @@ def cmd_phi(args):
              "value query needs both -n and -d")
     n, d = args.n, args.d
     _require(n >= 1 and d >= 1, "need n >= 1 and d >= 1")
-    _require_cap(args, "n", n, kind)
+    _require_cap(args, "n", n, _N_CAP[kind], kind)
     _require_cap(args, "d", d)
     value = phi_value(kind, n, d)
     query = {"d": d, "family": "phi", "n": n, "type": kind}

@@ -20,15 +20,11 @@ functions run every type through it.
 from __future__ import annotations
 
 import functools
+import math
 from fractions import Fraction
 
-from .exact import ConsistencyError, binom
-from .indexsets import (
-    check_same_size,
-    conjugate,
-    enumerate_indexsets,
-    lambda_of,
-)
+from .exact import N, ConsistencyError, PolyQ, binom
+from .indexsets import check_same_size, enumerate_indexsets
 from .lascoux import alpha, alpha_complement, d_a, d_a_complement, psi, psi_complement
 from .pool import fork_map
 from .qschur import b_value, d_value
@@ -120,50 +116,52 @@ def delta_type_a_partial(n, items):
 def a_ij_poly(I, J):
     """Dimension polynomial of the glued shape built from both partitions.
 
-    The shape stacks r + lambda(I) over the conjugate of lambda(J); its
-    principal specialization is the content-over-hook product, a
-    polynomial in n that vanishes at integers below the row count.
+    The shape stacks r + lambda(I) over the conjugate of lambda(J).  Its
+    dimension is one factor per set over the Cauchy product,
+
+        N^r prod_I C(N+a, a) prod_J C(N-1, b) D(I) D(J) / prod_{I x J} (a+b+1)
+
+    with D the Vandermonde product of a set's entries.  N C(N-1, b) is
+    taken as (b+1) C(N, b+1): it vanishes at N = 0 and for b >= N, so
+    the boundary values come out of the factors themselves.
     """
     return _a_ij_poly(*check_same_size(I, J, "a_ij_poly"))
 
 
 @functools.cache
 def _a_ij_poly(I, J):
-    from .exact import N, PolyQ
-
-    poly = PolyQ((1,))
-    for n_plus, hook in _content_hook_cells(_glued_shape(I, J)):
-        poly = poly * (N + n_plus) * Fraction(1, hook)
+    poly = PolyQ((Fraction(_vandermonde(I) * _vandermonde(J), _cauchy(I, J)),))
+    for a in I:
+        poly = poly * PolyQ.binomial(a, a)
+    for b in J:
+        poly = poly * PolyQ.binomial(b + 1) * (b + 1)
     return poly
 
 
-def _glued_shape(I, J):
-    r = len(I)
-    nu = tuple(r + p for p in lambda_of(I)) + conjugate(lambda_of(J))
-    for a, b in zip(nu, nu[1:]):
-        assert a >= b, f"glued shape not a partition: {nu}"
-    return tuple(p for p in nu if p)
+def _vandermonde(I):
+    return math.prod(b - a for k, a in enumerate(I) for b in I[k + 1:])
 
 
-def _content_hook_cells(nu):
-    conj = conjugate(nu)
-    cells = []
-    for i, row in enumerate(nu):
-        for j in range(row):
-            hook = (row - j) + (conj[j] - i) - 1
-            cells.append((j - i, hook))
-    return cells
+def _cauchy(I, J):
+    return math.prod(a + b + 1 for a in I for b in J)
+
+
+@functools.cache
+def _a_left(I, n):
+    return _vandermonde(I) * math.prod(binom(n + a, a) for a in I)
+
+
+@functools.cache
+def _a_right(J, n):
+    return _vandermonde(J) * math.prod((b + 1) * binom(n, b + 1) for b in J)
 
 
 def a_value(I, J, n):
-    """Point value of a_ij_poly at integer n, without building the PolyQ."""
-    num = den = 1
-    for content, hook in _content_hook_cells(_glued_shape(I, J)):
-        if n + content == 0:
-            return Fraction(0)
-        num *= n + content
-        den *= hook
-    return Fraction(num, den)
+    """Point value of a_ij_poly at integer n >= 0, from its per-set factors."""
+    I, J = check_same_size(I, J, "a_value")
+    if n < 0:
+        raise ValueError(f"a_value: need n >= 0, got {n}")
+    return Fraction(_a_left(I, n) * _a_right(J, n), _cauchy(I, J))
 
 
 def delta_type_a_nrs(m, n, r):

@@ -113,14 +113,6 @@ def format_indexset(I):
     return "{" + ",".join(str(x) for x in I) + "}"
 
 
-def conjugate(lam):
-    """Conjugate partition (zeros dropped in the result)."""
-    parts = [p for p in lam if p > 0]
-    if not parts:
-        return ()
-    return tuple(sum(1 for p in parts if p > j) for j in range(parts[0]))
-
-
 def partition_weight(I):
     """|lambda(I)| = sum(I) - C(#I, 2)."""
     I = check_indexset(I)

@@ -90,8 +90,9 @@ def lp_a_poly(I, J):
     """Polynomial through the two-set complement entries at n >= 0.
 
     Its degree is at most sum(I) + sum(J) + len(I): the entry is a
-    signed sum over L <= I of s_ij(I, L) a_ij_poly(L, J), whose glued
-    shape has sum(L) + sum(J) + len(L) cells.
+    signed sum over L <= I of s_ij(I, L) a_ij_poly(L, J), and that
+    product N^r prod C(N+a, a) prod C(N-1, b) has degree
+    sum(L) + sum(J) + len(L).
     """
     return _lp_a_poly(*check_same_size(I, J, "lp_a_poly"))
 

@@ -99,6 +99,34 @@ def test_deep_set_exits_0():
     assert json.loads(proc.stdout)["result"] == 1
 
 
+def test_psi_caps(capsys):
+    # Each of these runs for seconds to minutes; the caps refuse them.
+    slow = [
+        ["--set", "{" + ",".join(map(str, range(400))) + "}"],
+        ["--family", "d", "--path", "recursion", "--set", "{900}", "--pair", "{900}"],
+        ["--path", "pascal", "--set", "{0,5,9,14,30,41}"],
+        ["--set", "{}", "--complement", "400"],
+    ]
+    for argv in slow:
+        code, out, err = run_main(capsys, "psi", *argv)
+        assert code == 2 and not out, argv
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
+        assert "--unsafe-range" in lines[0]
+    # One past a cap is refused, and --unsafe-range lifts it.
+    for argv, under in [
+        (["--set", "{" + ",".join(map(str, range(21))) + "}"], ["--set", "{0}"]),
+        (["--path", "pascal", "--set", "{0,22}"], ["--path", "pascal", "--set", "{0,21}"]),
+        (["--family", "d", "--path", "oracle", "--set", "{11}", "--pair", "{10}"],
+         ["--family", "d", "--path", "oracle", "--set", "{10}", "--pair", "{10}"]),
+        (["--set", "{0}", "--complement", "21"], ["--set", "{0}", "--complement", "20"]),
+    ]:
+        assert run_main(capsys, "psi", *under)[0] == 0, under
+        assert run_main(capsys, "psi", *argv)[0] == 2, argv
+        code, out, _ = run_main(capsys, "psi", *argv, "--unsafe-range")
+        assert code == 0 and "result" in json.loads(out), argv
+
+
 def test_usage_errors(capsys):
     bad_calls = [
         ("psi", "--set", "{0,0}"),
@@ -273,7 +301,7 @@ def test_broken_exact_division_exits_3_under_optimize():
 
 
 _BAD_ARGUMENTS = """
-from mldeg.degrees import pataki_window
+from mldeg.degrees import a_value, pataki_window
 from mldeg.indexsets import enumerate_indexsets
 from mldeg.poly_n import delta_poly, lp_a_poly
 from mldeg.qschur import q_strict
@@ -284,6 +312,9 @@ calls = (
     lambda: pataki_window("sym", 3, 0),
     lambda: list(enumerate_indexsets(-1, 0)),
     lambda: q_strict((1, 2)),
+    lambda: a_value((0, 1), (0,), 5),
+    lambda: a_value((2,), (0, 3), 5),
+    lambda: a_value((0,), (0,), -1),
 )
 for call in calls:
     try:
@@ -300,7 +331,7 @@ def test_bad_arguments_raise_value_error_under_optimize():
         capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["ValueError"] * 5
+    assert proc.stdout.split() == ["ValueError"] * 8
 
 
 def _option(flag, values):
@@ -356,9 +387,25 @@ def test_any_argv_keeps_the_exit_code_contract(argv):
         try:
             code = main(argv)
         except SystemExit as exc:
+            # argparse: its usage text, then its own error line
             code = exc.code
             assert code == 2, (argv, err.getvalue())
-    assert code in (0, 1, 2, 3), (argv, err.getvalue())
+            code = "argparse"
+    assert "Traceback" not in err.getvalue(), argv
+    assert code in (0, 1, 2, 3, "argparse"), (argv, err.getvalue())
+    lines = out.getvalue().splitlines()
+    if code == 2:
+        assert not lines, argv
+        errors = err.getvalue().splitlines()
+        assert len(errors) == 1 and errors[0].startswith("error: "), (argv, errors)
+    elif code == 0 and "--table" in argv:
+        dmax = int(argv[argv.index("--table") + 1])
+        assert lines[0] == "d," + ",".join(f"coeff_{k}" for k in range(dmax)), argv
+        assert [line.split(",")[0] for line in lines[1:]] == [
+            str(d) for d in range(1, dmax + 1)], argv
+        assert all(line.count(",") == dmax for line in lines), argv
+    elif code == 0:
+        assert len(lines) == 1 and isinstance(json.loads(lines[0]), dict), argv
 
 
 def test_cache_env_var(tmp_path):

@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -24,7 +25,7 @@ from mldeg.degrees import (
     phi_type_d,
     phi_value,
 )
-from mldeg.indexsets import enumerate_indexsets, leq
+from mldeg.indexsets import enumerate_indexsets, lambda_of, leq
 from mldeg.lascoux import alpha, d_a, psi, s_ij
 
 
@@ -140,6 +141,95 @@ def test_a_ij_poly():
             for n in range(6):
                 assert a_value(I, J, n) == p(n)
                 assert p(n).denominator == 1
+
+
+# An independent reference for a_value and a_ij_poly: the glued shape
+# r + lambda(I) over the conjugate of lambda(J), and its dimension as
+# the content-over-hook product, cell by cell.
+
+def conjugate(lam):
+    """Conjugate partition (zeros dropped in the result)."""
+    parts = [p for p in lam if p > 0]
+    if not parts:
+        return ()
+    return tuple(sum(1 for p in parts if p > j) for j in range(parts[0]))
+
+
+def test_conjugate():
+    assert conjugate((3, 1)) == (2, 1, 1)
+    assert conjugate((2, 2, 0)) == (2, 2)
+    assert conjugate(()) == ()
+    assert conjugate((0, 0)) == ()
+
+
+def glued_shape(I, J):
+    nu = tuple(len(I) + p for p in lambda_of(I)) + conjugate(lambda_of(J))
+    assert all(a >= b for a, b in zip(nu, nu[1:])), f"not a partition: {nu}"
+    return tuple(p for p in nu if p)
+
+
+def content_hook_cells(nu):
+    conj = conjugate(nu)
+    return [(j - i, (row - j) + (conj[j] - i) - 1)
+            for i, row in enumerate(nu) for j in range(row)]
+
+
+def glued_dimension(I, J):
+    poly = PolyQ((1,))
+    for content, hook in content_hook_cells(glued_shape(I, J)):
+        poly = poly * (N + content) * Fraction(1, hook)
+    return poly
+
+
+def _sets_up_to_weight(r, wmax):
+    return [I for w in range(wmax + 1) for I in enumerate_indexsets(r, w + binom(r, 2))]
+
+
+def test_a_value_matches_glued_shape():
+    for r in range(4):
+        sets = _sets_up_to_weight(r, 8)
+        for I in sets:
+            for J in sets:
+                cells = content_hook_cells(glued_shape(I, J))
+                hooks = math.prod(hook for _, hook in cells)
+                for n in range(13):
+                    expected = Fraction(math.prod(n + c for c, _ in cells), hooks)
+                    assert a_value(I, J, n) == expected, (I, J, n)
+
+
+def test_a_ij_poly_matches_glued_shape():
+    for r in range(4):
+        sets = _sets_up_to_weight(r, 4)
+        for I in sets:
+            for J in sets:
+                assert a_ij_poly(I, J) == glued_dimension(I, J), (I, J)
+
+
+@pytest.mark.parametrize("I, J, n, expected", [
+    ((), (), 0, 1),                  # r = 0: the empty shape
+    ((), (), 5, 1),
+    ((0,), (0,), 0, 0),              # n = 0
+    ((0, 2), (1, 3), 0, 0),
+    ((0, 1, 2), (0, 1, 2), 2, 0),    # n < r
+    ((0, 1), (0, 1), 1, 0),
+    ((1,), (3,), 3, 0),              # max(J) >= n
+    ((0, 2), (1, 3), 3, 0),
+    ((1,), (3,), 4, 4),              # the first n past max(J)
+    ((0, 2), (1, 3), 4, 15),
+    ((5,), (0,), 1, 1),              # max(I) >= n does not vanish
+    ((0, 1), (0, 1), 2, 1),
+])
+def test_a_value_boundaries(I, J, n, expected):
+    assert a_value(I, J, n) == expected
+    assert glued_dimension(I, J)(n) == expected
+    assert a_ij_poly(I, J)(n) == expected
+
+
+def test_a_value_rejects_bad_arguments():
+    for args in (((0, 1), (0,), 5), ((2,), (0, 3), 5), ((3, 1), (0, 1), 5),
+                 ((0,), (-1,), 5), ((0,), (0,), -1)):
+        with pytest.raises(ValueError):
+            a_value(*args)
 
 
 def test_phi_type_a_values():

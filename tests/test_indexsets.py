@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from mldeg.indexsets import (
     check_indexset,
     complement,
-    conjugate,
     enumerate_indexsets,
     format_indexset,
     index_of,
@@ -141,13 +140,6 @@ def test_enumeration_count_matches_partition_counter():
 def test_text_roundtrip():
     assert format_indexset((0, 2, 5)) == "{0,2,5}"
     assert format_indexset(()) == "{}"
-
-
-def test_conjugate():
-    assert conjugate((3, 1)) == (2, 1, 1)
-    assert conjugate((2, 2, 0)) == (2, 2)
-    assert conjugate(()) == ()
-    assert conjugate((0, 0)) == ()
 
 
 def test_partition_weight():
