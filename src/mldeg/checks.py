@@ -27,6 +27,7 @@ from .lascoux import (
     alpha,
     alpha_complement,
     d_a,
+    d_a_complement,
     d_a_recursion,
     psi,
     psi_complement,
@@ -39,7 +40,6 @@ from .poly_n import (
     lp_a_shift_residual,
     lp_d_parity_residuals,
     lp_d_quasipoly,
-    lp_leading_coeff,
     lp_lift_residual,
     lp_poly,
     lp_shift_residual,
@@ -86,20 +86,57 @@ def _ambient_dim(kind, n):
     return TYPE_TABLE[(kind, "window")](n, 0)[1]
 
 
+# (family, path) -> the function behind it, and each family's fast path;
+# the other paths check it.  One flat dict, so that perfbench/spans.py
+# can rebind its entries.
+ROUTES = {
+    ("psi", "pfaffian"): psi, ("psi", "pascal"): psi_pascal,
+    ("psi", "recursion"): psi_recursion, ("psi", "oracle"): psi_oracle,
+    ("psi", "complement"): psi_complement,
+    ("alpha", "recursion"): alpha, ("alpha", "oracle"): alpha_oracle,
+    ("alpha", "complement"): alpha_complement,
+    ("d", "pascal"): d_a, ("d", "recursion"): d_a_recursion, ("d", "oracle"): d_oracle,
+    ("d", "complement"): d_a_complement,
+}
+FAST_PATH = {"psi": "pfaffian", "alpha": "recursion", "d": "pascal"}
+
+
+def route_refusal(family, path, sets):
+    """Why the route cannot take these sets, or None when it can."""
+    if (family, path) == ("d", "recursion") and len(sets[0]) != len(sets[1]):
+        return "recursion path needs sets of equal size"
+    return None
+
+
+def _routes_agree(family, sets, expected=None):
+    """Run every route of the family but complement; None when all agree."""
+    values = {path: fn(*sets) for (fam, path), fn in ROUTES.items()
+              if fam == family and path != "complement"
+              and route_refusal(family, path, sets) is None}
+    fast_path = FAST_PATH[family]
+    fast = values[fast_path]
+    where = ", ".join(format_indexset(S) for S in sets)
+    wrong = {path: v for path, v in values.items() if v != fast}
+    if wrong:
+        return f"{family} route disagreement at ({where}): {wrong} vs {fast_path} {fast}"
+    if expected is not None and fast != expected:
+        return f"value at ({where}) is {fast}, expected {expected}"
+    return None
+
+
 @_task
 def psi_paths(I, expected=None):
-    routes = {
-        "pfaffian": psi(I),
-        "pascal": psi_pascal(I),
-        "recursion": psi_recursion(I),
-        "oracle": psi_oracle(I),
-    }
-    values = set(routes.values())
-    if len(values) != 1:
-        return f"route disagreement at {format_indexset(I)}: {routes}"
-    if expected is not None and values != {expected}:
-        return f"value at {format_indexset(I)} is {values.pop()}, expected {expected}"
-    return None
+    return _routes_agree("psi", (I,), expected)
+
+
+@_task
+def alpha_paths_line(I):
+    return _routes_agree("alpha", (I,))
+
+
+@_task
+def da_paths_pair(I, J):
+    return _routes_agree("d", (I, J))
 
 
 @_task
@@ -153,15 +190,9 @@ def pataki_line(mtype, n, r):
 
 @_task
 def leading_line(I):
-    poly = lp_poly(I)
-    degree = sum(I) + len(I)
-    if poly.degree != degree:
-        return f"degree of fit at {format_indexset(I)} is {poly.degree}, expected {degree}"
-    if poly.coeffs[-1] != lp_leading_coeff(I):
-        return f"leading coefficient mismatch at {format_indexset(I)}"
-    for n in range(degree + 1, degree + 6):
-        if poly(n) != psi_complement(I, n):
-            return f"extrapolation miss at {format_indexset(I)}, n={n}"
+    # The fit checks its degree, its leading coefficient and five more
+    # points, and raises ConsistencyError on a miss.
+    lp_poly(I)
     return None
 
 
@@ -196,28 +227,6 @@ def d_identity_line(I, nmax=12):
             return f"skew transform failed at {format_indexset(I)}, n={n}"
         if backward != alpha_complement(I, n):
             return f"inverse skew transform failed at {format_indexset(I)}, n={n}"
-    return None
-
-
-@_task
-def alpha_paths_line(I):
-    fast = alpha(I)
-    slow = alpha_oracle(I)
-    if fast != slow:
-        return f"alpha mismatch at {format_indexset(I)}: fast {fast}, oracle {slow}"
-    return None
-
-
-@_task
-def da_paths_pair(I, J):
-    fast = d_a(I, J)
-    slow = d_oracle(I, J)
-    if fast != slow:
-        return f"entry mismatch at ({format_indexset(I)}, {format_indexset(J)}): fast {fast}, oracle {slow}"
-    if len(I) == len(J):
-        rec = d_a_recursion(I, J)
-        if rec != fast:
-            return f"recursion mismatch at ({format_indexset(I)}, {format_indexset(J)}): {rec} vs {fast}"
     return None
 
 

@@ -13,7 +13,6 @@ import argparse
 import json
 import sys
 import time
-from fractions import Fraction
 
 from . import checks
 from .degrees import (
@@ -24,19 +23,7 @@ from .degrees import (
 )
 from .exact import ConsistencyError, format_fraction
 from .indexsets import format_indexset, partition_weight
-from .lascoux import (
-    alpha,
-    alpha_complement,
-    d_a,
-    d_a_complement,
-    d_a_recursion,
-    psi,
-    psi_complement,
-    psi_pascal,
-    psi_recursion,
-)
 from .poly_n import phi_poly
-from .schur_oracle import alpha_oracle, d_oracle, psi_oracle
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -56,19 +43,6 @@ _WEIGHT_CAP = 20
 
 class UsageError(Exception):
     pass
-
-
-def _json_default(obj):
-    if isinstance(obj, Fraction):
-        return f"{obj.numerator}/{obj.denominator}"
-    raise TypeError(f"not JSON renderable: {obj!r}")
-
-
-def _render_q(value):
-    value = Fraction(value)
-    if value.denominator == 1:
-        return int(value)
-    return value
 
 
 # ------------------------------------------------------------------ parsing
@@ -162,21 +136,6 @@ def _require_cap(args, label, value, cap=_D_CAP, kind=None):
              f"(pass --unsafe-range to lift)")
 
 
-# (family, path) -> the function behind it, and each family's fast path;
-# the other paths check it.  One flat dict, so that perfbench/spans.py
-# can rebind its entries.
-_PSI_ROUTES = {
-    ("psi", "pfaffian"): psi, ("psi", "pascal"): psi_pascal,
-    ("psi", "recursion"): psi_recursion, ("psi", "oracle"): psi_oracle,
-    ("psi", "complement"): psi_complement,
-    ("alpha", "recursion"): alpha, ("alpha", "oracle"): alpha_oracle,
-    ("alpha", "complement"): alpha_complement,
-    ("d", "pascal"): d_a, ("d", "recursion"): d_a_recursion, ("d", "oracle"): d_oracle,
-    ("d", "complement"): d_a_complement,
-}
-_FAST_PATH = {"psi": "pfaffian", "alpha": "recursion", "d": "pascal"}
-
-
 def cmd_psi(args):
     family = args.family
     _require(args.pair is None or family == "d",
@@ -196,18 +155,17 @@ def cmd_psi(args):
         _require(n >= 0, "--complement needs a nonnegative size")
         _require_cap(args, "--complement", n, _SET_CAP)
         query["complement"] = n
-        value = _PSI_ROUTES[(family, "complement")](*sets, n)
+        value = checks.ROUTES[(family, "complement")](*sets, n)
         return {"query": query, "result": value, "path": "complement"}, EXIT_OK
 
-    path = args.path or _FAST_PATH[family]
-    _require((family, path) in _PSI_ROUTES, f"{family!r} family has no {path!r} path")
-    if path != _FAST_PATH[family]:
+    path = args.path or checks.FAST_PATH[family]
+    _require((family, path) in checks.ROUTES, f"{family!r} family has no {path!r} path")
+    if path != checks.FAST_PATH[family]:
         weight = sum(partition_weight(S) for S in sets)
         _require_cap(args, "weight", weight, _WEIGHT_CAP)
-    if family == "d" and path == "recursion":
-        _require(len(sets[0]) == len(sets[1]),
-                 "recursion path needs sets of equal size")
-    value = _PSI_ROUTES[(family, path)](*sets)
+    refusal = checks.route_refusal(family, path, sets)
+    _require(refusal is None, refusal)
+    value = checks.ROUTES[(family, path)](*sets)
     return {"query": query, "result": value, "path": path}, EXIT_OK
 
 
@@ -277,7 +235,8 @@ def cmd_phi(args):
         _require(d >= 1, "need d >= 1")
         _require_cap(args, "d", d)
         poly = phi_poly(kind, d)
-        coeffs = [_render_q(c) for c in poly.coeffs]
+        coeffs = [int(c) if c.denominator == 1 else format_fraction(c)
+                  for c in poly.coeffs]
         query = {"d": d, "family": "phi", "poly": True, "type": kind}
         return {"query": query, "result": coeffs}, EXIT_OK
 
@@ -329,6 +288,6 @@ def main(argv=None):
         for line in payload["csv"]:
             print(line)
     else:
-        print(json.dumps(payload, sort_keys=True, default=_json_default))
+        print(json.dumps(payload, sort_keys=True))
     print(f"wall_time_s={time.monotonic() - started:.3f}", file=sys.stderr)
     return code

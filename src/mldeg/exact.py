@@ -224,37 +224,8 @@ def det(rows):
     return _det_bareiss(rows)
 
 
-def _pf_expansion(rows):
-    """Pfaffian by expansion along the first remaining row, memoized."""
-    memo = {}
-
-    def pf(idx):
-        if not idx:
-            return 1
-        if idx in memo:
-            return memo[idx]
-        i0 = idx[0]
-        rest = idx[1:]
-        acc = None
-        for t, j in enumerate(rest):
-            entry = rows[i0][j]
-            if isinstance(entry, (int, Fraction)) and entry == 0:
-                continue
-            sub = pf(rest[:t] + rest[t + 1:])
-            term = entry * sub
-            if t % 2:
-                term = -term
-            acc = term if acc is None else acc + term
-        if acc is None:
-            acc = 0
-        memo[idx] = acc
-        return acc
-
-    return pf(tuple(range(len(rows))))
-
-
 def _pf_elimination(rows):
-    """Schur-complement elimination for scalar skew matrices.
+    """Schur-complement elimination for int skew matrices.
 
     Each 2x2 leading block contributes its off-diagonal entry as a
     factor; the trailing block is updated to the Pfaffian Schur
@@ -284,28 +255,22 @@ def _pf_elimination(rows):
 
 
 def pfaffian(rows):
-    """Exact Pfaffian of an even-dimensional skew-symmetric matrix."""
+    """Exact Pfaffian of an even-dimensional skew-symmetric matrix of ints."""
     n = len(rows)
     for r in rows:
         if len(r) != n:
             raise ValueError("pfaffian: matrix is not square")
     if n % 2:
         raise ValueError("pfaffian: odd dimension")
+    if not all(isinstance(x, int) for r in rows for x in r):
+        raise TypeError("pfaffian: entries must be int")
     for i in range(n):
-        if not (rows[i][i] == 0):
+        if rows[i][i] != 0:
             raise ValueError("pfaffian: nonzero diagonal")
         for j in range(i + 1, n):
-            if not (rows[i][j] == -rows[j][i]):
+            if rows[i][j] != -rows[j][i]:
                 raise ValueError("pfaffian: matrix is not skew-symmetric")
-    if n == 0:
-        return 1
-    entries = [x for r in rows for x in r]
-    scalar = all(isinstance(x, (int, Fraction)) for x in entries)
-    if not scalar or n <= 10:
-        return _pf_expansion(rows)
     result = _pf_elimination(rows)
-    if all(isinstance(x, int) for x in entries):
-        if result.denominator != 1:
-            raise ConsistencyError(f"Pfaffian of an integer matrix came out {result}")
-        return int(result)
-    return result
+    if result.denominator != 1:
+        raise ConsistencyError(f"Pfaffian of an integer matrix came out {result}")
+    return int(result)

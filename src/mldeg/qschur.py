@@ -117,8 +117,7 @@ def _qpf(parts):
     acc = PolyQ()
     for j in range(1, len(parts)):
         rest = parts[1:j] + parts[j + 1:]
-        second = parts[j]
-        term = (q_onerow(first) if second == 0 else q_tworow(first, second)) * _qpf(rest)
+        term = q_tworow(first, parts[j]) * _qpf(rest)
         acc = acc - term if j % 2 == 0 else acc + term
     return acc
 

@@ -92,6 +92,27 @@ def test_psi_families(capsys):
     assert code == 0 and json.loads(out)["result"] == 23
 
 
+def test_one_route_table_drives_psi_and_path_suites(capsys, monkeypatch):
+    # A route swapped in checks.ROUTES must reach both the psi command
+    # and the family's *-paths task: neither keeps its own list.
+    sentinel = -424242
+    I, J = (0, 3), (1, 2)
+    tasks = {"psi": ("psi_paths", I), "alpha": ("alpha_paths_line", I),
+             "d": ("da_paths_pair", I, J)}
+    routes = [key for key in checks.ROUTES if key[1] != "complement"]
+    assert {family for family, _ in routes} == set(tasks)
+    for family, path in routes:
+        with monkeypatch.context() as patch:
+            patch.setitem(checks.ROUTES, (family, path), lambda *sets: sentinel)
+            argv = ["psi", "--family", family, "--set", format_indexset(I), "--path", path]
+            if family == "d":
+                argv += ["--pair", format_indexset(J)]
+            code, out, _ = run_main(capsys, *argv)
+            assert code == 0 and json.loads(out)["result"] == sentinel, (family, path)
+            result = checks.run_task(tasks[family])
+        assert not result["ok"] and path in result["detail"], (family, path, result)
+
+
 def test_deep_set_exits_0():
     # A fresh process: the box sum of {0,5000} walks 5000 cold sets.
     proc = run_cli("psi", "--family", "alpha", "--set", "{0,5000}")

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -38,8 +39,6 @@ def test_det_rejects_non_int_entries():
 
 
 def test_pfaffian_small():
-    a = PolyQ((0, 1))
-    assert pfaffian([[0, a], [-a, 0]]) == a
     assert pfaffian([]) == 1
     vals = {}
     rng = random.Random(7)
@@ -52,6 +51,13 @@ def test_pfaffian_small():
             m[j][i] = -m[i][j]
     expected = vals["12"] * vals["34"] - vals["13"] * vals["24"] + vals["14"] * vals["23"]
     assert pfaffian(m) == expected
+
+
+def test_pfaffian_rejects_non_int_entries():
+    half = Fraction(1, 2)
+    for m in ([[0, half], [-half, 0]], [[0, N], [-N, 0]]):
+        with pytest.raises(TypeError):
+            pfaffian(m)
 
 
 def test_pfaffian_structure_errors():
@@ -80,14 +86,35 @@ def test_pfaffian_squares_to_det(half, seed):
     assert pfaffian(m) ** 2 == det(m)
 
 
-def test_pfaffian_elimination_route_matches_expansion():
-    rng = random.Random(3)
-    m = _random_skew(rng, 12, -5, 5)
-    from mldeg.exact import _pf_elimination, _pf_expansion
+def _matchings(idx):
+    if not idx:
+        yield ()
+        return
+    first, rest = idx[0], idx[1:]
+    for t, j in enumerate(rest):
+        for tail in _matchings(rest[:t] + rest[t + 1:]):
+            yield ((first, j),) + tail
 
-    assert _pf_elimination(m) == _pf_expansion(m)
-    big = _random_skew(rng, 14, -3, 3)
-    assert pfaffian(big) == _pf_expansion(big)
+
+def _pfaffian_by_matchings(m):
+    """Sum over perfect matchings, each signed by its number of crossings."""
+    total = 0
+    for matching in _matchings(tuple(range(len(m)))):
+        crossings = sum(a < c < b < d or c < a < d < b
+                        for (a, b), (c, d) in itertools.combinations(matching, 2))
+        term = (-1) ** crossings
+        for a, b in matching:
+            term *= m[a][b]
+        total += term
+    return total
+
+
+def test_pfaffian_matches_matching_sum():
+    # Entries in -2..2 leave zero pivots, so the row swaps are exercised.
+    rng = random.Random(3)
+    for n in (0, 2, 4, 6, 8, 10, 12):
+        m = _random_skew(rng, n, -2, 2)
+        assert pfaffian(m) == _pfaffian_by_matchings(m), n
 
 
 def test_inexact_division_raises(monkeypatch):

@@ -197,6 +197,26 @@ def test_alpha_values_and_oracle():
             assert alpha(I) == alpha_oracle(I), I
 
 
+def test_alpha_is_pfaffian_of_its_pair_values():
+    # Like psi, alpha is the Pfaffian of its pair values; an odd set is
+    # padded with the singleton values alpha((i,)) = [i == 0].
+    for r in range(2, 7):
+        for I in itertools.combinations(range(9), r):
+            labels = (None,) + I if r % 2 else I
+            rows = [[0] * len(labels) for _ in labels]
+            for a, b in itertools.combinations(range(len(labels)), 2):
+                i, j = labels[a], labels[b]
+                rows[a][b] = int(j == 0) if i is None else alpha((i, j))
+                rows[b][a] = -rows[a][b]
+            assert alpha(I) == pfaffian(rows), I
+    # The pair values in closed form; (0, 1) alone has i + j - 2 < 0.
+    assert alpha((0, 1)) == 1
+    for i, j in itertools.combinations(range(16), 2):
+        if (i, j) != (0, 1):
+            expected = math.comb(i + j - 2, i) - (math.comb(i + j - 2, i - 2) if i >= 2 else 0)
+            assert alpha((i, j)) == expected, (i, j)
+
+
 def test_alpha_complement():
     assert alpha_complement((), 2) == 1
     assert alpha_complement((1,), 4) == alpha((0, 2, 3))
