@@ -225,33 +225,43 @@ def det(rows):
 
 
 def _pf_elimination(rows):
-    """Schur-complement elimination for int skew matrices.
+    """Fraction-free Schur-complement elimination for int skew matrices.
 
-    Each 2x2 leading block contributes its off-diagonal entry as a
-    factor; the trailing block is updated to the Pfaffian Schur
-    complement, which stays skew.
+    Each 2x2 leading block is a pivot.  Once the first 2k rows and
+    columns are eliminated, entry (i, j) of the trailing block is the
+    Pfaffian of the original matrix on those 2k indices and i, j: the
+    Pfaffian Schur complement times the Pfaffian of the leading block.
+    So each update divides exactly by the previous pivot, the trailing
+    block stays skew, and the last pivot is the Pfaffian.
     """
-    m = [[Fraction(x) for x in r] for r in rows]
+    m = [list(r) for r in rows]
     n = len(m)
     sign = 1
-    result = Fraction(1)
+    prev = 1
     for k in range(0, n, 2):
-        if m[k][k + 1] == 0:
+        rk, rk1 = m[k], m[k + 1]
+        if rk[k + 1] == 0:
             for l in range(k + 2, n):
-                if m[k][l] != 0:
+                if rk[l] != 0:
                     for row in m:
                         row[k + 1], row[l] = row[l], row[k + 1]
                     m[k + 1], m[l] = m[l], m[k + 1]
+                    rk1 = m[k + 1]
                     sign = -sign
                     break
             else:
-                return Fraction(0)
-        pivot = m[k][k + 1]
-        result *= pivot
+                return 0
+        pivot = rk[k + 1]
         for i in range(k + 2, n):
-            for j in range(k + 2, n):
-                m[i][j] += (m[k + 1][i] * m[k][j] - m[k][i] * m[k + 1][j]) / pivot
-    return sign * result
+            ri, a, b = m[i], rk1[i], rk[i]
+            for j in range(i + 1, n):
+                q, rem = divmod(pivot * ri[j] + a * rk[j] - b * rk1[j], prev)
+                if rem:
+                    raise ConsistencyError("Pfaffian exact-division failure")
+                ri[j] = q
+                m[j][i] = -q
+        prev = pivot
+    return sign * prev
 
 
 def pfaffian(rows):

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 
 from .exact import binom, det, pfaffian
 from .indexsets import check_indexset, check_same_size, complement, lower_sets
@@ -42,51 +43,58 @@ def psi(I):
     return _pf(sum(1 << i for i in check_indexset(I)))
 
 
-def _members(mask):
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
-
-
 @functools.cache
 def _pf(mask):
-    """Pfaffian of the pair matrix on the set whose bitmask is mask.
+    """Pfaffian of the pair matrix on the set whose bitmask is mask."""
+    return _expand(mask, mask, psi_single, psi_pair, _pf)
+
+
+def _expand(key, members, single, pair, pf):
+    """Pfaffian of the matrix of pair(i, j) entries on the set bits of
+    members, with a front pad row of single(i) entries when it is odd.
 
     An even set expands along its first row, pf(S) = sum over t of
-    (-1)^t psi_pair(min S, s_t) pf(S minus {min S, s_t}); an odd set
-    expands along the pad row, whose entries are the singleton values.
-    Sets above _EXPANSION_MAX elements eliminate the matrix instead.
+    (-1)^t pair(min S, s_t) pf(S minus {min S, s_t}); an odd set expands
+    along the pad row.  A sub-Pfaffian is pf(key with the bits of the
+    removed labels cleared), so key may carry bits above the members
+    that name the entries.  Sets above _EXPANSION_MAX elements
+    eliminate the matrix instead.
     """
-    members = _members(mask)
-    if len(members) > _EXPANSION_MAX:
-        return pfaffian(_pair_matrix(tuple(members)))
-    if not members:
+    size = members.bit_count()
+    if size > _EXPANSION_MAX:
+        return pfaffian(_pair_matrix(members, single, pair))
+    if not size:
         return 1
-    if len(members) % 2:
-        row = [(psi_single(i), mask ^ (1 << i)) for i in members]
-    else:
-        low = members[0]
-        rest = mask ^ (1 << low)
-        row = [(psi_pair(low, j), rest ^ (1 << j)) for j in members[1:]]
+    first = None
+    if size % 2 == 0:
+        low = members & -members
+        first = low.bit_length() - 1
+        key ^= low
+        members ^= low
     result = 0
-    for t, (entry, sub) in enumerate(row):
-        result += -entry * _pf(sub) if t % 2 else entry * _pf(sub)
+    negate = False
+    while members:
+        bit = members & -members
+        members ^= bit
+        j = bit.bit_length() - 1
+        term = (single(j) if first is None else pair(first, j)) * pf(key ^ bit)
+        result = result - term if negate else result + term
+        negate = not negate
     return result
 
 
-def _pair_matrix(I):
-    labels = (None,) + I if len(I) % 2 else I
+def _pair_matrix(members, single, pair):
+    labels = [i for i in range(members.bit_length()) if members >> i & 1]
+    if len(labels) % 2:
+        labels.insert(0, None)
     m = len(labels)
     rows = [[0] * m for _ in range(m)]
     for a in range(m):
         for b in range(a + 1, m):
             if labels[a] is None:
-                v = psi_single(labels[b])
+                v = single(labels[b])
             else:
-                v = psi_pair(labels[a], labels[b])
+                v = pair(labels[a], labels[b])
             rows[a][b] = v
             rows[b][a] = -v
     return rows
@@ -138,11 +146,41 @@ def _psi_recursion(I):
 
 
 def psi_complement(I, n):
-    """Value at [n] minus I; zero when I does not sit inside [n]."""
+    """Value at [n] minus I; zero when I does not sit inside [n].
+
+    Laksov-Lascoux-Thorup: the value is the Pfaffian, over the labels of
+    I (padded when odd), of the complement values of its pairs and
+    singletons, so its cost depends on |I| and not on n.  Those entries
+    have closed forms.  The pair matrix M of [n] (padded when n is odd)
+    is P Omega P^T, where P is the Pascal matrix C(a, b) and Omega the
+    skew matrix with 1 everywhere above the diagonal; so Pf(M) = 1 and
+    M^-1 = D P^T Omega P D with D = diag((-1)^a).  By Pfaffian-Jacobi
+    the complement values of pairs are entries of that inverse, up to
+    sign, and the hockey-stick identity sums them to
+    _psi_pair_complement.  The sub-Pfaffians are cached on the bitmask
+    of their set with bit n set, so the key names n as well.
+    """
     I = check_indexset(I)
-    if not set(I).issubset(range(n)):
+    if n < 0:
+        raise ValueError(f"psi_complement: need n >= 0, got {n}")
+    if I and I[-1] >= n:
         return 0
-    return psi(complement(I, n))
+    return _pf_complement(sum(1 << i for i in I) | 1 << n)
+
+
+@functools.cache
+def _pf_complement(key):
+    n = key.bit_length() - 1
+    return _expand(key, key ^ 1 << n, lambda i: binom(n, i + 1),
+                   lambda i, j: _psi_pair_complement(i, j, n), _pf_complement)
+
+
+@functools.cache
+def _psi_pair_complement(i, j, n):
+    """psi_complement((i, j), n) for i < j < n, in closed form."""
+    comb = math.comb
+    return (sum(comb(w, j) * (comb(w, i + 1) + comb(w + 1, i + 1)) for w in range(j, n))
+            - comb(n, i + 1) * comb(n, j + 1))
 
 
 def alpha(I):
@@ -165,6 +203,8 @@ def _alpha(I):
 def alpha_complement(I, k):
     """Value at [k] minus I; zero when I does not sit inside [k]."""
     I = check_indexset(I)
+    if k < 0:
+        raise ValueError(f"alpha_complement: need k >= 0, got {k}")
     if not set(I).issubset(range(k)):
         return 0
     return alpha(complement(I, k))
@@ -233,6 +273,8 @@ def d_a_complement(I, J, n):
     """Entry at the complements in [n]; zero if either set pokes out."""
     I = check_indexset(I)
     J = check_indexset(J)
+    if n < 0:
+        raise ValueError(f"d_a_complement: need n >= 0, got {n}")
     if not set(I).issubset(range(n)) or not set(J).issubset(range(n)):
         return 0
     return d_a(complement(I, n), complement(J, n))

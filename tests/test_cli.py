@@ -252,6 +252,12 @@ def test_phi_examples(capsys):
     assert json.loads(out)["result"] == [-1, "19/6", -3, "5/6"]
 
 
+def test_phi_at_large_n(capsys):
+    code, out, _ = run_main(capsys, "phi", "--type", "sym", "-n", "200", "-d", "3",
+                            "--unsafe-range")
+    assert code == 0 and json.loads(out)["result"] == 39601
+
+
 def test_phi_table(capsys):
     code, out, _ = run_main(capsys, "phi", "--table", "3")
     assert code == 0

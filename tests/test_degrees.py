@@ -67,6 +67,16 @@ def test_phi_sym_values():
     assert phi_sym(4, 10) == 1
 
 
+def test_sym_degrees_at_large_n():
+    # The paper's regime: the complement values cost what psi(I) costs,
+    # so n in the hundreds is cheap.  phi(n, 3) = (n - 1)^2.
+    assert phi_sym(200, 3) == 199 ** 2
+    for (m, n, r), value in {(6, 200, 198): 9421880447100,
+                             (9, 120, 117): 23442748797193440}.items():
+        assert delta_direct_info("sym", m, n, r)[0] == value
+        assert delta_nrs_info("sym", m, n, r)[0] == value
+
+
 def test_pataki_windows():
     assert pataki_window("sym", 3, 2) == (1, 3)
     assert pataki_window("symmetric", 3, 1) == (3, 5)

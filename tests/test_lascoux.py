@@ -73,7 +73,7 @@ def test_psi_complement_routes():
     # (padded when odd), of the complement values of its pairs and
     # singletons.
     for n in range(1, 9):
-        for r in range(4):
+        for r in range(7):
             for I in itertools.combinations(range(n), r):
                 value = psi_complement(I, n)
                 assert value == psi(complement(I, n)), (I, n)
@@ -86,6 +86,60 @@ def test_psi_complement_routes():
                 assert pfaffian(rows) == value, (I, n)
     assert psi_complement((9,), 4) == 0
     assert psi_complement(tuple(range(5)), 5) == 1
+
+
+def test_psi_complement_closed_form_entries():
+    # The entries of the complement Pfaffian: C(n, i+1) for a singleton,
+    # a hockey-stick sum for a pair.
+    for n in range(16):
+        for i in range(n):
+            assert psi_complement((i,), n) == math.comb(n, i + 1) == psi(complement((i,), n))
+            for j in range(i + 1, n):
+                expected = sum(
+                    math.comb(w, j) * (math.comb(w, i + 1) + math.comb(w + 1, i + 1)
+                                       - math.comb(n, i + 1))
+                    for w in range(j, n))
+                assert psi(complement((i, j), n)) == expected, (i, j, n)
+                assert psi_complement((i, j), n) == expected, (i, j, n)
+
+
+def _pair_matrix_of_range(n):
+    """Pair matrix of [n], with a front pad row of singletons when n is odd."""
+    labels = (None,) + tuple(range(n)) if n % 2 else tuple(range(n))
+    rows = [[0] * len(labels) for _ in labels]
+    for a, b in itertools.combinations(range(len(labels)), 2):
+        i, j = labels[a], labels[b]
+        rows[a][b] = 2 ** j if i is None else psi_pair(i, j)
+        rows[b][a] = -rows[a][b]
+    return rows
+
+
+def test_pair_matrix_is_pascal_congruent_to_ones():
+    # M = P Omega P^T, with P the Pascal matrix C(a, b) (shifted behind a
+    # unit pad entry when n is odd) and Omega the skew matrix of ones
+    # above the diagonal; its inverse is D P^T Omega P D, D = diag((-1)^a).
+    def mul(A, B):
+        return [[sum(x * y for x, y in zip(row, col)) for col in zip(*B)] for row in A]
+
+    for n in range(1, 13):
+        pad = n % 2
+        m = n + pad
+        P = [[math.comb(a - pad, b - pad) if a >= pad and b >= pad else int(a == b)
+              for b in range(m)] for a in range(m)]
+        PT = [list(col) for col in zip(*P)]
+        omega = [[(a < b) - (a > b) for b in range(m)] for a in range(m)]
+        D = [[(-1) ** a * (a == b) for b in range(m)] for a in range(m)]
+        M = _pair_matrix_of_range(n)
+        assert mul(mul(P, omega), PT) == M, n
+        inverse = mul(mul(mul(mul(D, PT), omega), P), D)
+        assert mul(M, inverse) == [[int(a == b) for b in range(m)] for a in range(m)], n
+
+
+def test_complements_reject_negative_n():
+    for call in (lambda: psi_complement((), -1), lambda: alpha_complement((), -1),
+                 lambda: d_a_complement((), (), -1)):
+        with pytest.raises(ValueError, match="-1"):
+            call()
 
 
 def test_psi_matches_padded_pair_matrix_pfaffian():
@@ -104,21 +158,29 @@ def test_psi_matches_padded_pair_matrix_pfaffian():
 
 
 def test_psi_large_sets_eliminate(monkeypatch):
-    # Above the expansion cap psi eliminates the matrix; both routes agree.
-    # The expansion values are recorded first, and the eliminations run
-    # on a cleared cache, so neither route reads the other's entries.
+    # Above the expansion cap psi and psi_complement eliminate the matrix;
+    # both routes agree.  The expansion values are recorded first, and
+    # the eliminations run on cleared caches, so neither route reads the
+    # other's entries.
     sets = [I for r in range(4, 8) for I in itertools.combinations(range(9), r)]
     expanded = {I: psi(I) for I in sets}
+    complements = {(I, n): psi_complement(I, n) for I in sets for n in (9, 12)}
     lascoux._pf.cache_clear()
+    lascoux._pf_complement.cache_clear()
     monkeypatch.setattr(lascoux, "_EXPANSION_MAX", 3)
     for I in sets:
         assert psi(I) == expanded[I], I
+    for (I, n), value in complements.items():
+        assert psi_complement(I, n) == value, (I, n)
     # Only the sets themselves were cached: no sub-Pfaffian was expanded.
     assert lascoux._pf.cache_info().currsize == len(sets)
+    assert lascoux._pf_complement.cache_info().currsize == len(complements)
     monkeypatch.undo()
     lascoux._pf.cache_clear()
+    lascoux._pf_complement.cache_clear()
     assert psi(tuple(range(40))) == 1
     assert psi_complement((0,), 40) == psi_recursion(tuple(range(1, 40)))
+    assert psi_complement(tuple(range(1, 40)), 40) == psi((0,)) == 1
 
 
 def test_cached_recursions_handle_deep_sets():

@@ -57,6 +57,12 @@ def test_spans_cover_degree_layers():
     assert "degrees.delta_type_a_nrs_partial" in names.values()
     parents = {(name, names.get(parent)) for _, parent, name in result["spans"]}
     assert ("degrees.phi_sym", "poly_n.phi_poly") in parents
+    # lascoux.psi_complement_s is the self time of these spans.  The
+    # complement is a Pfaffian over the labels of its own set, so it
+    # never builds the Pfaffian of [n] minus the set through psi.
+    assert ("lascoux.psi_complement", "degrees.delta_sym_partial") in parents
+    assert all(parent != "lascoux.psi_complement"
+               for name, parent in parents if name == "lascoux.psi")
     # degrees.a_value_s is the self time of these spans: a kernel that
     # bypasses the module-level a_value would read 0 there.
     assert ("degrees.a_value", "degrees.delta_type_a_nrs_partial") in parents
