@@ -4,7 +4,9 @@ Four independent routes exist for the symmetric-pair coefficients
 (Pfaffian of pairs, sum of Pascal minors, recursion, and the Schur
 oracle in schur_oracle.py); the suite insists they agree.  The same
 pattern covers the off-diagonal family, the two-set square-case
-entries, and the binomial-minor change-of-basis coefficients.
+entries, and the binomial-minor change-of-basis coefficients.  The
+symmetric and square complements at [n] are minors over the sets' own
+labels, so their cost does not grow with n.
 """
 
 from __future__ import annotations
@@ -183,6 +185,18 @@ def _psi_pair_complement(i, j, n):
             - comb(n, i + 1) * comb(n, j + 1))
 
 
+@functools.cache
+def _d_a_pair_complement(i, j, n):
+    """d_a_complement((i,), (j,), n) = sum over k < n of C(k, i) C(k, j).
+
+    For i <= j, C(k, i) C(k, j) = sum over m of C(m, i) C(i, m-j) C(k, m),
+    and the hockey stick sums C(k, m) over k < n to C(n, m+1).
+    """
+    i, j = min(i, j), max(i, j)
+    comb = math.comb
+    return sum(comb(m, i) * comb(i, m - j) * comb(n, m + 1) for m in range(j, i + j + 1))
+
+
 def alpha(I):
     """Off-diagonal family: box sums at 0, parity elsewhere."""
     return _alpha(check_indexset(I))
@@ -211,11 +225,11 @@ def alpha_complement(I, k):
 
 
 def d_a(I, J):
-    """Square-case entries as determinants of shifted Pascal minors.
+    """Square-case entries: det of C(i+j, i) over I x J.
 
-    Equal sizes use the binomial matrix directly.  When the sizes
-    differ, the smaller set forces an initial segment in the larger one
-    and the remainder drops to a shifted equal-size determinant.
+    When the sizes differ by t, the value is zero unless the larger set
+    starts with the segment [t] = {0, ..., t-1}, and then it is the
+    equal-size determinant with that segment dropped.
     """
     I = check_indexset(I)
     J = check_indexset(J)
@@ -229,8 +243,7 @@ def _d_a(I, J):
     t = len(J) - len(I)
     if J[:t] != tuple(range(t)):
         return 0
-    jj = tuple(x - t for x in J[t:])
-    return det([[binom(t + i + j, i) for j in jj] for i in I])
+    return det([[binom(i + j, i) for j in J[t:]] for i in I])
 
 
 def d_a_recursion(I, J):
@@ -270,11 +283,23 @@ def _d_a_recursion(I, J):
 
 
 def d_a_complement(I, J, n):
-    """Entry at the complements in [n]; zero if either set pokes out."""
+    """Entry at the complements in [n]; zero if either set pokes out.
+
+    Jacobi: B = [C(a+b, a)] on [n] is L L^T, L the Pascal matrix, so
+    det B = 1 and a complementary minor of B is a minor of
+    B^-1 = D L^T L D, D = diag((-1)^a), whose signs cancel Jacobi's.
+    So for equal sizes the value is det[_d_a_pair_complement(i, j, n)]
+    over I x J, at a cost that does not grow with n.  By the segment
+    rule of d_a, a set t smaller is padded with [t]; if it meets [t],
+    the repeated row makes the value 0.
+    """
     I = check_indexset(I)
     J = check_indexset(J)
     if n < 0:
         raise ValueError(f"d_a_complement: need n >= 0, got {n}")
     if not set(I).issubset(range(n)) or not set(J).issubset(range(n)):
         return 0
-    return d_a(complement(I, n), complement(J, n))
+    if len(I) > len(J):
+        I, J = J, I
+    I = tuple(range(len(J) - len(I))) + I
+    return det([[_d_a_pair_complement(i, j, n) for j in J] for i in I])

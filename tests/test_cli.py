@@ -253,9 +253,10 @@ def test_phi_examples(capsys):
 
 
 def test_phi_at_large_n(capsys):
-    code, out, _ = run_main(capsys, "phi", "--type", "sym", "-n", "200", "-d", "3",
-                            "--unsafe-range")
-    assert code == 0 and json.loads(out)["result"] == 39601
+    for kind in ("sym", "a"):
+        code, out, _ = run_main(capsys, "phi", "--type", kind, "-n", "200", "-d", "3",
+                                "--unsafe-range")
+        assert code == 0 and json.loads(out)["result"] == 39601, kind
 
 
 def test_phi_table(capsys):

@@ -77,6 +77,17 @@ def test_sym_degrees_at_large_n():
         assert delta_nrs_info("sym", m, n, r)[0] == value
 
 
+def test_square_degrees_at_large_n():
+    # The square complements are determinants over the sets' own labels,
+    # so n in the hundreds is cheap here too.  phi(n, 3) = (n - 1)^2.
+    assert phi_type_a(200, 3) == 39601
+    for (m, n, r), value in {(6, 60, 58): 8692016880,
+                             (9, 60, 58): 782727842994720,
+                             (12, 120, 118): 128963850476927189895600}.items():
+        assert delta_direct_info("a", m, n, r)[0] == value
+        assert delta_nrs_info("a", m, n, r)[0] == value
+
+
 def test_pataki_windows():
     assert pataki_window("sym", 3, 2) == (1, 3)
     assert pataki_window("symmetric", 3, 1) == (3, 5)

@@ -4,7 +4,7 @@ from collections import defaultdict
 
 import pytest
 
-from mldeg import lascoux
+from mldeg import degrees, lascoux
 from mldeg.exact import det, pfaffian
 from mldeg.indexsets import complement, enumerate_indexsets, lambda_of
 from mldeg.lascoux import (
@@ -333,6 +333,11 @@ def test_d_a_symmetry_and_unequal_oracle():
         for J in itertools.combinations(range(5), 2):
             assert d_a(I, J) == d_a(J, I)
             assert d_a(I, J) == d_oracle(I, J), (I, J)
+    # The segment rule of d_a against the oracle, which does not use it.
+    for a, b in ((1, 2), (1, 3), (2, 3)):
+        for I in itertools.combinations(range(6), a):
+            for J in itertools.combinations(range(6), b):
+                assert d_a(I, J) == d_oracle(I, J), (I, J)
 
 
 def test_d_a_recursion_matches():
@@ -345,10 +350,64 @@ def test_d_a_recursion_matches():
             assert d_a(I, J) == d_oracle(I, J), (I, J)
 
 
+def _d_a_complement_reference(I, J, n):
+    """d_a at the complement sets in [n], or 0 when a set pokes out."""
+    if not set(I + J) <= set(range(n)):
+        return 0
+    return d_a(complement(I, n), complement(J, n))
+
+
 def test_d_a_complement():
     assert d_a_complement((), (), 2) == d_a((0, 1), (0, 1))
     assert d_a_complement((5,), (0,), 3) == 0
     assert d_a_complement((0,), (1,), 3) == d_a((1, 2), (0, 2))
+    # Equal and unequal sizes, and sets poking one past [n].
+    cases = 0
+    for n in range(8):
+        sets = [I for r in range(4) for I in itertools.combinations(range(n + 1), r)]
+        for I in sets:
+            for J in sets:
+                if abs(len(I) - len(J)) <= 2:
+                    cases += 1
+                    expected = _d_a_complement_reference(I, J, n)
+                    assert d_a_complement(I, J, n) == expected, (I, J, n)
+    assert cases == 15242
+
+
+def test_d_a_complement_entries_closed_form():
+    for n in range(30):
+        for i in range(n):
+            for j in range(n):
+                expected = sum(math.comb(k, i) * math.comb(k, j) for k in range(n))
+                assert lascoux._d_a_pair_complement(i, j, n) == expected, (i, j, n)
+
+
+def test_binomial_matrix_is_pascal_gram():
+    # [C(a+b, a)] on [n] is L L^T, with L the Pascal matrix C(a, b), so
+    # its determinant is 1 and Jacobi turns complementary minors into
+    # minors of the inverse.
+    for n in range(1, 13):
+        L = [[math.comb(a, b) for b in range(n)] for a in range(n)]
+        gram = [[sum(x * y for x, y in zip(row_a, row_b)) for row_b in L] for row_a in L]
+        assert gram == [[math.comb(a + b, a) for b in range(n)] for a in range(n)], n
+
+
+def test_d_a_complement_builds_no_complement_sets(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the square complement built a complement set")
+
+    pairs = [(I, J) for I in itertools.combinations(range(6), 2)
+             for J in itertools.combinations(range(6), 3)]
+    pairs += [(I, J) for I in itertools.combinations(range(6), 3)
+              for J in itertools.combinations(range(6), 3)]
+    expected = {(I, J): _d_a_complement_reference(I, J, 6) for I, J in pairs}
+    items = degrees.delta_type_a_items(12, 6, 3)
+    total = sum(d_a(I, J) * _d_a_complement_reference(I, J, 6) for I, J in items)
+    monkeypatch.setattr(lascoux, "complement", refuse)
+    monkeypatch.setattr(lascoux, "d_a", refuse)
+    for (I, J), value in expected.items():
+        assert d_a_complement(I, J, 6) == value, (I, J)
+    assert degrees.delta_type_a_partial(6, items) == total == degrees.delta_type_a(12, 6, 3)
 
 
 def test_completeness_of_expansion():

@@ -66,3 +66,8 @@ def test_spans_cover_degree_layers():
     # degrees.a_value_s is the self time of these spans: a kernel that
     # bypasses the module-level a_value would read 0 there.
     assert ("degrees.a_value", "degrees.delta_type_a_nrs_partial") in parents
+    # The square complement is a determinant over the labels of its own
+    # sets, so it never takes d_a of the complement sets.
+    assert ("lascoux.d_a_complement", "degrees.delta_type_a_partial") in parents
+    assert all(parent != "lascoux.d_a_complement"
+               for name, parent in parents if name == "lascoux.d_a")
