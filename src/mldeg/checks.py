@@ -26,6 +26,7 @@ from .indexsets import enumerate_indexsets, format_indexset, leq, lower_sets
 from .lascoux import (
     alpha,
     alpha_complement,
+    alpha_recursion,
     d_a,
     d_a_complement,
     d_a_recursion,
@@ -93,12 +94,13 @@ ROUTES = {
     ("psi", "pfaffian"): psi, ("psi", "pascal"): psi_pascal,
     ("psi", "recursion"): psi_recursion, ("psi", "oracle"): psi_oracle,
     ("psi", "complement"): psi_complement,
-    ("alpha", "recursion"): alpha, ("alpha", "oracle"): alpha_oracle,
+    ("alpha", "pfaffian"): alpha, ("alpha", "recursion"): alpha_recursion,
+    ("alpha", "oracle"): alpha_oracle,
     ("alpha", "complement"): alpha_complement,
     ("d", "pascal"): d_a, ("d", "recursion"): d_a_recursion, ("d", "oracle"): d_oracle,
     ("d", "complement"): d_a_complement,
 }
-FAST_PATH = {"psi": "pfaffian", "alpha": "recursion", "d": "pascal"}
+FAST_PATH = {"psi": "pfaffian", "alpha": "pfaffian", "d": "pascal"}
 
 
 def route_refusal(family, path, sets):

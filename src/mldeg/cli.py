@@ -36,9 +36,12 @@ EXIT_DISAGREE = 3
 _N_CAP = {"sym": 7, "a": 4, "d": 4}
 _D_CAP = 12
 # psi: elements of each set (and --complement), and for a check route the
-# weight |lambda(I)| (+ |lambda(J)|) that its cost grows with.
+# weight |lambda(I)| (+ |lambda(J)|) that its cost grows with.  The
+# oracle's cost grows with the number of elements as well, so it has a
+# cap on the elements of all its sets together.
 _SET_CAP = 20
 _WEIGHT_CAP = 20
+_ORACLE_CAP = 6
 
 
 class UsageError(Exception):
@@ -163,6 +166,8 @@ def cmd_psi(args):
     if path != checks.FAST_PATH[family]:
         weight = sum(partition_weight(S) for S in sets)
         _require_cap(args, "weight", weight, _WEIGHT_CAP)
+    if path == "oracle":
+        _require_cap(args, "oracle elements", sum(map(len, sets)), _ORACLE_CAP)
     refusal = checks.route_refusal(family, path, sets)
     _require(refusal is None, refusal)
     value = checks.ROUTES[(family, path)](*sets)

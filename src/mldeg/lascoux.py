@@ -5,8 +5,9 @@ Four independent routes exist for the symmetric-pair coefficients
 oracle in schur_oracle.py); the suite insists they agree.  The same
 pattern covers the off-diagonal family, the two-set square-case
 entries, and the binomial-minor change-of-basis coefficients.  The
-symmetric and square complements at [n] are minors over the sets' own
-labels, so their cost does not grow with n.
+symmetric and off-diagonal families are Pfaffians of their pair
+values, and every complement at [n] is a minor over the sets' own
+labels, so its size does not grow with n.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import itertools
 import math
 
 from .exact import binom, det, pfaffian
-from .indexsets import check_indexset, check_same_size, complement, lower_sets
+from .indexsets import check_indexset, check_same_size, lower_sets
 
 # The first-row expansion of a set of size s visits about 1.618**s
 # sub-sets; above this size psi eliminates the pair matrix instead.
@@ -59,8 +60,8 @@ def _expand(key, members, single, pair, pf):
     (-1)^t pair(min S, s_t) pf(S minus {min S, s_t}); an odd set expands
     along the pad row.  A sub-Pfaffian is pf(key with the bits of the
     removed labels cleared), so key may carry bits above the members
-    that name the entries.  Sets above _EXPANSION_MAX elements
-    eliminate the matrix instead.
+    that name the entries.  A zero entry builds no sub-Pfaffian.  Sets
+    above _EXPANSION_MAX elements eliminate the matrix instead.
     """
     size = members.bit_count()
     if size > _EXPANSION_MAX:
@@ -79,8 +80,10 @@ def _expand(key, members, single, pair, pf):
         bit = members & -members
         members ^= bit
         j = bit.bit_length() - 1
-        term = (single(j) if first is None else pair(first, j)) * pf(key ^ bit)
-        result = result - term if negate else result + term
+        entry = single(j) if first is None else pair(first, j)
+        if entry:
+            term = entry * pf(key ^ bit)
+            result = result - term if negate else result + term
         negate = not negate
     return result
 
@@ -198,30 +201,104 @@ def _d_a_pair_complement(i, j, n):
 
 
 def alpha(I):
-    """Off-diagonal family: box sums at 0, parity elsewhere."""
-    return _alpha(check_indexset(I))
+    """Pfaffian route, as for psi: the pair values are _alpha_pair and an
+    odd set's pad row is [i == 0], so an odd set without 0 gives 0."""
+    return _pf_alpha(sum(1 << i for i in check_indexset(I)))
 
 
 @functools.cache
-def _alpha(I):
+def _pf_alpha(mask):
+    return _expand(mask, mask, lambda i: int(i == 0), _alpha_pair, _pf_alpha)
+
+
+@functools.cache
+def _alpha_pair(i, j):
+    """alpha((i, j)) = C(i+j-2, i) - C(i+j-2, j), and 1 when i = 0."""
+    if i == 0:
+        return 1
+    return math.comb(i + j - 2, i) - math.comb(i + j - 2, j)
+
+
+def alpha_recursion(I):
+    """Recursive route: box sums at 0, parity elsewhere."""
+    return _alpha_recursion(check_indexset(I))
+
+
+@functools.cache
+def _alpha_recursion(I):
     r = len(I)
     if r == 0:
         return 1
     if I[0] == 0:
-        return sum(_alpha(B) for B in _boxes(I))
+        return sum(_alpha_recursion(B) for B in _boxes(I))
     if r % 2:
         return 0
-    return _alpha((0,) + I)
+    return _alpha_recursion((0,) + I)
 
 
 def alpha_complement(I, k):
-    """Value at [k] minus I; zero when I does not sit inside [k]."""
+    """Value at [k] minus I; zero when I does not sit inside [k].
+
+    As for psi_complement, the value is the Pfaffian, over the labels of
+    I (padded when odd), of the complement values of its singletons and
+    pairs.  By Vandermonde the pair matrix of alpha on the labels 1..k-1
+    is P S P^T, with P = [C(i-1, a)] and S the skew matrix with ones just
+    above the diagonal.  Pfaffian-Jacobi turns P^-1 = [(-1)^(a-i+1)
+    C(a, i-1)] and S^-1 (-1 at every even a < odd b) into the sums of
+    _alpha_pair_complement.  Label 0 drops out along the pad row for odd
+    k; for even k it adds the row (-1)^a to P and the boundary terms.
+    The sub-Pfaffians are cached on the bitmask of their set with bit k
+    set, so the key names k as well.
+    """
     I = check_indexset(I)
     if k < 0:
         raise ValueError(f"alpha_complement: need k >= 0, got {k}")
-    if not set(I).issubset(range(k)):
+    if I and I[-1] >= k:
         return 0
-    return alpha(complement(I, k))
+    return _pf_alpha_complement(sum(1 << i for i in I) | 1 << k)
+
+
+@functools.cache
+def _pf_alpha_complement(key):
+    k = key.bit_length() - 1
+    return _expand(key, key ^ 1 << k, lambda i: _alpha_single_complement(i, k),
+                   lambda i, j: _alpha_pair_complement(i, j, k), _pf_alpha_complement)
+
+
+@functools.cache
+def _alpha_single_complement(i, k):
+    """alpha_complement((i,), k): k mod 2 for i = 0, and otherwise the
+    sum of C(w, i-1) over w < k-1 with w = k mod 2."""
+    if i == 0:
+        return k % 2
+    comb = math.comb
+    return sum(comb(w, i - 1) for w in range(k % 2, k - 1, 2))
+
+
+@functools.cache
+def _alpha_pair_complement(i, j, k):
+    """alpha_complement((i, j), k) for i < j < k, in one pass over w < k.
+
+    A pair (0, j) has the singleton value of j for even k and 0 for odd
+    k.  Otherwise the value is the sum over even a < odd b below
+    2 * ((k-1) // 2) of C(a, i-1) C(b, j-1) - C(b, i-1) C(a, j-1), plus,
+    for even k, the boundary terms C(k-1, i) s(j) - C(k-1, j) s(i) of
+    label 0, s the singleton values at k.
+    """
+    if i == 0:
+        return 0 if k % 2 else _alpha_single_complement(j, k)
+    comb = math.comb
+    total = even_i = even_j = 0
+    for w in range(i - 1, 2 * ((k - 1) // 2)):
+        if w % 2:
+            total += even_i * comb(w, j - 1) - even_j * comb(w, i - 1)
+        else:
+            even_i += comb(w, i - 1)
+            even_j += comb(w, j - 1)
+    if k % 2 == 0:
+        total += (comb(k - 1, i) * _alpha_single_complement(j, k)
+                  - comb(k - 1, j) * _alpha_single_complement(i, k))
+    return total
 
 
 def d_a(I, J):

@@ -114,10 +114,56 @@ def test_one_route_table_drives_psi_and_path_suites(capsys, monkeypatch):
 
 
 def test_deep_set_exits_0():
-    # A fresh process: the box sum of {0,5000} walks 5000 cold sets.
-    proc = run_cli("psi", "--family", "alpha", "--set", "{0,5000}")
-    assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout)["result"] == 1
+    # A fresh process: the Pfaffian of {0,5000} is one pair value, and
+    # the box sum of the recursion route walks 5000 cold sets.
+    for argv in ([], ["--path", "recursion", "--unsafe-range"]):
+        proc = run_cli("psi", "--family", "alpha", "--set", "{0,5000}", *argv)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["result"] == 1
+
+
+def test_skew_at_large_n_exits_0():
+    # Fresh processes: the skew complement is a Pfaffian over the labels
+    # of its set, so neither its cost nor its stack depth grows with n.
+    for argv, value in [
+        (["phi", "--type", "d", "-n", "200", "-d", "4"], 7880599),
+        (["psi", "--family", "alpha", "--set", "{0,1}", "--complement", "400"], 200),
+        (["delta", "--type", "d", "-m", "4", "-n", "200", "-r", "199", "--path", "both"],
+         1576119800),
+        (["psi", "--family", "alpha", "--set", "{300,350}", "--complement", "400"], None),
+    ]:
+        proc = run_cli(*argv, "--unsafe-range")
+        assert proc.returncode == 0 and "Traceback" not in proc.stderr, (argv, proc.stderr)
+        data = json.loads(proc.stdout)
+        if value is not None:
+            assert data["result"] == value, argv
+        if argv[0] == "delta":
+            assert {path["value"] for path in data["paths"].values()} == {value}
+
+
+def test_alpha_pfaffian_takes_large_sets(capsys):
+    spread = "{" + ",".join(map(str, range(0, 40, 2))) + "}"
+    for text in ("{0,100,200,300}", spread):
+        code, out, _ = run_main(capsys, "psi", "--family", "alpha", "--set", text)
+        assert code == 0 and json.loads(out)["path"] == "pfaffian", text
+    # The box walk of the same set is a check route under the weight cap.
+    code, out, err = run_main(capsys, "psi", "--family", "alpha", "--set", spread,
+                              "--path", "recursion")
+    assert code == 2 and not out and "weight" in err
+
+
+def test_oracle_caps_its_elements(capsys):
+    seven = "{0,1,2,3,4,5,6}"
+    code, out, err = run_main(capsys, "psi", "--set", seven, "--path", "oracle")
+    assert code == 2 and not out
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and "--unsafe-range" in lines[0]
+    for argv in (["--set", "{0,1,2,3,4,5}"], ["--family", "d", "--set", "{0,1,2}",
+                                              "--pair", "{0,1,2}"]):
+        assert run_main(capsys, "psi", *argv, "--path", "oracle")[0] == 0, argv
+    code, out, _ = run_main(capsys, "psi", "--set", seven, "--path", "oracle",
+                            "--unsafe-range")
+    assert code == 0 and json.loads(out)["result"] == 1
 
 
 def test_psi_caps(capsys):
@@ -153,7 +199,7 @@ def test_usage_errors(capsys):
         ("psi", "--set", "{0,0}"),
         ("psi", "--set", "{0}", "--pair", "{1}"),
         ("psi", "--set", "{0}", "--family", "d"),
-        ("psi", "--set", "{1}", "--family", "alpha", "--path", "pfaffian"),
+        ("psi", "--set", "{1}", "--family", "alpha", "--path", "pascal"),
         ("psi", "--set", "{1}", "--complement", "4", "--path", "oracle"),
         ("delta", "--type", "sym", "-m", "2", "-n", "3", "-r", "4"),
         ("delta", "--type", "sym", "-m", "2", "-n", "3", "-r", "3", "--path", "nrs"),

@@ -88,6 +88,17 @@ def test_square_degrees_at_large_n():
         assert delta_nrs_info("a", m, n, r)[0] == value
 
 
+def test_skew_degrees_at_large_n():
+    # The skew complements are Pfaffians over the labels of their sets,
+    # so n in the hundreds neither costs much nor nests deeply.
+    assert phi_type_d(200, 4) == 7880599
+    for (m, n, r), value in {(4, 200, 199): 1576119800,
+                             (10, 60, 58): 80450409711655632,
+                             (15, 100, 97): 223761992517339744814500}.items():
+        assert delta_direct_info("d", m, n, r)[0] == value
+        assert delta_nrs_info("d", m, n, r)[0] == value
+
+
 def test_pataki_windows():
     assert pataki_window("sym", 3, 2) == (1, 3)
     assert pataki_window("symmetric", 3, 1) == (3, 5)

@@ -4,12 +4,13 @@ from collections import defaultdict
 
 import pytest
 
-from mldeg import degrees, lascoux
+from mldeg import degrees, indexsets, lascoux
 from mldeg.exact import det, pfaffian
 from mldeg.indexsets import complement, enumerate_indexsets, lambda_of
 from mldeg.lascoux import (
     alpha,
     alpha_complement,
+    alpha_recursion,
     d_a,
     d_a_complement,
     d_a_recursion,
@@ -187,7 +188,7 @@ def test_cached_recursions_handle_deep_sets():
     # Each lifting and box step is one cached call; a wide gap must not
     # nest them past the recursion limit.
     assert psi_recursion((1500,)) == 2 ** 1500
-    assert alpha((0, 5000)) == 1
+    assert alpha_recursion((0, 5000)) == alpha((0, 5000)) == 1
 
 
 def test_pair_matrix_jacobi_cofactor():
@@ -283,6 +284,63 @@ def test_alpha_complement():
     assert alpha_complement((), 2) == 1
     assert alpha_complement((1,), 4) == alpha((0, 2, 3))
     assert alpha_complement((9,), 3) == 0
+
+
+def test_alpha_pfaffian_matches_box_walk():
+    for r in range(8):
+        for I in itertools.combinations(range(11), r):
+            assert alpha(I) == alpha_recursion(I), I
+
+
+def test_alpha_complement_label_route():
+    # The complement is a Pfaffian over the labels of I: it matches the
+    # box walk of the complement set.
+    for k in range(15):
+        for r in range(6):
+            for I in itertools.combinations(range(k), r):
+                assert alpha_complement(I, k) == alpha_recursion(complement(I, k)), (I, k)
+
+
+def test_alpha_complement_closed_form_entries():
+    def reference(I, k):
+        return alpha_recursion(complement(I, k))
+
+    for k in range(1, 30):
+        assert alpha_complement((0,), k) == k % 2 == reference((0,), k), k
+        for i in range(1, k):
+            expected = sum(math.comb(w, i - 1) for w in range(k - 1) if w % 2 == k % 2)
+            assert alpha_complement((i,), k) == expected == reference((i,), k), (i, k)
+        # The parity rule of lp_d_parity_residuals: a pair with 0 keeps
+        # the singleton value at even k and vanishes at odd k.
+        for j in range(1, k):
+            expected = alpha_complement((j,), k) if k % 2 == 0 else 0
+            assert alpha_complement((0, j), k) == expected == reference((0, j), k), (j, k)
+    # Past the pairs with 0, each entry is the sum over w in [j, k) of
+    # its unit-shift decrements (i-1, j), (i, j-1) and (i-1, j-1) at w.
+    for k in range(40):
+        for i, j in itertools.combinations(range(1, k), 2):
+            decrements = [(i - 1, j), (i - 1, j - 1)] + ([(i, j - 1)] if i < j - 1 else [])
+            expected = sum(alpha_complement(pair, w) for w in range(j, k) for pair in decrements)
+            assert alpha_complement((i, j), k) == expected, (i, j, k)
+
+
+def test_alpha_complement_builds_no_complement_sets(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the skew complement built a complement set")
+
+    cases = [(I, k) for k in range(9) for r in range(5)
+             for I in itertools.combinations(range(k), r)]
+    expected = {(I, k): alpha_recursion(complement(I, k)) for I, k in cases}
+    items = degrees.delta_type_d_items(14, 5, 3)
+    total = sum(alpha_recursion(I) * alpha_recursion(complement(I, 10)) for I in items)
+    lascoux._pf_alpha.cache_clear()
+    lascoux._pf_alpha_complement.cache_clear()
+    monkeypatch.setattr(lascoux, "complement", refuse, raising=False)
+    monkeypatch.setattr(indexsets, "complement", refuse)
+    monkeypatch.setattr(lascoux, "_alpha_recursion", refuse)
+    for (I, k), value in expected.items():
+        assert alpha_complement(I, k) == value, (I, k)
+    assert degrees.delta_type_d_partial(5, items) == total != 0
 
 
 def test_s_ij_values():
@@ -403,7 +461,7 @@ def test_d_a_complement_builds_no_complement_sets(monkeypatch):
     expected = {(I, J): _d_a_complement_reference(I, J, 6) for I, J in pairs}
     items = degrees.delta_type_a_items(12, 6, 3)
     total = sum(d_a(I, J) * _d_a_complement_reference(I, J, 6) for I, J in items)
-    monkeypatch.setattr(lascoux, "complement", refuse)
+    monkeypatch.setattr(lascoux, "complement", refuse, raising=False)
     monkeypatch.setattr(lascoux, "d_a", refuse)
     for (I, J), value in expected.items():
         assert d_a_complement(I, J, 6) == value, (I, J)

@@ -3,7 +3,7 @@
 perfbench/spans.py traces mldeg by rebinding module globals and the
 callables stored in module-level dicts.  A refactor that routes calls
 around those names leaves the per-layer metrics silently at zero, so
-this runs the tracer over six queries and checks the spans it records.
+this runs the tracer over seven queries and checks the spans it records.
 install() rebinds for the life of the process, hence the subprocess.
 """
 
@@ -33,6 +33,7 @@ with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.St
                            "--path", "oracle"]))
     codes.append(cli.main(["psi", "--family", "d", "--set", "{1}", "--pair", "{2}",
                            "--path", "recursion"]))
+    codes.append(cli.main(["delta", "--type", "d", "-m", "14", "-n", "4", "-r", "2"]))
 print(json.dumps({"codes": codes, "missing": tracer.missing,
                   "spans": [span[:3] for span in tracer.spans]}))
 """
@@ -47,7 +48,7 @@ def test_spans_cover_degree_layers():
     )
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout)
-    assert result["codes"] == [0] * 6
+    assert result["codes"] == [0] * 7
     assert result["missing"] == []
     names = {sid: name for sid, _, name in result["spans"]}
     assert "degrees.delta_type_a_partial" in names.values()
@@ -71,3 +72,7 @@ def test_spans_cover_degree_layers():
     assert ("lascoux.d_a_complement", "degrees.delta_type_a_partial") in parents
     assert all(parent != "lascoux.d_a_complement"
                for name, parent in parents if name == "lascoux.d_a")
+    # So is the skew complement, a Pfaffian over the labels of its set.
+    assert ("lascoux.alpha_complement", "degrees.delta_type_d_partial") in parents
+    assert all(parent != "lascoux.alpha_complement"
+               for name, parent in parents if name == "lascoux.alpha")
