@@ -289,10 +289,20 @@ def main(argv=None):
         print(f"internal disagreement: {exc}", file=sys.stderr)
         return EXIT_DISAGREE
 
-    if "csv" in payload:
-        for line in payload["csv"]:
-            print(line)
-    else:
-        print(json.dumps(payload, sort_keys=True))
+    # Results are exact ints of any size, so the output lifts CPython's
+    # int-to-str digit limit; the input keeps it, so an over-long literal
+    # stays a usage error.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        if "csv" in payload:
+            for line in payload["csv"]:
+                print(line)
+        else:
+            print(json.dumps(payload, sort_keys=True))
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
     print(f"wall_time_s={time.monotonic() - started:.3f}", file=sys.stderr)
     return code

@@ -23,7 +23,7 @@ import functools
 import math
 from fractions import Fraction
 
-from .exact import N, ConsistencyError, PolyQ, binom
+from .exact import ConsistencyError, PolyQ, binom
 from .indexsets import check_same_size, enumerate_indexsets
 from .lascoux import alpha, alpha_complement, d_a, d_a_complement, psi, psi_complement
 from .pool import fork_map

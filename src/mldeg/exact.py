@@ -284,3 +284,66 @@ def pfaffian(rows):
     if result.denominator != 1:
         raise ConsistencyError(f"Pfaffian of an integer matrix came out {result}")
     return int(result)
+
+
+# The expansion of a set of size s visits about 1.618**s sub-sets; above
+# this size expand_pfaffian eliminates the matrix instead.
+_EXPANSION_MAX = 20
+
+
+def expand_pfaffian(key, members, single, pair, pf):
+    """Pfaffian of the matrix of pair(i, j) entries, i < j, on the set
+    bits of members, with a front pad row of single(j) entries when the
+    set is odd.
+
+    The Pfaffian is expanded along the row of the highest label t:
+    pf(S) = sum over k of (-1)^(k+1) e_k pf(S_k), with k counted from 1
+    along that row, pad first.  For an odd set e_1 = single(t) and S_1 =
+    S minus {t}; the other entries are pair(s, t) for s < t in S, with
+    S minus {s, t}.  A sub-Pfaffian is pf(key with the bits of the
+    removed labels cleared), so key may carry bits above the members
+    that name the entries, and pf caches on it.  A zero entry builds no
+    sub-Pfaffian.  Sets above _EXPANSION_MAX elements eliminate the
+    matrix instead.
+    """
+    size = members.bit_count()
+    if size > _EXPANSION_MAX:
+        return pfaffian(_pair_matrix(members, single, pair))
+    if not size:
+        return 1
+    top = members.bit_length() - 1
+    key ^= 1 << top
+    members ^= 1 << top
+    result = 0
+    negate = False
+    if size % 2:
+        entry = single(top)
+        if entry:
+            result = entry * pf(key)
+        negate = True
+    while members:
+        bit = members & -members
+        members ^= bit
+        entry = pair(bit.bit_length() - 1, top)
+        if entry:
+            term = entry * pf(key ^ bit)
+            result = result - term if negate else result + term
+        negate = not negate
+    return result
+
+
+def _pair_matrix(members, single, pair):
+    labels = [i for i in range(members.bit_length()) if members >> i & 1]
+    if len(labels) % 2:
+        labels.insert(0, None)
+    m = len(labels)
+    rows = [[0] * m for _ in range(m)]
+    for a in range(m):
+        for b in range(a + 1, m):
+            if labels[a] is None:
+                v = single(labels[b])
+            else:
+                v = pair(labels[a], labels[b])
+            rows[a][b] = v
+            rows[b][a] = -v
+    return rows

@@ -7,7 +7,8 @@ pattern covers the off-diagonal family, the two-set square-case
 entries, and the binomial-minor change-of-basis coefficients.  The
 symmetric and off-diagonal families are Pfaffians of their pair
 values, and every complement at [n] is a minor over the sets' own
-labels, so its size does not grow with n.
+labels, so its size does not grow with n.  The Pfaffians all run
+through exact.expand_pfaffian, each cached on its own bitmask keys.
 """
 
 from __future__ import annotations
@@ -16,12 +17,8 @@ import functools
 import itertools
 import math
 
-from .exact import binom, det, pfaffian
+from .exact import binom, det, expand_pfaffian
 from .indexsets import check_indexset, check_same_size, lower_sets
-
-# The first-row expansion of a set of size s visits about 1.618**s
-# sub-sets; above this size psi eliminates the pair matrix instead.
-_EXPANSION_MAX = 20
 
 
 def psi_single(i):
@@ -30,18 +27,27 @@ def psi_single(i):
 
 @functools.cache
 def psi_pair(i, j):
-    """Two-element value: sum of the middle binomials of row i+j."""
+    """Two-element value: sum of the middle binomials of row i+j.
+
+    Each binomial C(i+j, k+1) = C(i+j, k) (i+j-k) / (k+1) comes from the
+    one before it, so a wide gap costs no math.comb per term.
+    """
     if not 0 <= i < j:
         raise ValueError(f"psi_pair: need 0 <= i < j, got ({i}, {j})")
-    return sum(binom(i + j, k) for k in range(i + 1, j + 1))
+    top = i + j
+    term = total = math.comb(top, i + 1)
+    for k in range(i + 1, j):
+        term = term * (top - k) // (k + 1)
+        total += term
+    return total
 
 
 def psi(I):
     """Pfaffian route; odd sizes get a front pad row of singleton values.
 
-    The Pfaffian is expanded along its first row, and the sub-Pfaffians
-    are cached by the bitmask of their set, so every set of a sweep
-    shares them.
+    exact.expand_pfaffian expands it along the row of the highest
+    label, and the sub-Pfaffians are cached by the bitmask of their
+    set, so every set of a sweep shares them.
     """
     return _pf(sum(1 << i for i in check_indexset(I)))
 
@@ -49,60 +55,7 @@ def psi(I):
 @functools.cache
 def _pf(mask):
     """Pfaffian of the pair matrix on the set whose bitmask is mask."""
-    return _expand(mask, mask, psi_single, psi_pair, _pf)
-
-
-def _expand(key, members, single, pair, pf):
-    """Pfaffian of the matrix of pair(i, j) entries on the set bits of
-    members, with a front pad row of single(i) entries when it is odd.
-
-    An even set expands along its first row, pf(S) = sum over t of
-    (-1)^t pair(min S, s_t) pf(S minus {min S, s_t}); an odd set expands
-    along the pad row.  A sub-Pfaffian is pf(key with the bits of the
-    removed labels cleared), so key may carry bits above the members
-    that name the entries.  A zero entry builds no sub-Pfaffian.  Sets
-    above _EXPANSION_MAX elements eliminate the matrix instead.
-    """
-    size = members.bit_count()
-    if size > _EXPANSION_MAX:
-        return pfaffian(_pair_matrix(members, single, pair))
-    if not size:
-        return 1
-    first = None
-    if size % 2 == 0:
-        low = members & -members
-        first = low.bit_length() - 1
-        key ^= low
-        members ^= low
-    result = 0
-    negate = False
-    while members:
-        bit = members & -members
-        members ^= bit
-        j = bit.bit_length() - 1
-        entry = single(j) if first is None else pair(first, j)
-        if entry:
-            term = entry * pf(key ^ bit)
-            result = result - term if negate else result + term
-        negate = not negate
-    return result
-
-
-def _pair_matrix(members, single, pair):
-    labels = [i for i in range(members.bit_length()) if members >> i & 1]
-    if len(labels) % 2:
-        labels.insert(0, None)
-    m = len(labels)
-    rows = [[0] * m for _ in range(m)]
-    for a in range(m):
-        for b in range(a + 1, m):
-            if labels[a] is None:
-                v = single(labels[b])
-            else:
-                v = pair(labels[a], labels[b])
-            rows[a][b] = v
-            rows[b][a] = -v
-    return rows
+    return expand_pfaffian(mask, mask, psi_single, psi_pair, _pf)
 
 
 def s_ij(I, J):
@@ -176,8 +129,8 @@ def psi_complement(I, n):
 @functools.cache
 def _pf_complement(key):
     n = key.bit_length() - 1
-    return _expand(key, key ^ 1 << n, lambda i: binom(n, i + 1),
-                   lambda i, j: _psi_pair_complement(i, j, n), _pf_complement)
+    return expand_pfaffian(key, key ^ 1 << n, lambda i: binom(n, i + 1),
+                           lambda i, j: _psi_pair_complement(i, j, n), _pf_complement)
 
 
 @functools.cache
@@ -208,7 +161,7 @@ def alpha(I):
 
 @functools.cache
 def _pf_alpha(mask):
-    return _expand(mask, mask, lambda i: int(i == 0), _alpha_pair, _pf_alpha)
+    return expand_pfaffian(mask, mask, lambda i: int(i == 0), _alpha_pair, _pf_alpha)
 
 
 @functools.cache
@@ -261,8 +214,9 @@ def alpha_complement(I, k):
 @functools.cache
 def _pf_alpha_complement(key):
     k = key.bit_length() - 1
-    return _expand(key, key ^ 1 << k, lambda i: _alpha_single_complement(i, k),
-                   lambda i, j: _alpha_pair_complement(i, j, k), _pf_alpha_complement)
+    return expand_pfaffian(key, key ^ 1 << k, lambda i: _alpha_single_complement(i, k),
+                           lambda i, j: _alpha_pair_complement(i, j, k),
+                           _pf_alpha_complement)
 
 
 @functools.cache

@@ -9,6 +9,7 @@ then, with every cache warm.
 
 from __future__ import annotations
 
+import os
 import time
 
 # Seconds of serial work before jobs > 1 forks.  A two-worker fork pool
@@ -45,8 +46,15 @@ def _forked(fn, items, jobs):
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    workers = min(jobs, len(items))
+    workers = min(jobs, len(items), _usable_cpus())
     chunk = max(1, len(items) // (4 * workers))
     ctx = multiprocessing.get_context("fork")
     with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
         return list(pool.map(fn, items, chunksize=chunk))
+
+
+def _usable_cpus():
+    """CPUs this process may run on; a pool starts all its workers at once."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1

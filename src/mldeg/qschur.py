@@ -3,9 +3,10 @@
 Setting every variable to 1/2 turns Q_lambda(x_1..x_n) into a
 polynomial in n.  One-row values come from the coefficient recurrence
 of ((1+t/2)/(1-t/2))^n, two-row values from the classical reduction,
-and general strict shapes from the Pfaffian expansion over pairs of
-parts.  Both exact polynomials in n and fast point values at integer n
-are provided; the point route is what the degree sweeps hit.
+and general strict shapes from Schur's Pfaffian of the two-row values,
+expanded by exact.expand_pfaffian over the parts as labels.  Both
+exact polynomials in n and fast point values at integer n are
+provided; the point route is what the degree sweeps hit.
 
 The point route runs on ints: 2^|lambda| Q_lambda(1/2, ..., 1/2) is an
 integer, because the coefficients of ((1+u)/(1-u))^n are.  Only the
@@ -17,7 +18,7 @@ from __future__ import annotations
 import functools
 from fractions import Fraction
 
-from .exact import ConsistencyError, N, PolyQ
+from .exact import ConsistencyError, N, PolyQ, expand_pfaffian
 from .indexsets import check_indexset
 
 _onerow_tables = {}
@@ -104,72 +105,54 @@ def _check_strict(parts):
     return parts
 
 
-def _pad(parts):
-    return parts if len(parts) % 2 == 0 else parts + (0,)
+@functools.cache
+def _pf_q(mask):
+    """Schur's Pfaffian over the labels of mask, exact polynomials."""
+    return expand_pfaffian(mask, mask, q_onerow, lambda a, b: q_tworow(b, a),
+                           _pf_q) * PolyQ((1,))
 
 
 @functools.cache
-def _qpf(parts):
-    """Pfaffian expansion along the first row, exact polynomials."""
-    if not parts:
-        return PolyQ((1,))
-    first = parts[0]
-    acc = PolyQ()
-    for j in range(1, len(parts)):
-        rest = parts[1:j] + parts[j + 1:]
-        term = q_tworow(first, parts[j]) * _qpf(rest)
-        acc = acc - term if j % 2 == 0 else acc + term
-    return acc
+def _pf_q_at(mask, n):
+    """Schur's Pfaffian with scalar values at n; the sweep workhorse.
 
-
-@functools.cache
-def _qpf_at(parts, n):
-    """Pfaffian expansion with scalar values; the sweep workhorse.
-
-    Returns 2^sum(parts) times the value, an int.  Cached on the part
-    tuple so sub-Pfaffians are shared across all index sets of a sweep.
+    Returns 2^(sum of the labels) times the value, an int.  Cached on
+    the mask of the labels, so sub-Pfaffians are shared across all index
+    sets of a sweep.
     """
-    if not parts:
-        return 1
-    first = parts[0]
-    acc = 0
-    for j in range(1, len(parts)):
-        rest = parts[1:j] + parts[j + 1:]
-        term = _tworow_at(first, parts[j], n) * _qpf_at(rest, n)
-        acc = acc - term if j % 2 == 0 else acc + term
-    return acc
+    return expand_pfaffian(mask, mask, lambda a: _onerow_ints(a, n)[a],
+                           lambda a, b: _tworow_at(b, a, n), lambda k: _pf_q_at(k, n))
+
+
+def _mask(labels):
+    return sum(1 << a for a in labels)
 
 
 def q_strict(parts):
     """Q specialization of a strict partition as a PolyQ in n."""
-    parts = _check_strict(parts)
-    return _qpf(_pad(parts))
+    return _pf_q(_mask(_check_strict(parts)))
 
 
 def b_poly(I):
     """Shift every element of I up by one and specialize; degree ΣI + #I."""
     I = check_indexset(I)
-    return q_strict(tuple(i + 1 for i in reversed(I)))
+    return _pf_q(_mask(i + 1 for i in I))
 
 
 def b_value(I, n):
     I = check_indexset(I)
-    parts = tuple(i + 1 for i in reversed(I))
-    return Fraction(_qpf_at(_pad(parts), n), 1 << sum(parts))
-
-
-def _nonzero_parts(I):
-    return tuple(i for i in reversed(I) if i > 0)
+    return Fraction(_pf_q_at(_mask(i + 1 for i in I), n), 1 << (sum(I) + len(I)))
 
 
 def d_poly(I):
     """P specialization: Q of the nonzero elements over 2 per nonzero part.
 
-    A member 0 contributes no part and no factor of 2.
+    A member 0 contributes no part and no factor of 2: as a label it is
+    the pad row, since its one-row value is 1 and its two-row values are
+    the one-row values of the other part.
     """
     I = check_indexset(I)
-    parts = _nonzero_parts(I)
-    return q_strict(parts) * Fraction(1, 1 << len(parts))
+    return _pf_q(_mask(I)) * Fraction(1, 1 << (len(I) - (0 in I)))
 
 
 def d_value(I, n):
@@ -183,5 +166,4 @@ def d_value(I, n):
     I = check_indexset(I)
     if I and I[0] == 0 and (n - len(I)) % 2:
         return Fraction(0)
-    parts = _nonzero_parts(I)
-    return Fraction(_qpf_at(_pad(parts), n), 1 << (sum(parts) + len(parts)))
+    return Fraction(_pf_q_at(_mask(I), n), 1 << (sum(I) + len(I) - (0 in I)))

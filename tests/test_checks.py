@@ -116,3 +116,36 @@ def test_failure_surfaces_counterexample():
     res = run_task(("psi_paths", (0, 2), 4))
     assert not res["ok"]
     assert "{0,2}" in res["detail"]
+
+
+@pytest.mark.parametrize("affinity", [True, False])
+def test_forked_workers_capped_at_usable_cpus(monkeypatch, affinity):
+    # A fork-context pool starts all its workers at once, so a large
+    # --jobs must fork no more workers than the CPUs this process may use.
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers, mp_context):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(pool, "FORK_AFTER_S", 0)
+    if affinity:
+        monkeypatch.setattr(pool.os, "sched_getaffinity", lambda pid: {0, 2, 5},
+                            raising=False)
+    else:
+        monkeypatch.delattr(pool.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(pool.os, "cpu_count", lambda: 3)
+    items = list(range(-50, 50))
+    assert pool.fork_map(abs, items, 5000) == [abs(x) for x in items]
+    assert pool._forked(abs, [-1, 2], 5000) == [1, 2]
+    assert sizes == [3, 2]

@@ -539,3 +539,25 @@ def test_import_stays_lean():
     layers = {"checks", "cli", "degrees", "exact", "indexsets", "lascoux",
               "poly_n", "qschur", "schur_oracle"}
     assert {f"mldeg.{name}" for name in layers} <= added
+
+
+def test_huge_results_print_in_full(capsys):
+    # Exact results may pass CPython's 4300-digit int-to-str limit; the
+    # output lifts it, and the input keeps it.
+    get_limit = getattr(sys, "get_int_max_str_digits", lambda: None)
+    limit = get_limit()
+    for text, value in (("{15000}", 2 ** 15000), ("{0,20000}", 2 ** 20000 - 1)):
+        code, out, err = run_main(capsys, "psi", "--set", text)
+        assert code == 0 and "Traceback" not in err, err
+        assert get_limit() == limit
+        digits = json.loads(out, parse_int=str)["result"]
+        assert len(digits) > 4300
+        # Compared in 1000-digit chunks, each under the limit.
+        for end in range(len(digits), 0, -1000):
+            assert int(digits[max(0, end - 1000):end]) == value % 10 ** 1000, text
+            value //= 10 ** 1000
+        assert value == 0
+    code, out, err = run_main(capsys, "psi", "--set", "{" + "1" * 5000 + "}")
+    assert code == 2 and not out
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")

@@ -7,7 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mldeg.exact import ConsistencyError, N, PolyQ, binom, det, format_fraction, pfaffian
+from mldeg.exact import (
+    ConsistencyError,
+    N,
+    PolyQ,
+    _pair_matrix,
+    binom,
+    det,
+    expand_pfaffian,
+    format_fraction,
+    pfaffian,
+)
 
 
 def test_binom_values():
@@ -115,6 +125,40 @@ def test_pfaffian_matches_matching_sum():
     for n in (0, 2, 4, 6, 8, 10, 12):
         m = _random_skew(rng, n, -2, 2)
         assert pfaffian(m) == _pfaffian_by_matchings(m), n
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_expand_pfaffian_matches_elimination(seed):
+    # Random int entries, a third of them zero, on 12 labels.  Odd seeds
+    # key the sub-Pfaffians with bit 12 set above the members, as the
+    # complement caches do.
+    rng = random.Random(seed)
+
+    def entry():
+        return rng.choice((0, rng.randint(-9, 9), rng.randint(-9, 9)))
+
+    singles = {i: entry() for i in range(12)}
+    pairs = {ij: entry() for ij in itertools.combinations(range(12), 2)}
+    single, pair = singles.__getitem__, lambda i, j: pairs[i, j]
+    high = (seed % 2) << 12
+    cache = {}
+
+    def pf(key):
+        if key not in cache:
+            cache[key] = expand_pfaffian(key, key & 0xFFF, single, pair, pf)
+        return cache[key]
+
+    assert pf(high) == 1
+    for size in range(1, 11):
+        for S in rng.sample(list(itertools.combinations(range(12), size)), 12):
+            mask = sum(1 << i for i in S)
+            assert pf(mask | high) == pfaffian(_pair_matrix(mask, single, pair)), S
+    # Written out: pad row first for an odd set.
+    a, b, c, d = 1, 4, 6, 9
+    even = pairs[a, b] * pairs[c, d] - pairs[a, c] * pairs[b, d] + pairs[a, d] * pairs[b, c]
+    odd = singles[a] * pairs[b, c] - singles[b] * pairs[a, c] + singles[c] * pairs[a, b]
+    assert pf(sum(1 << i for i in (a, b, c, d)) | high) == even
+    assert pf(sum(1 << i for i in (a, b, c)) | high) == odd
 
 
 def test_inexact_division_raises(monkeypatch):

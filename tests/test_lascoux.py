@@ -4,7 +4,7 @@ from collections import defaultdict
 
 import pytest
 
-from mldeg import degrees, indexsets, lascoux
+from mldeg import degrees, exact, indexsets, lascoux
 from mldeg.exact import det, pfaffian
 from mldeg.indexsets import complement, enumerate_indexsets, lambda_of
 from mldeg.lascoux import (
@@ -168,7 +168,7 @@ def test_psi_large_sets_eliminate(monkeypatch):
     complements = {(I, n): psi_complement(I, n) for I in sets for n in (9, 12)}
     lascoux._pf.cache_clear()
     lascoux._pf_complement.cache_clear()
-    monkeypatch.setattr(lascoux, "_EXPANSION_MAX", 3)
+    monkeypatch.setattr(exact, "_EXPANSION_MAX", 3)
     for I in sets:
         assert psi(I) == expanded[I], I
     for (I, n), value in complements.items():
@@ -182,6 +182,12 @@ def test_psi_large_sets_eliminate(monkeypatch):
     assert psi(tuple(range(40))) == 1
     assert psi_complement((0,), 40) == psi_recursion(tuple(range(1, 40)))
     assert psi_complement(tuple(range(1, 40)), 40) == psi((0,)) == 1
+
+
+def test_psi_pair_wide_gap():
+    # psi((0, j)) sums row j but for C(j, 0), so it is 2^j - 1; with one
+    # math.comb per term this set took past a minute.
+    assert psi((0, 20000)) == 2 ** 20000 - 1
 
 
 def test_cached_recursions_handle_deep_sets():

@@ -21,7 +21,7 @@ from mldeg.qschur import (
 def q_strict_at(parts, n):
     """Value of q_strict(parts) at integer n, by the int point route."""
     parts = qschur._check_strict(parts)
-    return Fraction(qschur._qpf_at(qschur._pad(parts), n), 1 << sum(parts))
+    return Fraction(qschur._pf_q_at(sum(1 << p for p in parts), n), 1 << sum(parts))
 
 
 def test_q_onerow_small():
@@ -153,6 +153,19 @@ def test_d_value_parity():
         assert d_value((1,), n) == Fraction(n, 2)
         # no member 0: point value equals the polynomial at every n
         assert d_value((1, 3), n) == d_poly((1, 3))(n)
+
+
+def test_label_zero_is_the_pad():
+    # d_value and d_poly expand over the labels of I itself, and a label
+    # 0 acts as the pad row: adding it keeps the value at one parity of n
+    # and zeroes it at the other.
+    sets = [I for r in range(5) for I in itertools.combinations(range(1, 11), r)
+            if sum(I) <= 10]
+    for I in sets:
+        assert d_poly((0,) + I) == d_poly(I), I
+        for n in range(13):
+            expected = d_value(I, n) if (n - len(I) - 1) % 2 == 0 else 0
+            assert d_value((0,) + I, n) == expected, (I, n)
 
 
 def _shifted_tableau_count(shape, n):
