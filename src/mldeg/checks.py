@@ -286,49 +286,44 @@ def certificate_skew_line(I):
     return None
 
 
+def _alternating_sum(kind, value, J, m, top, ratio, where):
+    """Sum of value(I) ratio^(|I| - |J|) s_ij(I, J) C(m-1, top - |I|)
+    over I >= J up to |I| = top; it must be value(J) when |J| = top and
+    0 otherwise, |.| the entry sum."""
+    total = 0
+    for I in _upper_sets(J, top):
+        total += (value(I) * ratio ** (sum(I) - sum(J))
+                  * s_ij(I, J) * binom(m - 1, top - sum(I)))
+    expected = value(J) if sum(J) == top else 0
+    if total != expected:
+        return f"{kind} failed at ({where}, m={m}): {total} vs {expected}"
+    return None
+
+
 @_task
 def sij_sym_line(J, m):
-    s = len(J)
-    total = Fraction(0)
-    for I in _upper_sets(J, m - s):
-        total += (psi(I) * Fraction(-1, 2) ** (sum(I) - sum(J))
-                  * s_ij(I, J) * binom(m - 1, m - s - sum(I)))
-    expected = psi(J) if sum(J) == m - s else 0
-    if total != expected:
-        return f"alternating sum failed at (J={format_indexset(J)}, m={m}): {total} vs {expected}"
-    return None
+    return _alternating_sum("alternating sum", psi, J, m, m - len(J), Fraction(-1, 2),
+                            f"J={format_indexset(J)}")
 
 
 @_task
 def sij_a_line(K, L, m):
-    r = len(K)
-    total = 0
-    for I in _upper_sets(K, m - r - sum(L)):
-        total += (d_a(I, L) * (-1) ** (sum(I) - sum(K))
-                  * s_ij(I, K) * binom(m - 1, m - r - sum(I) - sum(L)))
-    expected = d_a(K, L) if sum(K) + sum(L) == m - r else 0
-    if total != expected:
-        return (f"square alternating sum failed at (K={format_indexset(K)}, "
-                f"L={format_indexset(L)}, m={m}): {total} vs {expected}")
-    return None
+    return _alternating_sum("square alternating sum", lambda I: d_a(I, L), K, m,
+                            m - len(K) - sum(L), -1,
+                            f"K={format_indexset(K)}, L={format_indexset(L)}")
 
 
 @_task
 def sij_d_line(J, m):
-    total = Fraction(0)
-    for I in _upper_sets(J, m):
-        total += (alpha(I) * Fraction(-1, 2) ** (sum(I) - sum(J))
-                  * s_ij(I, J) * binom(m - 1, m - sum(I)))
-    expected = alpha(J) if sum(J) == m else 0
-    if total != expected:
-        return f"skew alternating sum failed at (J={format_indexset(J)}, m={m}): {total} vs {expected}"
-    return None
+    return _alternating_sum("skew alternating sum", alpha, J, m, m, Fraction(-1, 2),
+                            f"J={format_indexset(J)}")
 
 
 @_task
 def fundamental_line(n):
+    # phi_sym divides the direct-route sum by n; this takes the closed form.
     for d in range(1, binom(n + 1, 2) + 1):
-        total = sum(s * delta_sym(d, n, n - s) for s in range(1, n + 1))
+        total = sum(s * delta_nrs_info("sym", d, n, n - s)[0] for s in range(1, n + 1))
         if total != n * phi_sym(n, d):
             return f"rank-weighted sum failed at (n={n}, d={d})"
     return None

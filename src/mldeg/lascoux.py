@@ -81,25 +81,34 @@ def _boxes(K):
 
 def psi_recursion(I):
     """Recursive route: box sums when 0 is present, lifting otherwise."""
-    return _psi_recursion(check_indexset(I))
+    return _lift_recursion((check_indexset(I),), 2)
 
 
 @functools.cache
-def _psi_recursion(I):
-    r = len(I)
+def _lift_recursion(sets, weight):
+    """Lift-and-box recursion over a tuple of equal-size index sets.
+
+    If any set holds 0, the value is the sum over every choice of one
+    box decrement per set.  Otherwise every set is lifted by 0, and each one-entry
+    decrement of each set, taken beside the other sets lifted, is
+    subtracted with the given weight.  Boxes and decrements run in
+    ascending order, so the cache fills from the bottom and the stack
+    stays shallow.
+    """
+    r = len(sets[0])
     if r == 0:
-        result = 1
-    elif I[0] == 0:
-        result = sum(_psi_recursion(B) for B in _boxes(I))
-    else:
-        lifted = (0,) + I
-        result = (r + 1) * _psi_recursion(lifted)
-        prev = 0
+        return 1
+    if any(S[0] == 0 for S in sets):
+        return sum(_lift_recursion(B, weight)
+                   for B in itertools.product(*map(_boxes, sets)))
+    lifted = tuple((0,) + S for S in sets)
+    result = (r + 1) * _lift_recursion(lifted, weight)
+    for k, S in enumerate(sets):
         for pos in range(r):
-            if I[pos] - 1 > prev:
-                dec = lifted[: pos + 1] + (I[pos] - 1,) + I[pos + 1:]
-                result -= 2 * _psi_recursion(dec)
-            prev = I[pos]
+            if S[pos] - 1 > lifted[k][pos]:
+                dec = lifted[k][: pos + 1] + (S[pos] - 1,) + S[pos + 1:]
+                result -= weight * _lift_recursion(lifted[:k] + (dec,) + lifted[k + 1:],
+                                                   weight)
     return result
 
 
@@ -283,34 +292,7 @@ def d_a_recursion(I, J):
     J = check_indexset(J)
     if len(I) != len(J):
         raise ValueError(f"d_a_recursion: size mismatch {I}, {J}")
-    return _d_a_recursion(I, J)
-
-
-@functools.cache
-def _d_a_recursion(I, J):
-    s = len(I)
-    if s == 0:
-        result = 1
-    elif I[0] == 0 or J[0] == 0:
-        result = 0
-        for IB in _boxes(I):
-            for JB in _boxes(J):
-                result += _d_a_recursion(IB, JB)
-    else:
-        lifted_i = (0,) + I
-        lifted_j = (0,) + J
-        result = (s + 1) * _d_a_recursion(lifted_i, lifted_j)
-        for pos in range(s):
-            dec = I[pos] - 1
-            if dec > lifted_i[pos]:
-                left = lifted_i[: pos + 1] + (dec,) + I[pos + 1:]
-                result -= _d_a_recursion(left, lifted_j)
-        for pos in range(s):
-            dec = J[pos] - 1
-            if dec > lifted_j[pos]:
-                right = lifted_j[: pos + 1] + (dec,) + J[pos + 1:]
-                result -= _d_a_recursion(lifted_i, right)
-    return result
+    return _lift_recursion((I, J), 1)
 
 
 def d_a_complement(I, J, n):

@@ -145,9 +145,33 @@ def phi_poly(matrix_type, d):
     return _fit(f"phi_poly({mt},{d})", lambda n: phi_value(mt, n, d), d - 1, start=1)
 
 
-def _bump_set(I, e):
-    """Remove e, insert e + 1 (the caller guarantees e + 1 is absent)."""
-    return tuple(sorted((set(I) - {e}) | {e + 1}))
+def _lift_residual(poly, sets, weight):
+    """poly(*sets) minus the right side of the 0-dropping recurrence of
+    lp_lift_residual, its correction terms taken weight times."""
+    rests = tuple(S[1:] for S in sets)
+    rhs = PolyQ((1 - len(sets[0]), 1)) * poly(*rests)
+    for k, rest in enumerate(rests):
+        for i, e in enumerate(rest):
+            if e + 1 not in rest:
+                bumped = rest[:i] + (e + 1,) + rest[i + 1:]
+                rhs = rhs - weight * poly(*rests[:k], bumped, *rests[k + 1:])
+    return poly(*sets) - rhs
+
+
+def _decrements(S):
+    """Every set made from S by lowering any choice of entries by one,
+    the empty choice included, skipping choices that collide."""
+    for eps in itertools.product((0, 1), repeat=len(S)):
+        D = tuple(v - e for v, e in zip(S, eps))
+        if len(set(D)) == len(D):
+            yield D
+
+
+def _shift_residual(poly, sets):
+    """poly(*sets)(n) minus the sum of poly over every decrement choice
+    of the sets at n - 1; the shift is linear, so the sum shifts once."""
+    total = sum((poly(*D) for D in itertools.product(*map(_decrements, sets))), PolyQ(()))
+    return poly(*sets) - total.shift_arg(-1)
 
 
 def lp_lift_residual(I):
@@ -161,13 +185,7 @@ def lp_lift_residual(I):
     I = check_indexset(I)
     if not I or I[0] != 0:
         raise ValueError(f"lp_lift_residual: {I} does not contain 0")
-    r = len(I)
-    rest = I[1:]
-    rhs = PolyQ((1 - r, 1)) * lp_poly(rest)
-    for e in rest:
-        if e + 1 not in I:
-            rhs = rhs - 2 * lp_poly(_bump_set(rest, e))
-    return lp_poly(I) - rhs
+    return _lift_residual(lp_poly, (I,), 2)
 
 
 def lp_shift_residual(I):
@@ -180,16 +198,7 @@ def lp_shift_residual(I):
     I = check_indexset(I)
     if 0 in I:
         raise ValueError(f"lp_shift_residual: {I} contains 0")
-    lhs = lp_poly(I) - lp_poly(I).shift_arg(-1)
-    rhs = PolyQ(())
-    for eps in itertools.product((0, 1), repeat=len(I)):
-        if not any(eps):
-            continue
-        J = tuple(v - e for v, e in zip(I, eps))
-        if len(set(J)) != len(J):
-            continue
-        rhs = rhs + lp_poly(J).shift_arg(-1)
-    return lhs - rhs
+    return _shift_residual(lp_poly, (I,))
 
 
 def lp_a_lift_residual(I, J):
@@ -198,16 +207,7 @@ def lp_a_lift_residual(I, J):
     I, J = check_same_size(I, J, "lp_a_lift_residual")
     if not I or I[0] != 0 or J[0] != 0:
         raise ValueError(f"lp_a_lift_residual: {I}, {J} do not both contain 0")
-    r = len(I)
-    ri, rj = I[1:], J[1:]
-    rhs = PolyQ((1 - r, 1)) * lp_a_poly(ri, rj)
-    for e in ri:
-        if e + 1 not in I:
-            rhs = rhs - lp_a_poly(_bump_set(ri, e), rj)
-    for e in rj:
-        if e + 1 not in J:
-            rhs = rhs - lp_a_poly(ri, _bump_set(rj, e))
-    return lp_a_poly(I, J) - rhs
+    return _lift_residual(lp_a_poly, (I, J), 1)
 
 
 def lp_a_shift_residual(I, J):
@@ -216,18 +216,7 @@ def lp_a_shift_residual(I, J):
     I, J = check_same_size(I, J, "lp_a_shift_residual")
     if 0 in I or 0 in J:
         raise ValueError(f"lp_a_shift_residual: {I} or {J} contains 0")
-    lhs = lp_a_poly(I, J) - lp_a_poly(I, J).shift_arg(-1)
-    rhs = PolyQ(())
-    for eps in itertools.product((0, 1), repeat=len(I)):
-        for mu in itertools.product((0, 1), repeat=len(J)):
-            if not any(eps) and not any(mu):
-                continue
-            A = tuple(v - e for v, e in zip(I, eps))
-            B = tuple(v - e for v, e in zip(J, mu))
-            if len(set(A)) != len(A) or len(set(B)) != len(B):
-                continue
-            rhs = rhs + lp_a_poly(A, B).shift_arg(-1)
-    return lhs - rhs
+    return _shift_residual(lp_a_poly, (I, J))
 
 
 def lp_d_parity_residuals(I):

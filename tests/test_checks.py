@@ -4,8 +4,9 @@ import concurrent.futures
 
 import pytest
 
-from mldeg import pool
+from mldeg import checks, pool
 from mldeg.checks import build_suite, run_suite, run_task, suite_names, task_label
+from mldeg.exact import binom
 
 
 def test_suite_names():
@@ -47,6 +48,41 @@ def test_small_sweeps_pass():
     assert not failures
     results, failures = run_suite("fundamental", nmax=4)
     assert not failures
+
+
+def _reaches(task, target):
+    """Whether the alternating sum of task weighs the value at target by
+    a nonzero coefficient.  Its terms run over sets T >= J, each weighed
+    by a positive Pascal minor and C(m-1, top - sum(T)); the term of
+    T = J with sum(T) = top is the expected value itself, so an error
+    there cancels."""
+    kind, J, others, m = task[0], task[1], task[2:-1], task[-1]
+    T = target[0]
+    top = m if kind == "sij_d_line" else m - len(J) - sum(map(sum, others))
+    return (others == target[1:] and len(J) == len(T)
+            and all(j <= t for j, t in zip(J, T))
+            and binom(m - 1, top - sum(T)) != 0 and (J, sum(T)) != (T, top))
+
+
+@pytest.mark.parametrize("name, kind, target, prefix", [
+    ("psi", "sij_sym_line", ((1, 3),), "alternating sum failed at"),
+    ("alpha", "sij_d_line", ((1, 3),), "skew alternating sum failed at"),
+    ("d_a", "sij_a_line", ((1, 2), (0, 2)), "square alternating sum failed at"),
+])
+def test_alternating_sums_catch_a_wrong_coefficient(monkeypatch, name, kind, target, prefix):
+    true = getattr(checks, name)
+    monkeypatch.setattr(checks, name, lambda *sets: true(*sets) + (sets == target))
+    reached = 0
+    for task in build_suite("sij-identities"):
+        if task[0] != kind:
+            continue
+        result = run_task(task)
+        if _reaches(task, target):
+            reached += 1
+            assert not result["ok"] and result["detail"].startswith(prefix), task
+        else:
+            assert result["ok"], task
+    assert reached
 
 
 def test_caps_shrink_suites():

@@ -182,6 +182,52 @@ def test_skew_parity_residuals():
             assert not even_res and not odd_res, I
 
 
+def _off_by_one(monkeypatch, name, target):
+    """Make poly_n.<name> off by 1 at the sets target, on each branch."""
+    true = getattr(poly_n, name)
+
+    def patched(*sets):
+        value = true(*sets)
+        if sets != target:
+            return value
+        if isinstance(value, tuple):
+            return tuple(branch + 1 for branch in value)
+        return value + 1
+
+    monkeypatch.setattr(poly_n, name, patched)
+
+
+def test_residuals_catch_a_wrong_polynomial(monkeypatch):
+    # Every residual whose recurrence takes the wrong value reads nonzero,
+    # and no other.  The shift residual of the wrong set itself sees only
+    # value(n) - value(n-1), where a constant offset drops out.
+    with monkeypatch.context() as mp:
+        _off_by_one(mp, "lp_poly", ((2, 4),))
+        sets = [I for I in _small_sets(3, 8) if I]
+        assert {I for I in sets if I[0] == 0 and lp_lift_residual(I)} == {
+            (0, 2, 4), (0, 1, 4), (0, 2, 3)}
+        assert {I for I in sets if I[0] != 0 and lp_shift_residual(I)} == {
+            (3, 4), (2, 5), (3, 5)}
+    with monkeypatch.context() as mp:
+        _off_by_one(mp, "lp_a_poly", ((2,), (1,)))
+        pairs = [(I, J) for r in (1, 2) for ti in range(6) for I in enumerate_indexsets(r, ti)
+                 for tj in range(6) for J in enumerate_indexsets(r, tj)]
+        assert {(I, J) for I, J in pairs
+                if I[0] == 0 and J[0] == 0 and lp_a_lift_residual(I, J)} == {
+            ((0, 2), (0, 1)), ((0, 1), (0, 1))}
+        assert {(I, J) for I, J in pairs
+                if I[0] != 0 and J[0] != 0 and lp_a_shift_residual(I, J)} == {
+            ((3,), (1,)), ((2,), (2,)), ((3,), (2,))}
+    # (0, 1, 3) drops its 0 on the odd branch; (0, 2) is wrong on both.
+    for target, wrong in (((1, 3), {(0, 1, 3): (False, True)}),
+                          ((0, 2), {(0, 2): (True, True)})):
+        with monkeypatch.context() as mp:
+            _off_by_one(mp, "lp_d_quasipoly", (target,))
+            pairs = {I: tuple(map(bool, lp_d_parity_residuals(I)))
+                     for I in _small_sets(3, 6) if I and I[0] == 0}
+            assert {I: p for I, p in pairs.items() if any(p)} == wrong
+
+
 def _lower_sets(I):
     if not I:
         return [()]

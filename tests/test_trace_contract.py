@@ -3,7 +3,7 @@
 perfbench/spans.py traces mldeg by rebinding module globals and the
 callables stored in module-level dicts.  A refactor that routes calls
 around those names leaves the per-layer metrics silently at zero, so
-this runs the tracer over seven queries and checks the spans it records.
+this runs the tracer over eight queries and checks the spans it records.
 install() rebinds for the life of the process, hence the subprocess.
 """
 
@@ -27,6 +27,7 @@ with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.St
                            "--path", "both"]))
     codes.append(cli.main(["phi", "--poly", "-d", "5"]))
     codes.append(cli.main(["psi", "--set", "{1,3}", "--path", "pascal"]))
+    codes.append(cli.main(["psi", "--set", "{1,3}", "--path", "recursion"]))
     codes.append(cli.main(["psi", "--family", "d", "--set", "{1}", "--pair", "{2}",
                            "--complement", "4"]))
     codes.append(cli.main(["psi", "--family", "alpha", "--set", "{0,2}",
@@ -48,13 +49,16 @@ def test_spans_cover_degree_layers():
     )
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout)
-    assert result["codes"] == [0] * 7
+    assert result["codes"] == [0] * 8
     assert result["missing"] == []
     names = {sid: name for sid, _, name in result["spans"]}
     assert "degrees.delta_type_a_partial" in names.values()
     assert {"lascoux.psi_pascal", "lascoux.d_a_complement"} <= set(names.values())
     # The psi command reaches these through the route table in checks.
-    assert {"schur_oracle.alpha_oracle", "lascoux.d_a_recursion"} <= set(names.values())
+    # Both recursion routes share one body, which must stay behind the
+    # two traced names that lascoux.check_routes_s sums.
+    assert {"schur_oracle.alpha_oracle", "lascoux.psi_recursion",
+            "lascoux.d_a_recursion"} <= set(names.values())
     assert "degrees.delta_type_a_nrs_partial" in names.values()
     parents = {(name, names.get(parent)) for _, parent, name in result["spans"]}
     assert ("degrees.phi_sym", "poly_n.phi_poly") in parents
