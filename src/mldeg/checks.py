@@ -13,11 +13,9 @@ import itertools
 from fractions import Fraction
 
 from .degrees import (
-    TYPE_TABLE,
+    ambient_dim,
     delta_direct_info,
     delta_nrs_info,
-    delta_sym,
-    delta_type_a,
     pataki_window,
     phi_sym,
 )
@@ -83,10 +81,6 @@ def _upper_sets(J, cap):
                 yield I
 
 
-def _ambient_dim(kind, n):
-    return TYPE_TABLE[(kind, "window")](n, 0)[1]
-
-
 # (family, path) -> the function behind it, and each family's fast path;
 # the other paths check it.  One flat dict, so that perfbench/spans.py
 # can rebind its entries.
@@ -150,7 +144,7 @@ def phi_anchor(n, d, expected):
 
 
 def _nrs_line(kind, n, s):
-    for m in range(1, _ambient_dim(kind, n) + 1):
+    for m in range(1, ambient_dim(kind, n) + 1):
         direct = delta_direct_info(kind, m, n, n - s)[0]
         closed = delta_nrs_info(kind, m, n, n - s)[0]
         if direct != closed:
@@ -166,21 +160,32 @@ _TASK_KINDS.update(
 )
 
 
+def _duality_miss(kind, n, ranks):
+    """The first (m, r, left, right) with delta(m, n, r) = left and
+    delta(w(n) - m, n, n - r) = right unequal, or None."""
+    top = ambient_dim(kind, n)
+    for r in ranks:
+        for m in range(top + 1):
+            left = delta_direct_info(kind, m, n, r)[0]
+            right = delta_direct_info(kind, top - m, n, n - r)[0]
+            if left != right:
+                return m, r, left, right
+    return None
+
+
 @_task
 def duality_line(n, s):
-    top = binom(n + 1, 2)
-    for m in range(0, top + 1):
-        left = delta_sym(m, n, n - s)
-        right = delta_sym(top - m, n, s)
-        if left != right:
-            return f"duality mismatch at (m={m}, n={n}, s={s}): {left} vs {right}"
+    miss = _duality_miss("sym", n, [n - s])
+    if miss:
+        m, _, left, right = miss
+        return f"duality mismatch at (m={m}, n={n}, s={s}): {left} vs {right}"
     return None
 
 
 @_task
 def pataki_line(mtype, n, r):
     lo, hi = pataki_window(mtype, n, r)
-    for m in range(0, _ambient_dim(mtype, n) + 2):
+    for m in range(0, ambient_dim(mtype, n) + 2):
         v = delta_direct_info(mtype, m, n, r)[0]
         if not lo <= m <= hi and v != 0:
             return f"{mtype}: nonzero outside window at (m={m}, n={n}, r={r}): {v}"
@@ -234,12 +239,10 @@ def d_identity_line(I, nmax=12):
 
 @_task
 def conormal_line(n):
-    for r in range(0, n + 1):
-        for m in range(0, n * n + 1):
-            left = delta_type_a(m, n, r)
-            right = delta_type_a(n * n - m, n, n - r)
-            if left != right:
-                return f"conormal symmetry failed at (m={m}, n={n}, r={r}): {left} vs {right}"
+    miss = _duality_miss("a", n, range(n + 1))
+    if miss:
+        m, r, left, right = miss
+        return f"conormal symmetry failed at (m={m}, n={n}, r={r}): {left} vs {right}"
     return None
 
 
@@ -322,7 +325,7 @@ def sij_d_line(J, m):
 @_task
 def fundamental_line(n):
     # phi_sym divides the direct-route sum by n; this takes the closed form.
-    for d in range(1, binom(n + 1, 2) + 1):
+    for d in range(1, ambient_dim("sym", n) + 1):
         total = sum(s * delta_nrs_info("sym", d, n, n - s)[0] for s in range(1, n + 1))
         if total != n * phi_sym(n, d):
             return f"rank-weighted sum failed at (n={n}, d={d})"
@@ -351,9 +354,9 @@ def _suite_conics(nmax, sum_max):
     return [("phi_anchor", 3, d, _CONIC_COUNTS[d - 1]) for d in range(1, 7)]
 
 
-def _suite_nrs_sym(nmax, sum_max):
-    nmax = 6 if nmax is None else nmax
-    return [("nrs_sym_line", n, s) for n in range(2, nmax + 1) for s in range(1, n)]
+def _suite_nrs(kind, default_nmax, nmax, sum_max):
+    nmax = default_nmax if nmax is None else nmax
+    return [(f"nrs_{kind}_line", n, s) for n in range(2, nmax + 1) for s in range(1, n)]
 
 
 def _suite_duality(nmax, sum_max):
@@ -415,16 +418,6 @@ def _suite_da_paths(nmax, sum_max):
     return tasks
 
 
-def _suite_nrs_a(nmax, sum_max):
-    nmax = 4 if nmax is None else nmax
-    return [("nrs_a_line", n, r) for n in range(2, nmax + 1) for r in range(1, n)]
-
-
-def _suite_nrs_d(nmax, sum_max):
-    nmax = 4 if nmax is None else nmax
-    return [("nrs_d_line", n, r) for n in range(2, nmax + 1) for r in range(1, n)]
-
-
 def _suite_conormal(nmax, sum_max):
     nmax = 4 if nmax is None else nmax
     return [("conormal_line", n) for n in range(1, nmax + 1)]
@@ -484,7 +477,7 @@ def _suite_all(nmax, sum_max):
 _SUITES = {
     "worked": _suite_worked,
     "conics": _suite_conics,
-    "nrs-sym": _suite_nrs_sym,
+    "nrs-sym": functools.partial(_suite_nrs, "sym", 6),
     "duality": _suite_duality,
     "pataki": _suite_pataki,
     "leading": _suite_leading,
@@ -493,8 +486,8 @@ _SUITES = {
     "psi-paths": _suite_psi_paths,
     "alpha-paths": _suite_alpha_paths,
     "da-paths": _suite_da_paths,
-    "nrs-a": _suite_nrs_a,
-    "nrs-d": _suite_nrs_d,
+    "nrs-a": functools.partial(_suite_nrs, "a", 4),
+    "nrs-d": functools.partial(_suite_nrs, "d", 4),
     "conormal": _suite_conormal,
     "quasi-d": _suite_quasi_d,
     "certificates": _suite_certificates,

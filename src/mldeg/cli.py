@@ -35,11 +35,14 @@ EXIT_DISAGREE = 3
 # library itself never enforces them.
 _N_CAP = {"sym": 7, "a": 4, "d": 4}
 _D_CAP = 12
-# psi: elements of each set (and --complement), and for a check route the
-# weight |lambda(I)| (+ |lambda(J)|) that its cost grows with.  The
-# oracle's cost grows with the number of elements as well, so it has a
-# cap on the elements of all its sets together.
+# psi: elements of each set (and --complement), the largest element of
+# each set, and for a check route the weight |lambda(I)| (+ |lambda(J)|)
+# that its cost grows with.  The oracle's cost grows with the number of
+# elements as well, so it has a cap on the elements of all its sets
+# together.  Twenty elements just below the element cap take under a
+# second on the fast path (2-core VM).
 _SET_CAP = 20
+_ELEMENT_CAP = 400
 _WEIGHT_CAP = 20
 _ORACLE_CAP = 6
 
@@ -147,6 +150,7 @@ def cmd_psi(args):
     sets = tuple(parse_set(text) for text in (args.set_, args.pair) if text is not None)
     for label, S in zip(("--set", "--pair"), sets):
         _require_cap(args, f"{label} size", len(S), _SET_CAP)
+        _require_cap(args, f"largest {label} element", max(S, default=0), _ELEMENT_CAP)
 
     query = {"family": family, "set": format_indexset(sets[0])}
     if family == "d":

@@ -11,10 +11,12 @@ parameters: the empty and full index sets realize all the extended
 boundary conventions on their own (full-space degree 1, vanishing
 outside the feasibility window, zero at infeasible ranks).
 
-Only the coefficient kernels differ between the families.  TYPE_TABLE
-maps (type, role) to the function that plays the role for that type;
-delta_direct_info, delta_nrs_info and the rank loop behind the phi_*
-functions run every type through it.
+A type is described once, by its shape (SHAPES); the ambient
+dimension, the windows and the terms of both sums follow from it.
+Only the coefficient kernels differ beyond that: TYPE_TABLE maps
+(type, role) to the partial sums and the phi function of each type,
+and delta_direct_info, delta_nrs_info and the rank loop behind the
+phi_* functions run every type through it.
 """
 
 from __future__ import annotations
@@ -30,78 +32,110 @@ from .pool import fork_map
 from .qschur import b_value, d_value
 
 
-# ---------------------------------------------------------------- symmetric
+# ------------------------------------------------------------------ shapes
 
-def delta_sym(m, n, r):
-    """Dual degree of the rank-r locus sliced by an m-dimensional pencil."""
-    return delta_direct_info("sym", m, n, r)[0]
+# Each type's shape: (sets per term, label scale, diagonal).  At corank
+# k a term of either sum is one index set, or a pair (I, J) for the
+# square type, of scale * k elements each; the skew type has scale 2,
+# as its matrices are 2n x 2n.  diagonal is 1 where the set sizes count
+# against m (sym and a), 0 for the skew type.
+SHAPES = {"sym": (1, 1, 1), "a": (2, 1, 1), "d": (1, 2, 0)}
+
+
+def ambient_dim(kind, k):
+    """w(k): k(k+1)/2, k^2 and C(2k, 2) for the three types."""
+    sets, scale, diagonal = SHAPES[kind]
+    return sets * binom(scale * k, 2) + diagonal * scale * k
+
+
+def _terms(sets, size, total, bound=None):
+    """Every term of `sets` index sets of the given size, entries below
+    bound, whose sums add up to total: bare sets for one set per term,
+    else pairs (I, J) by increasing sum of I."""
+    if sets == 1:
+        return list(enumerate_indexsets(size, total, bound))
+    low = binom(size, 2)
+    return [(I, J) for t in range(low, total - low + 1)
+            for I in enumerate_indexsets(size, t, bound)
+            for J in enumerate_indexsets(size, total - t, bound)]
+
+
+def direct_terms(kind, m, n, r):
+    """Terms of the direct sum at rank r: sets of size scale * (n - r)
+    inside [scale * n] whose sums add up to m - diagonal * size."""
+    if n < 0:
+        raise ValueError(f"need n >= 0, got {n}")
+    if not 0 <= r <= n:
+        return []
+    sets, scale, diagonal = SHAPES[kind]
+    size = scale * (n - r)
+    return _terms(sets, size, m - diagonal * size, scale * n)
+
+
+def nrs_terms(kind, m, s):
+    """Weighted terms (coeff, term) of the closed form at corank s.
+
+    Terms are sets of size scale * s with sum t, for t from
+    sets * C(size, 2) up to m - diagonal * size, each weighted by
+    (-1)^g C(m-1, g) with g the distance of t from that top.
+    """
+    if m <= 0 or s <= 0:
+        raise ValueError(f"need m > 0 and s > 0, got m={m}, s={s}")
+    sets, scale, diagonal = SHAPES[kind]
+    size = scale * s
+    top = m - diagonal * size
+    items = []
+    for t in range(sets * binom(size, 2), top + 1):
+        g = top - t
+        coeff = (-1) ** g * binom(m - 1, g)
+        items.extend((coeff, term) for term in _terms(sets, size, t))
+    return items
 
 
 def delta_sym_items(m, n, r):
-    """Index sets the direct sum ranges over; one term per set."""
-    if n < 0:
-        raise ValueError(f"need n >= 0, got {n}")
-    size = n - r
-    if size < 0 or size > n:
-        return []
-    return list(enumerate_indexsets(size, m - n + r, n))
+    """Index sets the symmetric direct sum ranges over; one term per set.
+    perfbench/make_reference.py builds its second phi route on these."""
+    return direct_terms("sym", m, n, r)
 
 
-def delta_sym_partial(n, items):
-    return sum(psi(I) * psi_complement(I, n) for I in items)
+# ------------------------------------------------------------ partial sums
 
+# One per type and route, each a module-level function that finds its
+# kernels among this module's globals when it runs, so a rebound kernel
+# is what it calls.  The one-set types share their bodies.
 
-def delta_sym_nrs(m, n, s):
-    """Closed form for delta_sym(m, n, n-s) via the half-argument values."""
-    return delta_nrs_info("sym", m, n, n - s)[0]
-
-
-def delta_sym_nrs_items(m, s):
-    """Weighted index sets of the alternating closed-form sum."""
-    if m <= 0 or s <= 0:
-        raise ValueError(f"need m > 0 and s > 0, got m={m}, s={s}")
-    items = []
-    for t in range(binom(s, 2), m - s + 1):
-        sign = -1 if (m - s - t) % 2 else 1
-        coeff = sign * binom(m - 1, m - s - t)
-        for I in enumerate_indexsets(s, t):
-            items.append((coeff, I))
-    return items
-
-
-def delta_sym_nrs_partial(n, items):
-    total = Fraction(0)
-    for coeff, I in items:
-        c = psi(I)
+def _one_set_partial(coeff, complement, k, items):
+    total = 0
+    for I in items:
+        c = coeff(I)
         if c:
-            total += coeff * c * b_value(I, n)
+            total += c * complement(I, k)
     return total
 
 
-def phi_sym(n, d):
-    """Degree count for symmetric inverses: weighted rank sum over n."""
-    return _rank_sum("sym", n, d)
+def _one_set_nrs_partial(coeff, value, k, items):
+    total = Fraction(0)
+    for weight, I in items:
+        c = coeff(I)
+        if c:
+            total += weight * c * value(I, k)
+    return total
 
 
-# ------------------------------------------------------------------- square
-
-def delta_type_a(m, n, r):
-    return delta_direct_info("a", m, n, r)[0]
+def delta_sym_partial(n, items):
+    return _one_set_partial(psi, psi_complement, n, items)
 
 
-def delta_type_a_items(m, n, r):
-    if n < 0:
-        raise ValueError(f"need n >= 0, got {n}")
-    size = n - r
-    if size < 0 or size > n:
-        return []
-    target = m - n + r
-    items = []
-    for ti in range(binom(size, 2), target - binom(size, 2) + 1):
-        for I in enumerate_indexsets(size, ti, n):
-            for J in enumerate_indexsets(size, target - ti, n):
-                items.append((I, J))
-    return items
+def delta_sym_nrs_partial(n, items):
+    return _one_set_nrs_partial(psi, b_value, n, items)
+
+
+def delta_type_d_partial(n, items):
+    return _one_set_partial(alpha, alpha_complement, 2 * n, items)
+
+
+def delta_type_d_nrs_partial(n, items):
+    return _one_set_nrs_partial(alpha, d_value, 2 * n, items)
 
 
 def delta_type_a_partial(n, items):
@@ -112,6 +146,17 @@ def delta_type_a_partial(n, items):
             total += c * d_a_complement(I, J, n)
     return total
 
+
+def delta_type_a_nrs_partial(n, items):
+    total = Fraction(0)
+    for weight, (I, L) in items:
+        c = d_a(I, L)
+        if c:
+            total += weight * c * a_value(I, L, n)
+    return total
+
+
+# ------------------------------------------------ square closed-form weight
 
 def a_ij_poly(I, J):
     """Dimension polynomial of the glued shape built from both partitions.
@@ -164,32 +209,21 @@ def a_value(I, J, n):
     return Fraction(_a_left(I, n) * _a_right(J, n), _cauchy(I, J))
 
 
-def delta_type_a_nrs(m, n, r):
-    """Closed form for delta_type_a(m, n, n-r)."""
-    return delta_nrs_info("a", m, n, n - r)[0]
+# -------------------------------------------------------------------- sums
+
+def delta_sym(m, n, r):
+    """Dual degree of the rank-r locus sliced by an m-dimensional pencil."""
+    return delta_direct_info("sym", m, n, r)[0]
 
 
-def delta_type_a_nrs_items(m, r):
-    if m <= 0 or r <= 0:
-        raise ValueError(f"need m > 0 and r > 0, got m={m}, r={r}")
-    items = []
-    for u in range(2 * binom(r, 2), m - r + 1):
-        sign = -1 if (m - r - u) % 2 else 1
-        coeff = sign * binom(m - 1, m - r - u)
-        for ti in range(binom(r, 2), u - binom(r, 2) + 1):
-            for I in enumerate_indexsets(r, ti):
-                for L in enumerate_indexsets(r, u - ti):
-                    items.append((coeff, I, L))
-    return items
+def delta_sym_nrs(m, n, s):
+    """Closed form for delta_sym(m, n, n-s) via the half-argument values."""
+    return delta_nrs_info("sym", m, n, n - s)[0]
 
 
-def delta_type_a_nrs_partial(n, items):
-    total = Fraction(0)
-    for coeff, I, L in items:
-        c = d_a(I, L)
-        if c:
-            total += coeff * c * a_value(I, L, n)
-    return total
+def phi_sym(n, d):
+    """Degree count for symmetric inverses: weighted rank sum over n."""
+    return _rank_sum("sym", n, d)
 
 
 def phi_type_a(n, d):
@@ -197,94 +231,26 @@ def phi_type_a(n, d):
     return _rank_sum("a", n, d)
 
 
-# -------------------------------------------------------------------- skew
-
-def delta_type_d(m, n, r):
-    """Skew case; n is the half-size (matrices are 2n x 2n, rank 2r)."""
-    return delta_direct_info("d", m, n, r)[0]
-
-
-def delta_type_d_items(m, n, r):
-    if n < 0:
-        raise ValueError(f"need n >= 0, got {n}")
-    size = 2 * n - 2 * r
-    if size < 0 or size > 2 * n:
-        return []
-    return list(enumerate_indexsets(size, m, 2 * n))
-
-
-def delta_type_d_partial(n, items):
-    total = 0
-    for I in items:
-        c = alpha(I)
-        if c:
-            total += c * alpha_complement(I, 2 * n)
-    return total
-
-
-def delta_type_d_nrs(m, n, r):
-    """Closed form for delta_type_d(m, n, n-r); sums size-2r sets."""
-    return delta_nrs_info("d", m, n, n - r)[0]
-
-
-def delta_type_d_nrs_items(m, r):
-    if m <= 0 or r <= 0:
-        raise ValueError(f"need m > 0 and r > 0, got m={m}, r={r}")
-    items = []
-    for t in range(binom(2 * r, 2), m + 1):
-        sign = -1 if (m - t) % 2 else 1
-        coeff = sign * binom(m - 1, m - t)
-        for I in enumerate_indexsets(2 * r, t):
-            items.append((coeff, I))
-    return items
-
-
-def delta_type_d_nrs_partial(n, items):
-    total = Fraction(0)
-    for coeff, I in items:
-        c = alpha(I)
-        if c:
-            total += coeff * c * d_value(I, 2 * n)
-    return total
-
-
 def phi_type_d(n, d):
     """Degree count for skew inverses (half-size n)."""
     return _rank_sum("d", n, d)
 
 
-# -------------------------------------------------------------------- table
-
 # Roles, for each type:
-#   items(m, n, r)        terms of the direct sum at rank r
-#   partial(n, items)     direct sum over some of those terms
-#   nrs_items(m, s)       weighted terms of the closed form at corank s
-#   nrs_partial(n, items) closed-form sum over some of those terms
-#   window(n, r)          (lo, hi): the degree vanishes for m outside;
-#                         window(n, 0)[1] is the ambient dimension
+#   partial(n, items)     direct sum over some terms of direct_terms
+#   nrs_partial(n, items) closed-form sum over some terms of nrs_terms
 #   phi(n, d)             the rank-weighted degree count
 # Entries stay plain functions, not records: perfbench/spans.py traces
 # each layer by rebinding callables found as module-level dict values.
 TYPE_TABLE = {
-    ("sym", "items"): delta_sym_items,
     ("sym", "partial"): delta_sym_partial,
-    ("sym", "nrs_items"): delta_sym_nrs_items,
     ("sym", "nrs_partial"): delta_sym_nrs_partial,
-    ("sym", "window"): lambda n, r: (binom(n - r + 1, 2),
-                                     binom(n + 1, 2) - binom(r + 1, 2)),
     ("sym", "phi"): phi_sym,
-    ("a", "items"): delta_type_a_items,
     ("a", "partial"): delta_type_a_partial,
-    ("a", "nrs_items"): delta_type_a_nrs_items,
     ("a", "nrs_partial"): delta_type_a_nrs_partial,
-    ("a", "window"): lambda n, r: ((n - r) ** 2, n * n - r * r),
     ("a", "phi"): phi_type_a,
-    ("d", "items"): delta_type_d_items,
     ("d", "partial"): delta_type_d_partial,
-    ("d", "nrs_items"): delta_type_d_nrs_items,
     ("d", "nrs_partial"): delta_type_d_nrs_partial,
-    ("d", "window"): lambda n, r: (binom(2 * (n - r), 2),
-                                   binom(2 * n, 2) - binom(2 * r, 2)),
     ("d", "phi"): phi_type_d,
 }
 
@@ -303,14 +269,16 @@ def canonical_type(matrix_type):
 
 
 def pataki_window(matrix_type, n, r):
-    """Inclusive feasibility window for m at rank r; degrees vanish outside.
+    """Inclusive feasibility window (w(n - r), w(n) - w(r)) for m at
+    rank r; degrees vanish outside.
 
     Windows match the support of the defining sums, which is also what
     the duality and closed-form equality tests pin down.
     """
     if not 0 < r < n:
         raise ValueError(f"window defined for ranks 0 < r < n only, got n={n}, r={r}")
-    return TYPE_TABLE[(canonical_type(matrix_type), "window")](n, r)
+    kind = canonical_type(matrix_type)
+    return ambient_dim(kind, n - r), ambient_dim(kind, n) - ambient_dim(kind, r)
 
 
 def _partial_chunk(payload):
@@ -333,7 +301,7 @@ def _pooled_sum(kind, role, n, items, jobs):
 def delta_direct_info(matrix_type, m, n, r, jobs=1):
     """Direct-sum value of the rank-r degree and its number of terms."""
     kind = canonical_type(matrix_type)
-    items = TYPE_TABLE[(kind, "items")](m, n, r)
+    items = direct_terms(kind, m, n, r)
     return _pooled_sum(kind, "partial", n, items, jobs), len(items)
 
 
@@ -346,7 +314,7 @@ def delta_nrs_info(matrix_type, m, n, r, jobs=1):
     kind = canonical_type(matrix_type)
     if n <= 0:
         raise ValueError(f"need n > 0, got {n}")
-    items = TYPE_TABLE[(kind, "nrs_items")](m, n - r)
+    items = nrs_terms(kind, m, n - r)
     total = Fraction(_pooled_sum(kind, "nrs_partial", n, items, jobs))
     if total.denominator != 1:
         raise ConsistencyError(
@@ -359,15 +327,14 @@ def delta_nrs_info(matrix_type, m, n, r, jobs=1):
 def _rank_sum(kind, n, d):
     """Corank-weighted sum of the degrees at m = d, divided by n.
 
-    A corank whose window starts past d has no terms, and the window
-    start grows with the corank, so the loop stops at the first one.
+    Corank s has no terms once its window starts past d, at w(s) > d,
+    and w grows with s, so the loop stops at the first such corank.
     """
     if n <= 0 or d <= 0:
         raise ValueError(f"need n > 0 and d > 0, got n={n}, d={d}")
-    window = TYPE_TABLE[(kind, "window")]
     total = 0
     for s in range(1, n + 1):
-        if window(n, n - s)[0] > d:
+        if ambient_dim(kind, s) > d:
             break
         total += s * delta_direct_info(kind, d, n, n - s)[0]
     if total % n:

@@ -115,9 +115,11 @@ def test_one_route_table_drives_psi_and_path_suites(capsys, monkeypatch):
 
 def test_deep_set_exits_0():
     # A fresh process: the Pfaffian of {0,5000} is one pair value, and
-    # the box sum of the recursion route walks 5000 cold sets.
-    for argv in ([], ["--path", "recursion", "--unsafe-range"]):
-        proc = run_cli("psi", "--family", "alpha", "--set", "{0,5000}", *argv)
+    # the box sum of the recursion route walks 5000 cold sets.  5000 is
+    # past the element cap, so both pass --unsafe-range.
+    for argv in ([], ["--path", "recursion"]):
+        proc = run_cli("psi", "--family", "alpha", "--set", "{0,5000}", *argv,
+                       "--unsafe-range")
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["result"] == 1
 
@@ -173,6 +175,9 @@ def test_psi_caps(capsys):
         ["--family", "d", "--path", "recursion", "--set", "{900}", "--pair", "{900}"],
         ["--path", "pascal", "--set", "{0,5,9,14,30,41}"],
         ["--set", "{}", "--complement", "400"],
+        ["--set", "{1,100000}"],
+        ["--set", "{1000000}"],
+        ["--family", "d", "--set", "{0}", "--pair", "{1000000}"],
     ]
     for argv in slow:
         code, out, err = run_main(capsys, "psi", *argv)
@@ -187,6 +192,9 @@ def test_psi_caps(capsys):
         (["--family", "d", "--path", "oracle", "--set", "{11}", "--pair", "{10}"],
          ["--family", "d", "--path", "oracle", "--set", "{10}", "--pair", "{10}"]),
         (["--set", "{0}", "--complement", "21"], ["--set", "{0}", "--complement", "20"]),
+        (["--set", "{0,401}"], ["--set", "{0,400}"]),
+        (["--family", "d", "--set", "{1}", "--pair", "{401}"],
+         ["--family", "d", "--set", "{1}", "--pair", "{400}"]),
     ]:
         assert run_main(capsys, "psi", *under)[0] == 0, under
         assert run_main(capsys, "psi", *argv)[0] == 2, argv
@@ -425,6 +433,10 @@ _TYPES = st.sampled_from(["sym", "a", "d", "skew", "hermitian"])
 def _argv(draw):
     command = draw(st.sampled_from(["psi", "delta", "phi", "check"]))
     argv = [command]
+    # --unsafe-range lifts the caps on n, so n reaches 200 there; m, d,
+    # DMAX and the sets stay small, which keeps every query cheap.
+    unsafe = draw(st.booleans())
+    sizes = st.integers(-2, 200 if unsafe else 14)
     if command == "psi":
         family = draw(st.sampled_from(["psi", "alpha", "d", "beta"]))
         argv += ["--set", draw(_SETS), "--family", family]
@@ -437,19 +449,23 @@ def _argv(draw):
             ["pfaffian", "pascal", "recursion", "oracle", "fast"])))
     elif command == "delta":
         argv += draw(_option("--type", _TYPES))
-        for flag in ("-m", "-n", "-r"):
-            argv += [flag, draw(_SMALL_INTS)]
+        n = draw(sizes)
+        # a small rank, or a small corank, which at large n has terms
+        r = draw(st.one_of(st.integers(-2, 14), st.integers(-2, 14).map(lambda k: n - k)))
+        argv += ["-m", draw(_SMALL_INTS), "-n", str(n), "-r", str(r)]
         argv += draw(_option("--path", st.sampled_from(["direct", "nrs", "both", "fast"])))
     elif command == "phi":
         argv += draw(_option("--type", _TYPES))
         flags = draw(st.sampled_from([("-n", "-d"), ("-d",), ("--table",), ("-n", "-d", "--table")]))
         for flag in flags:
-            argv += [flag, draw(_SMALL_INTS)]
+            argv += [flag, str(draw(sizes)) if flag == "-n" else draw(_SMALL_INTS)]
         argv += draw(st.sampled_from([[], ["--poly"]]))
     else:
         argv += [draw(st.sampled_from(["worked", "conics", "duality", "pataki"]))]
         argv += ["--nmax", str(draw(st.integers(-2, 3)))]
     argv += draw(_option("--jobs", st.integers(-1, 2).map(str)))
+    if unsafe:
+        argv.append("--unsafe-range")
     return argv
 
 
@@ -543,11 +559,12 @@ def test_import_stays_lean():
 
 def test_huge_results_print_in_full(capsys):
     # Exact results may pass CPython's 4300-digit int-to-str limit; the
-    # output lifts it, and the input keeps it.
+    # output lifts it, and the input keeps it.  Sets this large are past
+    # the element cap.
     get_limit = getattr(sys, "get_int_max_str_digits", lambda: None)
     limit = get_limit()
     for text, value in (("{15000}", 2 ** 15000), ("{0,20000}", 2 ** 20000 - 1)):
-        code, out, err = run_main(capsys, "psi", "--set", text)
+        code, out, err = run_main(capsys, "psi", "--set", text, "--unsafe-range")
         assert code == 0 and "Traceback" not in err, err
         assert get_limit() == limit
         digits = json.loads(out, parse_int=str)["result"]

@@ -10,15 +10,12 @@ from mldeg.exact import N, PolyQ, binom
 from mldeg.degrees import (
     a_ij_poly,
     a_value,
+    ambient_dim,
     canonical_type,
     delta_direct_info,
     delta_nrs_info,
     delta_sym,
     delta_sym_nrs,
-    delta_type_a,
-    delta_type_a_nrs,
-    delta_type_d,
-    delta_type_d_nrs,
     pataki_window,
     phi_sym,
     phi_type_a,
@@ -29,27 +26,50 @@ from mldeg.indexsets import enumerate_indexsets, lambda_of, leq
 from mldeg.lascoux import alpha, d_a, psi, s_ij
 
 
-def test_delta_sym_values():
-    assert delta_sym(binom(4, 2), 3, 0) == 1
-    assert delta_sym(2, 3, 2) == 6
-    assert delta_sym(1, 3, 2) == 3
-    assert delta_sym(3, 3, 2) == 4
-    assert delta_sym(3, 3, 1) == 4
-    assert delta_sym(0, 3, 3) == 1
-    assert delta_sym(0, 3, 2) == 0
-    assert delta_sym(7, 3, 1) == 0
-    for n in range(2, 6):
-        assert delta_sym(2, n, n - 1) == n * n - n
+def _direct(kind, m, n, r):
+    return delta_direct_info(kind, m, n, r)[0]
 
 
-def test_sym_path_equality_and_duality():
-    for n in range(2, 6):
-        top = binom(n + 1, 2)
+# (m, n, r) -> value, per type.
+_VALUES = {
+    "sym": {(6, 3, 0): 1, (2, 3, 2): 6, (1, 3, 2): 3, (3, 3, 2): 4, (3, 3, 1): 4,
+            (0, 3, 3): 1, (0, 3, 2): 0, (7, 3, 1): 0,
+            **{(2, n, n - 1): n * n - n for n in range(2, 6)}},
+    "a": {(1, 2, 1): 2, (2, 2, 1): 2, (1, 3, 2): 3, (0, 2, 2): 1, (1, 2, 2): 0,
+          **{(n * n, n, 0): 1 for n in range(1, 5)}},
+    "d": {**{(m, 2, 1): 2 for m in range(1, 6)}, (6, 2, 0): 1, (6, 2, 2): 0,
+          (0, 2, 2): 1},
+}
+
+
+@pytest.mark.parametrize("kind", ["sym", "a", "d"])
+def test_delta_values(kind):
+    for (m, n, r), value in _VALUES[kind].items():
+        assert _direct(kind, m, n, r) == value, (m, n, r)
+
+
+# Sizes n where each type's sums stay small.
+_SMALL_N = {"sym": range(2, 6), "a": range(2, 4), "d": range(2, 4)}
+
+
+@pytest.mark.parametrize("kind", ["sym", "a", "d"])
+def test_path_equality(kind):
+    for n in _SMALL_N[kind]:
         for s in range(1, n):
-            for m in range(1, top + 1):
-                direct = delta_sym(m, n, n - s)
-                assert delta_sym_nrs(m, n, s) == direct, (m, n, s)
-                assert delta_sym(top - m, n, s) == direct, (m, n, s)
+            for m in range(1, ambient_dim(kind, n) + 1):
+                direct = _direct(kind, m, n, n - s)
+                assert delta_nrs_info(kind, m, n, n - s)[0] == direct, (m, n, s)
+
+
+@pytest.mark.parametrize("kind", ["sym", "a", "d"])
+def test_duality(kind):
+    # delta(m, n, r) = delta(w(n) - m, n, n - r); for the square type
+    # this is the conormal symmetry.
+    for n in _SMALL_N[kind]:
+        top = ambient_dim(kind, n)
+        for r in range(0, n + 1):
+            for m in range(0, top + 1):
+                assert _direct(kind, m, n, r) == _direct(kind, top - m, n, n - r), (m, n, r)
 
 
 def test_delta_sym_nrs_below_window():
@@ -111,6 +131,23 @@ def test_pataki_windows():
         canonical_type("hermitian")
 
 
+# Each type's window written out from the size of its matrices.
+_EXPLICIT_WINDOWS = {
+    "sym": lambda n, r: (binom(n - r + 1, 2), binom(n + 1, 2) - binom(r + 1, 2)),
+    "a": lambda n, r: ((n - r) ** 2, n * n - r * r),
+    "d": lambda n, r: (binom(2 * (n - r), 2), binom(2 * n, 2) - binom(2 * r, 2)),
+}
+
+
+@pytest.mark.parametrize("kind", ["sym", "a", "d"])
+def test_windows_follow_the_shape(kind):
+    window = _EXPLICIT_WINDOWS[kind]
+    for n in range(60):
+        assert ambient_dim(kind, n) == window(n, 0)[1], n
+        for r in range(1, n):
+            assert pataki_window(kind, n, r) == window(n, r), (n, r)
+
+
 def _window_support(values, lo, hi):
     for m, v in values.items():
         inside = lo <= m <= hi
@@ -121,44 +158,13 @@ def _window_support(values, lo, hi):
 
 
 def test_pataki_vanishing_small():
-    for n in range(2, 6):
-        for r in range(1, n):
-            lo, hi = pataki_window("sym", n, r)
-            vals = {m: delta_sym(m, n, r) for m in range(0, binom(n + 1, 2) + 2)}
-            _window_support(vals, lo, hi)
-    for n in range(2, 4):
-        for r in range(1, n):
-            lo, hi = pataki_window("a", n, r)
-            vals = {m: delta_type_a(m, n, r) for m in range(0, n * n + 2)}
-            _window_support(vals, lo, hi)
-            lo, hi = pataki_window("d", n, r)
-            vals = {m: delta_type_d(m, n, r) for m in range(0, binom(2 * n, 2) + 2)}
-            _window_support(vals, lo, hi)
-
-
-def test_delta_type_a_values():
-    assert delta_type_a(1, 2, 1) == 2
-    assert delta_type_a(2, 2, 1) == 2
-    assert delta_type_a(1, 3, 2) == 3
-    for n in range(1, 5):
-        assert delta_type_a(n * n, n, 0) == 1
-    assert delta_type_a(0, 2, 2) == 1
-    assert delta_type_a(1, 2, 2) == 0
-
-
-def test_type_a_conormal_symmetry():
-    for n in range(2, 4):
-        for r in range(0, n + 1):
-            for m in range(0, n * n + 1):
-                assert delta_type_a(m, n, r) == delta_type_a(n * n - m, n, n - r), (m, n, r)
-
-
-def test_type_a_path_equality():
-    for n in range(2, 4):
-        for r in range(1, n):
-            for m in range(1, n * n + 1):
-                direct = delta_type_a(m, n, n - r)
-                assert delta_type_a_nrs(m, n, r) == direct, (m, n, r)
+    for kind in ("sym", "a", "d"):
+        for n in _SMALL_N[kind]:
+            for r in range(1, n):
+                lo, hi = pataki_window(kind, n, r)
+                vals = {m: _direct(kind, m, n, r)
+                        for m in range(0, ambient_dim(kind, n) + 2)}
+                _window_support(vals, lo, hi)
 
 
 def test_a_ij_poly():
@@ -270,29 +276,6 @@ def test_phi_type_a_values():
     assert phi_type_a(2, 2) == 1
     assert phi_type_a(2, 4) == 1
     assert phi_type_a(3, 9) == 1
-
-
-def test_delta_type_d_values():
-    assert [delta_type_d(m, 2, 1) for m in range(1, 6)] == [2, 2, 2, 2, 2]
-    assert delta_type_d(binom(4, 2), 2, 0) == 1
-    assert delta_type_d(binom(4, 2), 2, 2) == 0
-    assert delta_type_d(0, 2, 2) == 1
-
-
-def test_type_d_duality():
-    for n in range(2, 4):
-        top = binom(2 * n, 2)
-        for r in range(0, n + 1):
-            for m in range(0, top + 1):
-                assert delta_type_d(m, n, r) == delta_type_d(top - m, n, n - r), (m, n, r)
-
-
-def test_type_d_path_equality():
-    for n in range(2, 4):
-        for r in range(1, n):
-            for m in range(1, binom(2 * n, 2) + 1):
-                direct = delta_type_d(m, n, n - r)
-                assert delta_type_d_nrs(m, n, r) == direct, (m, n, r)
 
 
 def test_phi_type_d_values():

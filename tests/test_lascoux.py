@@ -337,7 +337,7 @@ def test_alpha_complement_builds_no_complement_sets(monkeypatch):
     cases = [(I, k) for k in range(9) for r in range(5)
              for I in itertools.combinations(range(k), r)]
     expected = {(I, k): alpha_recursion(complement(I, k)) for I, k in cases}
-    items = degrees.delta_type_d_items(14, 5, 3)
+    items = degrees.direct_terms("d", 14, 5, 3)
     total = sum(alpha_recursion(I) * alpha_recursion(complement(I, 10)) for I in items)
     lascoux._pf_alpha.cache_clear()
     lascoux._pf_alpha_complement.cache_clear()
@@ -465,13 +465,14 @@ def test_d_a_complement_builds_no_complement_sets(monkeypatch):
     pairs += [(I, J) for I in itertools.combinations(range(6), 3)
               for J in itertools.combinations(range(6), 3)]
     expected = {(I, J): _d_a_complement_reference(I, J, 6) for I, J in pairs}
-    items = degrees.delta_type_a_items(12, 6, 3)
+    items = degrees.direct_terms("a", 12, 6, 3)
     total = sum(d_a(I, J) * _d_a_complement_reference(I, J, 6) for I, J in items)
     monkeypatch.setattr(lascoux, "complement", refuse, raising=False)
     monkeypatch.setattr(lascoux, "d_a", refuse)
     for (I, J), value in expected.items():
         assert d_a_complement(I, J, 6) == value, (I, J)
-    assert degrees.delta_type_a_partial(6, items) == total == degrees.delta_type_a(12, 6, 3)
+    assert (degrees.delta_type_a_partial(6, items) == total
+            == degrees.delta_direct_info("a", 12, 6, 3)[0])
 
 
 def test_completeness_of_expansion():

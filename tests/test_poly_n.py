@@ -4,7 +4,9 @@ from fractions import Fraction
 import pytest
 
 from mldeg.exact import ConsistencyError, N, PolyQ
-from mldeg.degrees import a_value, delta_sym, delta_type_a, delta_type_d, phi_sym, phi_type_a, phi_type_d
+from mldeg.degrees import (
+    a_value, delta_direct_info, delta_sym, phi_sym, phi_type_a, phi_type_d,
+)
 from mldeg.indexsets import enumerate_indexsets
 from mldeg.lascoux import alpha_complement, d_a_complement, psi_complement, s_ij
 from mldeg import poly_n
@@ -132,8 +134,8 @@ def test_delta_poly_square_and_skew():
             for poly in (pa, pd):
                 assert isinstance(poly, PolyQ) and poly.degree <= m, (m, s)
             for n in range(9):
-                assert pa(n) == delta_type_a(m, n, n - s), (m, s, n)
-                assert pd(n) == delta_type_d(m, n, n - s), (m, s, n)
+                assert pa(n) == delta_direct_info("a", m, n, n - s)[0], (m, s, n)
+                assert pd(n) == delta_direct_info("d", m, n, n - s)[0], (m, s, n)
 
 
 def test_phi_poly():
