@@ -35,6 +35,7 @@ from .lascoux import (
     s_ij,
 )
 from .poly_n import (
+    b_poly,
     lp_a_lift_residual,
     lp_a_shift_residual,
     lp_d_parity_residuals,
@@ -44,7 +45,7 @@ from .poly_n import (
     lp_shift_residual,
 )
 from .pool import fork_map
-from .qschur import b_poly, d_value
+from .qschur import d_value
 from .schur_oracle import alpha_oracle, d_oracle, psi_oracle
 
 _TASK_KINDS = {}

@@ -25,7 +25,7 @@ import functools
 import math
 from fractions import Fraction
 
-from .exact import ConsistencyError, PolyQ, binom
+from .exact import ConsistencyError, binom
 from .indexsets import check_same_size, enumerate_indexsets
 from .lascoux import alpha, alpha_complement, d_a, d_a_complement, psi, psi_complement
 from .pool import fork_map
@@ -158,31 +158,6 @@ def delta_type_a_nrs_partial(n, items):
 
 # ------------------------------------------------ square closed-form weight
 
-def a_ij_poly(I, J):
-    """Dimension polynomial of the glued shape built from both partitions.
-
-    The shape stacks r + lambda(I) over the conjugate of lambda(J).  Its
-    dimension is one factor per set over the Cauchy product,
-
-        N^r prod_I C(N+a, a) prod_J C(N-1, b) D(I) D(J) / prod_{I x J} (a+b+1)
-
-    with D the Vandermonde product of a set's entries.  N C(N-1, b) is
-    taken as (b+1) C(N, b+1): it vanishes at N = 0 and for b >= N, so
-    the boundary values come out of the factors themselves.
-    """
-    return _a_ij_poly(*check_same_size(I, J, "a_ij_poly"))
-
-
-@functools.cache
-def _a_ij_poly(I, J):
-    poly = PolyQ((Fraction(_vandermonde(I) * _vandermonde(J), _cauchy(I, J)),))
-    for a in I:
-        poly = poly * PolyQ.binomial(a, a)
-    for b in J:
-        poly = poly * PolyQ.binomial(b + 1) * (b + 1)
-    return poly
-
-
 def _vandermonde(I):
     return math.prod(b - a for k, a in enumerate(I) for b in I[k + 1:])
 
@@ -202,7 +177,19 @@ def _a_right(J, n):
 
 
 def a_value(I, J, n):
-    """Point value of a_ij_poly at integer n >= 0, from its per-set factors."""
+    """Dimension of the glued shape built from both partitions, at n >= 0.
+
+    The shape stacks r + lambda(I) over the conjugate of lambda(J).  Its
+    dimension is one factor per set over the Cauchy product,
+
+        n^r prod_I C(n+a, a) prod_J C(n-1, b) D(I) D(J) / prod_{I x J} (a+b+1)
+
+    with D the Vandermonde product of a set's entries.  n C(n-1, b) is
+    taken as (b+1) C(n, b+1): it vanishes at n = 0 and for b >= n, so
+    the boundary values come out of the factors themselves.  As a
+    polynomial in n it has degree sum(I) + sum(J) + #I, and
+    poly_n.a_ij_poly is its fit.
+    """
     I, J = check_same_size(I, J, "a_value")
     if n < 0:
         raise ValueError(f"a_value: need n >= 0, got {n}")
@@ -214,11 +201,6 @@ def a_value(I, J, n):
 def delta_sym(m, n, r):
     """Dual degree of the rank-r locus sliced by an m-dimensional pencil."""
     return delta_direct_info("sym", m, n, r)[0]
-
-
-def delta_sym_nrs(m, n, s):
-    """Closed form for delta_sym(m, n, n-s) via the half-argument values."""
-    return delta_nrs_info("sym", m, n, n - s)[0]
 
 
 def phi_sym(n, d):

@@ -280,10 +280,7 @@ def pfaffian(rows):
         for j in range(i + 1, n):
             if rows[i][j] != -rows[j][i]:
                 raise ValueError("pfaffian: matrix is not skew-symmetric")
-    result = _pf_elimination(rows)
-    if result.denominator != 1:
-        raise ConsistencyError(f"Pfaffian of an integer matrix came out {result}")
-    return int(result)
+    return _pf_elimination(rows)
 
 
 # The expansion of a set of size s visits about 1.618**s sub-sets; above

@@ -16,10 +16,11 @@ import itertools
 import math
 from fractions import Fraction
 
-from .degrees import canonical_type, delta_direct_info, phi_value
+from .degrees import a_value, canonical_type, delta_direct_info, phi_value
 from .exact import ConsistencyError, PolyQ
 from .indexsets import check_indexset, check_same_size
 from .lascoux import alpha_complement, d_a_complement, psi_complement
+from .qschur import b_value
 
 
 def interpolate(points):
@@ -90,8 +91,7 @@ def lp_a_poly(I, J):
     """Polynomial through the two-set complement entries at n >= 0.
 
     Its degree is at most sum(I) + sum(J) + len(I): the entry is a
-    signed sum over L <= I of s_ij(I, L) a_ij_poly(L, J), and that
-    product N^r prod C(N+a, a) prod C(N-1, b) has degree
+    signed sum over L <= I of s_ij(I, L) a_ij_poly(L, J), of degree
     sum(L) + sum(J) + len(L).
     """
     return _lp_a_poly(*check_same_size(I, J, "lp_a_poly"))
@@ -107,7 +107,7 @@ def lp_d_quasipoly(I):
     """(even, odd) polynomials through alpha_complement(I, k) at even
     and at odd k, each of degree at most sum(I): the value is a signed
     sum of d_value(J, k) over J <= I, and on one parity of k each
-    d_value(J, k) is 0 or d_poly(J), of degree sum(J).
+    d_value(J, k) is 0 or a polynomial of degree sum(J).
     """
     return _lp_d_quasipoly(check_indexset(I))
 
@@ -118,6 +118,32 @@ def _lp_d_quasipoly(I):
         _fit(f"lp_d_quasipoly{I}[{parity}]", lambda k: alpha_complement(I, k),
              sum(I), start=parity, step=2)
         for parity in (0, 1))
+
+
+def b_poly(I):
+    """Polynomial through the Q specialization b_value(I, n) at every
+    integer n >= 0, of degree sum(I) + len(I) exactly."""
+    return _b_poly(check_indexset(I))
+
+
+@functools.cache
+def _b_poly(I):
+    degree = sum(I) + len(I)
+    poly = _fit(f"b_poly{I}", lambda n: b_value(I, n), degree)
+    if poly.degree != degree:
+        raise ConsistencyError(f"b_poly{I}: fit has degree {poly.degree}, not {degree}")
+    return poly
+
+
+def a_ij_poly(I, J):
+    """Dimension polynomial of the glued shape of degrees.a_value, fitted
+    at every n >= 0 at its degree sum(I) + sum(J) + len(I)."""
+    return _a_ij_poly(*check_same_size(I, J, "a_ij_poly"))
+
+
+@functools.cache
+def _a_ij_poly(I, J):
+    return _fit(f"a_ij_poly{I},{J}", lambda n: a_value(I, J, n), sum(I) + sum(J) + len(I))
 
 
 def delta_poly(matrix_type, m, s):

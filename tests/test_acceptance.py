@@ -56,7 +56,7 @@ def test_criterion_02_conic_counts():
 
 
 def test_criterion_03_closed_form_equality_full_range():
-    from mldeg.degrees import delta_sym, delta_sym_nrs
+    from mldeg.degrees import delta_nrs_info, delta_sym
 
     t0 = time.monotonic()
     checked = 0
@@ -64,7 +64,7 @@ def test_criterion_03_closed_form_equality_full_range():
         for s in range(1, n):
             for m in range(1, binom(n + 1, 2) + 1):
                 direct = delta_sym(m, n, n - s)
-                closed = delta_sym_nrs(m, n, s)
+                closed = delta_nrs_info("sym", m, n, n - s)[0]
                 assert direct == closed, (
                     f"(m={m}, n={n}, s={s}): direct {direct}, closed {closed}"
                 )

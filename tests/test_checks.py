@@ -4,9 +4,9 @@ import concurrent.futures
 
 import pytest
 
-from mldeg import checks, pool
+from mldeg import checks, pool, poly_n, qschur
 from mldeg.checks import build_suite, run_suite, run_task, suite_names, task_label
-from mldeg.exact import binom
+from mldeg.exact import ConsistencyError, binom
 
 
 def test_suite_names():
@@ -83,6 +83,34 @@ def test_alternating_sums_catch_a_wrong_coefficient(monkeypatch, name, kind, tar
         else:
             assert result["ok"], task
     assert reached
+
+
+def _clear_caches():
+    for module in (qschur, poly_n):
+        for obj in vars(module).values():
+            if hasattr(obj, "cache_clear"):
+                obj.cache_clear()
+
+
+def test_b_identity_reads_the_point_route(monkeypatch):
+    # The b-identity suite must certify the values that the closed-form
+    # sums use: with one Pfaffian of the point route corrupted, the task
+    # over a set above it fails, by its detail or by a missed fit.  The
+    # caches are cleared on both sides of the corruption.
+    point = qschur._pf_q_at
+    bad_mask = qschur._mask((1, 3))  # the labels of b_value((0, 2), n)
+    _clear_caches()
+    try:
+        with monkeypatch.context() as patch:
+            patch.setattr(qschur, "_pf_q_at",
+                          lambda mask, n: point(mask, n) + (mask == bad_mask))
+            try:
+                detail = checks.b_identity_line((0, 2, 3))
+            except ConsistencyError as exc:
+                detail = str(exc)
+    finally:
+        _clear_caches()
+    assert detail is not None
 
 
 def test_caps_shrink_suites():

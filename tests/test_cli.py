@@ -348,7 +348,7 @@ def test_check_respects_caps(capsys):
 
 
 _BROKEN_DIVISION = """
-import random, sys
+import sys
 from fractions import Fraction
 from mldeg import cli, exact, qschur
 
@@ -359,13 +359,10 @@ def raises(fn, *args):
         return True
     return False
 
-skew = [[0] * 12 for _ in range(12)]
-for i in range(12):
-    for j in range(i + 1, 12):
-        skew[i][j], skew[j][i] = 1, -1
-exact._pf_elimination = lambda rows: Fraction(1, 2)
-print(raises(exact._det_bareiss, [[Fraction(1, 2), 1], [1, 1]]),
-      raises(exact.pfaffian, skew), file=sys.stderr)
+half = Fraction(1, 2)
+print(raises(exact._det_bareiss, [[half, 1], [1, 1]]),
+      raises(exact._pf_elimination, [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, half],
+                                     [0, 0, -half, 0]]), file=sys.stderr)
 qschur._onerow_tables[5] = ([1, 3], [0, 1])
 sys.exit(cli.main(["delta", "-m", "10", "-n", "5", "-r", "3", "--path", "nrs"]))
 """
@@ -386,14 +383,14 @@ _BAD_ARGUMENTS = """
 from mldeg.degrees import a_value, pataki_window
 from mldeg.indexsets import enumerate_indexsets
 from mldeg.poly_n import delta_poly, lp_a_poly
-from mldeg.qschur import q_strict
+from mldeg.qschur import b_value
 
 calls = (
     lambda: delta_poly("sym", 0, 1),
     lambda: lp_a_poly((0,), (0, 1)),
     lambda: pataki_window("sym", 3, 0),
     lambda: list(enumerate_indexsets(-1, 0)),
-    lambda: q_strict((1, 2)),
+    lambda: b_value((2, 1), 3),
     lambda: a_value((0, 1), (0,), 5),
     lambda: a_value((2,), (0, 3), 5),
     lambda: a_value((0,), (0,), -1),

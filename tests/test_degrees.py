@@ -8,14 +8,12 @@ from mldeg import degrees, pool
 from mldeg.cli import _D_CAP, _N_CAP
 from mldeg.exact import N, PolyQ, binom
 from mldeg.degrees import (
-    a_ij_poly,
     a_value,
     ambient_dim,
     canonical_type,
     delta_direct_info,
     delta_nrs_info,
     delta_sym,
-    delta_sym_nrs,
     pataki_window,
     phi_sym,
     phi_type_a,
@@ -24,6 +22,7 @@ from mldeg.degrees import (
 )
 from mldeg.indexsets import enumerate_indexsets, lambda_of, leq
 from mldeg.lascoux import alpha, d_a, psi, s_ij
+from mldeg.poly_n import a_ij_poly
 
 
 def _direct(kind, m, n, r):
@@ -73,8 +72,9 @@ def test_duality(kind):
 
 
 def test_delta_sym_nrs_below_window():
-    assert delta_sym_nrs(1, 4, 2) == 0  # m < C(s+1,2)
-    assert delta_sym_nrs(2, 4, 2) == 0
+    # corank s = 2 at n = 4, so rank 2: m < C(s+1,2)
+    assert delta_nrs_info("sym", 1, 4, 2)[0] == 0
+    assert delta_nrs_info("sym", 2, 4, 2)[0] == 0
 
 
 def test_phi_sym_values():

@@ -161,15 +161,16 @@ def test_expand_pfaffian_matches_elimination(seed):
     assert pf(sum(1 << i for i in (a, b, c)) | high) == odd
 
 
-def test_inexact_division_raises(monkeypatch):
+def test_inexact_division_raises():
     from mldeg import exact
 
     # Bareiss divides exactly only on integer matrices
     with pytest.raises(ConsistencyError):
         exact._det_bareiss([[Fraction(1, 2), 1], [1, 1]])
-    monkeypatch.setattr(exact, "_pf_elimination", lambda rows: Fraction(1, 2))
+    # and the Pfaffian elimination likewise: a half entry leaves a remainder
+    half = Fraction(1, 2)
     with pytest.raises(ConsistencyError):
-        pfaffian(_random_skew(random.Random(5), 12))
+        exact._pf_elimination([[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, half], [0, 0, -half, 0]])
 
 
 @given(st.integers(), st.integers(min_value=2, max_value=4))

@@ -11,6 +11,7 @@ from mldeg.indexsets import enumerate_indexsets
 from mldeg.lascoux import alpha_complement, d_a_complement, psi_complement, s_ij
 from mldeg import poly_n
 from mldeg.poly_n import (
+    b_poly,
     delta_poly,
     interpolate,
     lp_a_lift_residual,
@@ -24,7 +25,7 @@ from mldeg.poly_n import (
     lp_shift_residual,
     phi_poly,
 )
-from mldeg.qschur import b_poly, d_value
+from mldeg.qschur import d_value
 
 
 def _small_sets(max_size, max_total):

@@ -3,34 +3,50 @@ from fractions import Fraction
 
 import pytest
 
-from mldeg import qschur
+from mldeg import poly_n, qschur
 from mldeg.exact import ConsistencyError, N, PolyQ, binom
 from mldeg.indexsets import enumerate_indexsets
-from mldeg.qschur import (
-    b_poly,
-    b_value,
-    d_poly,
-    d_value,
-    q_onerow,
-    q_onerow_at,
-    q_strict,
-    q_tworow,
-)
+from mldeg.poly_n import b_poly
+from mldeg.qschur import b_value, d_value
+
+
+def q_onerow_at(a, n):
+    """Coefficient of t^a in ((1+t/2)/(1-t/2))^n, by the int point route."""
+    if a < 0:
+        raise ValueError(f"q_onerow_at: negative index {a}")
+    return Fraction(qschur._onerow_ints(a, n)[a], 1 << a)
 
 
 def q_strict_at(parts, n):
-    """Value of q_strict(parts) at integer n, by the int point route."""
-    parts = qschur._check_strict(parts)
-    return Fraction(qschur._pf_q_at(sum(1 << p for p in parts), n), 1 << sum(parts))
+    """Q specialization of a strict partition at integer n, by the int
+    point route."""
+    parts = tuple(parts)
+    if any(p <= 0 for p in parts) or any(a <= b for a, b in zip(parts, parts[1:])):
+        raise ValueError(f"not a strict partition of positive parts: {parts}")
+    return Fraction(qschur._pf_q_at(qschur._mask(parts), n), 1 << sum(parts))
+
+
+def d_poly(I):
+    """The P specialization as a polynomial: a fit of d_value at degree
+    sum(I), on the parity n = #I mod 2 when 0 is a member."""
+    grid = {"start": len(I) % 2, "step": 2} if 0 in I else {}
+    return poly_n._fit(f"d_poly{I}", lambda n: d_value(I, n), sum(I), **grid)
+
+
+def _fits_at_degree(value_at, degree, nmax=20):
+    """value_at(n) for n = 0..nmax lies on one polynomial of exactly this degree."""
+    poly = poly_n.interpolate([(n, value_at(n)) for n in range(degree + 1)])
+    return poly.degree == degree and all(poly(n) == value_at(n) for n in range(nmax + 1))
 
 
 def test_q_onerow_small():
-    assert q_onerow(0) == 1
-    assert q_onerow(1) == N
-    assert q_onerow(2) == N * N * Fraction(1, 2)
-    assert q_onerow(3) == N ** 3 * Fraction(1, 6) + N * Fraction(1, 12)
+    for n in range(10):
+        assert q_onerow_at(0, n) == 1
+        assert q_onerow_at(1, n) == n
+        assert q_onerow_at(2, n) == Fraction(n * n, 2)
+        assert q_onerow_at(3, n) == Fraction(n ** 3, 6) + Fraction(n, 12)
     with pytest.raises(ValueError):
-        q_onerow(-1)
+        q_onerow_at(-1, 3)
 
 
 def _series_mul(a, b, order):
@@ -56,30 +72,26 @@ def test_q_onerow_against_series_oracle():
         for _ in range(n):
             power = _series_mul(power, base, order)
         for a in range(order + 1):
-            assert q_onerow(a)(n) == power[a], (a, n)
-            assert q_onerow_at(a, n) == power[a]
+            assert q_onerow_at(a, n) == power[a], (a, n)
 
 
 def test_q_tworow():
-    assert q_tworow(1, 0) == N
-    expected = q_onerow(2) * q_onerow(1) - 2 * q_onerow(3)
-    assert q_tworow(2, 1) == expected
-    assert q_tworow(2, 1) == PolyQ.binomial(3, shift=1)  # (n^3 - n)/6
-    with pytest.raises(ValueError):
-        q_tworow(1, 1)
-    with pytest.raises(ValueError):
-        q_tworow(0, 1)
+    for n in range(10):
+        assert q_strict_at((1,), n) == n
+        expected = q_onerow_at(2, n) * q_onerow_at(1, n) - 2 * q_onerow_at(3, n)
+        assert q_strict_at((2, 1), n) == expected
+        assert q_strict_at((2, 1), n) == PolyQ.binomial(3, shift=1)(n)  # (n^3 - n)/6
 
 
 def test_q_strict():
-    assert q_strict(()) == 1
-    assert q_strict((1,)) == N
-    assert q_strict((2, 1)) == q_tworow(2, 1)
+    for n in range(6):
+        assert q_strict_at((), n) == 1
+        assert q_strict_at((1,), n) == n
     assert q_strict_at((3, 2, 1), 3) == 1
     with pytest.raises(ValueError):
-        q_strict((1, 2))
+        q_strict_at((1, 2), 3)
     with pytest.raises(ValueError):
-        q_strict((2, 0))
+        q_strict_at((2, 0), 3)
 
 
 def _onerow_series_coeff(a, n):
@@ -109,6 +121,8 @@ def test_corrupt_onerow_table_raises(monkeypatch):
 
 
 def test_q_strict_poly_vs_point():
+    # Q_lambda(1/2, ..., 1/2) is a polynomial in n of degree |lambda|:
+    # the point values at n = 0..20 lie on one, of exactly that degree.
     shapes = [
         tuple(sorted(parts, reverse=True))
         for r in range(5)
@@ -116,9 +130,7 @@ def test_q_strict_poly_vs_point():
         if sum(parts) <= 12
     ]
     for parts in shapes:
-        poly = q_strict(parts)
-        for n in range(21):
-            assert poly(n) == q_strict_at(parts, n), (parts, n)
+        assert _fits_at_degree(lambda n: q_strict_at(parts, n), sum(parts)), parts
 
 
 def test_b_poly():
@@ -133,8 +145,7 @@ def test_b_poly():
                 assert p.degree == sum(I) + len(I), I
                 for n in range(21):
                     assert p(n) >= 0, (I, n)
-                for n in range(6):
-                    assert b_value(I, n) == p(n)
+                    assert b_value(I, n) == p(n), (I, n)
 
 
 def test_d_poly():
@@ -151,14 +162,14 @@ def test_d_value_parity():
     assert d_value((0, 5), 3) == 0
     for n in range(10):
         assert d_value((1,), n) == Fraction(n, 2)
-        # no member 0: point value equals the polynomial at every n
-        assert d_value((1, 3), n) == d_poly((1, 3))(n)
+    # no member 0: the point values lie on one polynomial, at every n
+    assert _fits_at_degree(lambda n: d_value((1, 3), n), 4)
 
 
 def test_label_zero_is_the_pad():
-    # d_value and d_poly expand over the labels of I itself, and a label
-    # 0 acts as the pad row: adding it keeps the value at one parity of n
-    # and zeroes it at the other.
+    # d_value expands over the labels of I itself, and a label 0 acts as
+    # the pad row: adding it keeps the value at one parity of n and
+    # zeroes it at the other.
     sets = [I for r in range(5) for I in itertools.combinations(range(1, 11), r)
             if sum(I) <= 10]
     for I in sets:
@@ -232,9 +243,9 @@ def test_q_onerow_binomial_identity():
     # one-row count identity at n = 1: the single variable 1/2 gives 2^(1-a)...
     # Q_a(1/2) = coefficient of t^a in (1+t/2)/(1-t/2) = 2/2^a for a >= 1
     for a in range(1, 8):
-        assert q_onerow(a)(1) == Fraction(2, 2 ** a)
-    assert q_onerow(0)(1) == 1
-    # and the degree matches the index
+        assert q_onerow_at(a, 1) == Fraction(2, 2 ** a)
+    assert q_onerow_at(0, 1) == 1
+    # and the degree in n matches the index
     for a in range(8):
-        assert q_onerow(a).degree == a
+        assert _fits_at_degree(lambda n: q_onerow_at(a, n), a), a
     assert binom(3, 2) == 3
