@@ -19,7 +19,7 @@ from .degrees import (
     pataki_window,
     phi_sym,
 )
-from .exact import PolyQ, binom
+from .exact import binom
 from .indexsets import enumerate_indexsets, format_indexset, leq, lower_sets
 from .lascoux import (
     alpha,
@@ -36,8 +36,6 @@ from .lascoux import (
 )
 from .poly_n import (
     b_poly,
-    lp_a_lift_residual,
-    lp_a_shift_residual,
     lp_d_parity_residuals,
     lp_d_quasipoly,
     lp_lift_residual,
@@ -204,37 +202,42 @@ def leading_line(I):
     return None
 
 
-@_task
-def b_identity_line(I):
-    forward = PolyQ(())
-    backward = PolyQ(())
+def _transform_miss(what, I, value, transformed, where=""):
+    """Where the half-power transform of value fails at I, or None.
+
+    Over J <= I, with gap = sum(I) - sum(J), the sum of
+    (1/2)^gap s_ij(I, J) value(J) must be transformed(I), and the sum of
+    (-1/2)^gap s_ij(I, J) transformed(J) must be value(I).
+    """
+    forward = backward = 0
     for J in lower_sets(I):
         gap = sum(I) - sum(J)
         c = s_ij(I, J)
-        forward = forward + Fraction(1, 2) ** gap * c * lp_poly(J)
-        backward = backward + Fraction(-1, 2) ** gap * c * b_poly(J)
-    if forward != b_poly(I):
-        return f"half-power transform failed at {format_indexset(I)}"
-    if backward != lp_poly(I):
-        return f"inverse half-power transform failed at {format_indexset(I)}"
+        forward = forward + Fraction(1, 2) ** gap * c * value(J)
+        backward = backward + Fraction(-1, 2) ** gap * c * transformed(J)
+    if forward != transformed(I):
+        return f"{what} failed at {format_indexset(I)}{where}"
+    if backward != value(I):
+        return f"inverse {what} failed at {format_indexset(I)}{where}"
     return None
 
 
 @_task
-def d_identity_line(I, nmax=12):
-    lows = list(lower_sets(I))
-    for n in range(nmax + 1):
-        forward = Fraction(0)
-        backward = Fraction(0)
-        for J in lows:
-            gap = sum(I) - sum(J)
-            c = s_ij(I, J)
-            forward += Fraction(1, 2) ** gap * c * alpha_complement(J, n)
-            backward += Fraction(-1, 2) ** gap * c * d_value(J, n)
-        if forward != d_value(I, n):
-            return f"skew transform failed at {format_indexset(I)}, n={n}"
-        if backward != alpha_complement(I, n):
-            return f"inverse skew transform failed at {format_indexset(I)}, n={n}"
+def b_identity_line(I):
+    return _transform_miss("half-power transform", I, lp_poly, b_poly)
+
+
+# The skew transform is checked on the point values at n = 0..12.
+_D_IDENTITY_NMAX = 12
+
+
+@_task
+def d_identity_line(I):
+    for n in range(_D_IDENTITY_NMAX + 1):
+        miss = _transform_miss("skew transform", I, lambda J: alpha_complement(J, n),
+                               lambda J: d_value(J, n), f", n={n}")
+        if miss:
+            return miss
     return None
 
 
@@ -256,30 +259,26 @@ def quasi_d_line(I):
     return None
 
 
-@_task
-def certificate_line(I):
-    if I and I[0] == 0:
-        res = lp_lift_residual(I)
-        if res:
-            return f"lift recurrence failed at {format_indexset(I)}: residual {res!r}"
-    elif 0 not in I:
-        res = lp_shift_residual(I)
-        if res:
-            return f"shift recurrence failed at {format_indexset(I)}: residual {res!r}"
-    return None
+def _certificate(*sets):
+    """The lift recurrence when every set holds 0, the shift recurrence
+    when none does, over one set (certificate_line) or two of one size
+    (certificate_pair_line)."""
+    if all(S and S[0] == 0 for S in sets):
+        name, residual = "lift", lp_lift_residual
+    elif all(0 not in S for S in sets):
+        name, residual = "shift", lp_shift_residual
+    else:
+        return None
+    res = residual(*sets)
+    if not res:
+        return None
+    where = ", ".join(map(format_indexset, sets))
+    if len(sets) == 1:
+        return f"{name} recurrence failed at {where}: residual {res!r}"
+    return f"two-set {name} recurrence failed at ({where})"
 
 
-@_task
-def certificate_pair_line(I, J):
-    if I and J and I[0] == 0 and J[0] == 0:
-        res = lp_a_lift_residual(I, J)
-        if res:
-            return f"two-set lift recurrence failed at ({format_indexset(I)}, {format_indexset(J)})"
-    elif 0 not in I and 0 not in J:
-        res = lp_a_shift_residual(I, J)
-        if res:
-            return f"two-set shift recurrence failed at ({format_indexset(I)}, {format_indexset(J)})"
-    return None
+_TASK_KINDS.update(certificate_line=_certificate, certificate_pair_line=_certificate)
 
 
 @_task
@@ -333,7 +332,7 @@ def fundamental_line(n):
     return None
 
 
-def _sets_by_sum(max_size, sum_max, min_size=1):
+def _sets_by_sum(max_size, sum_max, min_size=0):
     out = []
     if min_size == 0:
         out.append(())
@@ -355,14 +354,36 @@ def _suite_conics(nmax, sum_max):
     return [("phi_anchor", 3, d, _CONIC_COUNTS[d - 1]) for d in range(1, 7)]
 
 
-def _suite_nrs(kind, default_nmax, nmax, sum_max):
-    nmax = default_nmax if nmax is None else nmax
-    return [(f"nrs_{kind}_line", n, s) for n in range(2, nmax + 1) for s in range(1, n)]
+# The four shapes of suite.  Each takes its task name and shape first,
+# then its default cap, then the --nmax and --sum-max caps.
 
 
-def _suite_duality(nmax, sum_max):
-    nmax = 6 if nmax is None else nmax
-    return [("duality_line", n, s) for n in range(2, nmax + 1) for s in range(1, n)]
+def _coranks(task, default, nmax, sum_max):
+    """(task, n, s) for 2 <= n <= nmax and coranks 1 <= s < n."""
+    nmax = default if nmax is None else nmax
+    return [(task, n, s) for n in range(2, nmax + 1) for s in range(1, n)]
+
+
+def _sizes(task, default, nmax, sum_max):
+    """(task, n) for 1 <= n <= nmax."""
+    nmax = default if nmax is None else nmax
+    return [(task, n) for n in range(1, nmax + 1)]
+
+
+def _by_sum(task, max_size, default, nmax, sum_max):
+    """(task, I) for the sets of size up to max_size and sum up to
+    sum_max, the empty set first."""
+    sum_max = default if sum_max is None else sum_max
+    return [(task, I) for I in _sets_by_sum(max_size, sum_max)]
+
+
+def _subsets(task, sets, max_size, default, nmax, sum_max):
+    """(task, S_1, ..., S_sets) for every choice of sets subsets of
+    {0..nmax} of one size up to max_size, the first set outermost."""
+    cap = default if nmax is None else nmax
+    return [(task, *choice) for r in range(1, max_size + 1)
+            for choice in itertools.product(itertools.combinations(range(cap + 1), r),
+                                            repeat=sets)]
 
 
 def _suite_pataki(nmax, sum_max):
@@ -376,78 +397,20 @@ def _suite_pataki(nmax, sum_max):
     return tasks
 
 
-def _suite_leading(nmax, sum_max):
-    sum_max = 8 if sum_max is None else sum_max
-    return [("leading_line", I) for I in _sets_by_sum(3, sum_max, min_size=0)]
-
-
-def _suite_b_identity(nmax, sum_max):
-    sum_max = 8 if sum_max is None else sum_max
-    return [("b_identity_line", I) for I in _sets_by_sum(3, sum_max, min_size=0)]
-
-
-def _suite_d_identity(nmax, sum_max):
-    sum_max = 8 if sum_max is None else sum_max
-    return [("d_identity_line", I) for I in _sets_by_sum(3, sum_max, min_size=0)]
-
-
-def _suite_psi_paths(nmax, sum_max):
-    cap = 6 if nmax is None else nmax
-    tasks = []
-    for r in (1, 2, 3):
-        for I in itertools.combinations(range(cap + 1), r):
-            tasks.append(("psi_paths", I))
-    return tasks
-
-
-def _suite_alpha_paths(nmax, sum_max):
-    cap = 8 if nmax is None else nmax
-    tasks = []
-    for r in (1, 2, 3, 4):
-        for I in itertools.combinations(range(cap + 1), r):
-            tasks.append(("alpha_paths_line", I))
-    return tasks
-
-
-def _suite_da_paths(nmax, sum_max):
-    cap = 6 if nmax is None else nmax
-    tasks = []
-    for r in (1, 2, 3):
-        for I in itertools.combinations(range(cap + 1), r):
-            for J in itertools.combinations(range(cap + 1), r):
-                tasks.append(("da_paths_pair", I, J))
-    return tasks
-
-
-def _suite_conormal(nmax, sum_max):
-    nmax = 4 if nmax is None else nmax
-    return [("conormal_line", n) for n in range(1, nmax + 1)]
-
-
-def _suite_quasi_d(nmax, sum_max):
-    sum_max = 6 if sum_max is None else sum_max
-    return [("quasi_d_line", I) for I in _sets_by_sum(2, sum_max, min_size=0)]
-
-
 def _suite_certificates(nmax, sum_max):
     sum_max = 8 if sum_max is None else sum_max
-    tasks = [("certificate_line", I) for I in _sets_by_sum(3, sum_max, min_size=1)]
+    sets = _sets_by_sum(3, sum_max, min_size=1)
     pair_sets = _sets_by_sum(2, 5, min_size=1)
-    for I in pair_sets:
-        for J in pair_sets:
-            if len(I) == len(J):
-                tasks.append(("certificate_pair_line", I, J))
-    for I in _sets_by_sum(3, sum_max, min_size=1):
-        if I[0] == 0:
-            tasks.append(("certificate_skew_line", I))
-    return tasks
+    return ([("certificate_line", I) for I in sets]
+            + [("certificate_pair_line", I, J) for I in pair_sets for J in pair_sets
+               if len(I) == len(J)]
+            + [("certificate_skew_line", I) for I in sets if I[0] == 0])
 
 
 def _suite_sij(nmax, sum_max):
     sum_max = 6 if sum_max is None else sum_max
     tasks = []
-    sets2 = [J for J in _sets_by_sum(2, sum_max, min_size=1)]
-    for J in sets2:
+    for J in _sets_by_sum(2, sum_max, min_size=1):
         for m in range(len(J) + sum(J), 11):
             tasks.append(("sij_sym_line", J, m))
         for m in range(max(1, sum(J)), 11):
@@ -462,11 +425,6 @@ def _suite_sij(nmax, sum_max):
     return tasks
 
 
-def _suite_fundamental(nmax, sum_max):
-    nmax = 6 if nmax is None else nmax
-    return [("fundamental_line", n) for n in range(1, nmax + 1)]
-
-
 def _suite_all(nmax, sum_max):
     tasks = []
     for name, builder in _SUITES.items():
@@ -478,22 +436,22 @@ def _suite_all(nmax, sum_max):
 _SUITES = {
     "worked": _suite_worked,
     "conics": _suite_conics,
-    "nrs-sym": functools.partial(_suite_nrs, "sym", 6),
-    "duality": _suite_duality,
+    "nrs-sym": functools.partial(_coranks, "nrs_sym_line", 6),
+    "duality": functools.partial(_coranks, "duality_line", 6),
     "pataki": _suite_pataki,
-    "leading": _suite_leading,
-    "b-identity": _suite_b_identity,
-    "d-identity": _suite_d_identity,
-    "psi-paths": _suite_psi_paths,
-    "alpha-paths": _suite_alpha_paths,
-    "da-paths": _suite_da_paths,
-    "nrs-a": functools.partial(_suite_nrs, "a", 4),
-    "nrs-d": functools.partial(_suite_nrs, "d", 4),
-    "conormal": _suite_conormal,
-    "quasi-d": _suite_quasi_d,
+    "leading": functools.partial(_by_sum, "leading_line", 3, 8),
+    "b-identity": functools.partial(_by_sum, "b_identity_line", 3, 8),
+    "d-identity": functools.partial(_by_sum, "d_identity_line", 3, 8),
+    "psi-paths": functools.partial(_subsets, "psi_paths", 1, 3, 6),
+    "alpha-paths": functools.partial(_subsets, "alpha_paths_line", 1, 4, 8),
+    "da-paths": functools.partial(_subsets, "da_paths_pair", 2, 3, 6),
+    "nrs-a": functools.partial(_coranks, "nrs_a_line", 4),
+    "nrs-d": functools.partial(_coranks, "nrs_d_line", 4),
+    "conormal": functools.partial(_sizes, "conormal_line", 4),
+    "quasi-d": functools.partial(_by_sum, "quasi_d_line", 2, 6),
     "certificates": _suite_certificates,
     "sij-identities": _suite_sij,
-    "fundamental": _suite_fundamental,
+    "fundamental": functools.partial(_sizes, "fundamental_line", 6),
     "all": _suite_all,
 }
 

@@ -171,9 +171,27 @@ def phi_poly(matrix_type, d):
     return _fit(f"phi_poly({mt},{d})", lambda n: phi_value(mt, n, d), d - 1, start=1)
 
 
-def _lift_residual(poly, sets, weight):
-    """poly(*sets) minus the right side of the 0-dropping recurrence of
-    lp_lift_residual, its correction terms taken weight times."""
+def _residual_family(label, sets):
+    """The checked sets, their polynomial family and its lift weight:
+    lp_poly, weight 2, for one set; lp_a_poly, weight 1, for two sets
+    of one size."""
+    if len(sets) == 1:
+        return (check_indexset(*sets),), lp_poly, 2
+    return check_same_size(*sets, label), lp_a_poly, 1
+
+
+def lp_lift_residual(*sets):
+    """Zero iff the 0-dropping recurrence holds at one set or two sets
+    of one size, 0 in each.
+
+    With r the size and rest(S) the set S without its 0:
+      value(sets) = (n - r + 1) * value(rest of each set)
+                    - weight * sum over one set S, e in rest(S), e + 1 not in S,
+                               of value(the rests, e raised to e + 1 in rest(S))
+    """
+    sets, poly, weight = _residual_family("lp_lift_residual", sets)
+    if not sets[0] or any(S[0] != 0 for S in sets):
+        raise ValueError(f"lp_lift_residual: not every set of {sets} contains 0")
     rests = tuple(S[1:] for S in sets)
     rhs = PolyQ((1 - len(sets[0]), 1)) * poly(*rests)
     for k, rest in enumerate(rests):
@@ -193,56 +211,20 @@ def _decrements(S):
             yield D
 
 
-def _shift_residual(poly, sets):
-    """poly(*sets)(n) minus the sum of poly over every decrement choice
-    of the sets at n - 1; the shift is linear, so the sum shifts once."""
+def lp_shift_residual(*sets):
+    """Zero iff the unit-shift recurrence holds at one set or two sets
+    of one size, 0 in none.
+
+    value(sets)(n) - value(sets)(n-1) collects value(D)(n-1) over every
+    D obtained by decrementing a nonempty choice of entries on any side,
+    skipping decrements that collide.  The shift is linear, so the sum
+    over every choice, the empty one included, is shifted once.
+    """
+    sets, poly, _ = _residual_family("lp_shift_residual", sets)
+    if any(0 in S for S in sets):
+        raise ValueError(f"lp_shift_residual: a set of {sets} contains 0")
     total = sum((poly(*D) for D in itertools.product(*map(_decrements, sets))), PolyQ(()))
     return poly(*sets) - total.shift_arg(-1)
-
-
-def lp_lift_residual(I):
-    """Zero iff the 0-dropping recurrence holds for the complement family.
-
-    With 0 present and r = len(I):
-      value(I) = (n - r + 1) * value(I without 0)
-                 - 2 * sum over e in I, e > 0, e + 1 not in I
-                       of value(I with 0 and e removed, e + 1 added)
-    """
-    I = check_indexset(I)
-    if not I or I[0] != 0:
-        raise ValueError(f"lp_lift_residual: {I} does not contain 0")
-    return _lift_residual(lp_poly, (I,), 2)
-
-
-def lp_shift_residual(I):
-    """Zero iff the unit-shift recurrence holds when 0 is absent.
-
-    value(I)(n) - value(I)(n-1) collects value(J)(n-1) over every J
-    obtained by decrementing a nonempty subset of the entries, skipping
-    decrements that collide.
-    """
-    I = check_indexset(I)
-    if 0 in I:
-        raise ValueError(f"lp_shift_residual: {I} contains 0")
-    return _shift_residual(lp_poly, (I,))
-
-
-def lp_a_lift_residual(I, J):
-    """Two-set analogue of lp_lift_residual; the correction terms come
-    without the factor 2, one sum per side."""
-    I, J = check_same_size(I, J, "lp_a_lift_residual")
-    if not I or I[0] != 0 or J[0] != 0:
-        raise ValueError(f"lp_a_lift_residual: {I}, {J} do not both contain 0")
-    return _lift_residual(lp_a_poly, (I, J), 1)
-
-
-def lp_a_shift_residual(I, J):
-    """Two-set analogue of lp_shift_residual: decrement any nonempty
-    choice of entries on either side, skipping collisions."""
-    I, J = check_same_size(I, J, "lp_a_shift_residual")
-    if 0 in I or 0 in J:
-        raise ValueError(f"lp_a_shift_residual: {I} or {J} contains 0")
-    return _shift_residual(lp_a_poly, (I, J))
 
 
 def lp_d_parity_residuals(I):

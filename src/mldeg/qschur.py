@@ -21,7 +21,12 @@ from fractions import Fraction
 from .exact import ConsistencyError, expand_pfaffian
 from .indexsets import check_indexset
 
-_onerow_tables = {}
+
+@functools.cache
+def _onerow_table(n):
+    """The two lists that _onerow_ints grows for n: the values G_k and
+    their inner sums."""
+    return [1], [0]
 
 
 def _onerow_ints(a, n):
@@ -32,9 +37,7 @@ def _onerow_ints(a, n):
     inner sums are kept alongside.  The division by k is exact; a
     remainder means a corrupted table.
     """
-    if n not in _onerow_tables:
-        _onerow_tables[n] = ([1], [0])
-    values, odd_sums = _onerow_tables[n]
+    values, odd_sums = _onerow_table(n)
     for k in range(len(values), a + 1):
         odd_sum = values[k - 1] + (odd_sums[k - 2] if k > 1 else 0)
         value, rem = divmod(2 * n * odd_sum, k)

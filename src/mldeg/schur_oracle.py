@@ -27,8 +27,6 @@ from collections import defaultdict
 from .exact import ConsistencyError, binom
 from .indexsets import check_indexset, lambda_of, lower_sets, partition_weight
 
-_series_memo = {}
-
 
 def unit_form(i, nvars):
     """Coefficient vector of the variable x_i."""
@@ -139,6 +137,16 @@ def _pair_forms(nvars, include_diagonal):
     return forms
 
 
+@functools.cache
+def _series_state(family, nvars):
+    """(pair forms, top level of each partial product, finished levels)
+    of the series of family in nvars variables; _series_level grows the
+    two lists in place."""
+    forms = _pair_forms(nvars, include_diagonal=(family == "psi"))
+    one = {(0,) * nvars: 1}
+    return forms, [one] * len(forms), [one]
+
+
 def _series_level(family, nvars, degree):
     """Degree piece of prod 1/(1 - f) over the pair forms f, memoized.
 
@@ -146,13 +154,7 @@ def _series_level(family, nvars, degree):
     f_k S_k[a-1], so one more level needs only the top level of each
     partial product.  Each finished level is checked for symmetry once.
     """
-    state = _series_memo.get((family, nvars))
-    if state is None:
-        forms = _pair_forms(nvars, include_diagonal=(family == "psi"))
-        one = {(0,) * nvars: 1}
-        state = (forms, [one] * len(forms), [one])
-        _series_memo[(family, nvars)] = state
-    forms, tops, levels = state
+    forms, tops, levels = _series_state(family, nvars)
     while len(levels) <= degree:
         below = {}
         for k, form in enumerate(forms):

@@ -8,6 +8,8 @@ The rest must be listed in KEPT with the reason they stay.
 import ast
 import pathlib
 
+from mldeg import checks
+
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "mldeg"
 
 KEPT = {
@@ -54,6 +56,12 @@ def test_kept_functions_exist():
              for node in ast.parse(path.read_text()).body
              if isinstance(node, ast.FunctionDef)}
     assert set(KEPT) <= names
+
+
+def test_every_task_kind_is_built():
+    # The _task exemption above holds only if every registered kind is
+    # run by some suite, and every kind a suite builds is registered.
+    assert {task[0] for task in checks.build_suite("all")} == set(checks._TASK_KINDS)
 
 
 def test_an_uncalled_function_is_caught(tmp_path):

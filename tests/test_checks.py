@@ -1,12 +1,17 @@
 """Suite registry sanity: builders, dispatch, parallel determinism."""
 
 import concurrent.futures
+import json
+import pathlib
 
 import pytest
 
 from mldeg import checks, pool, poly_n, qschur
 from mldeg.checks import build_suite, run_suite, run_task, suite_names, task_label
 from mldeg.exact import ConsistencyError, binom
+from mldeg.indexsets import format_indexset, leq
+
+REFERENCE = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "reference.json"
 
 
 def test_suite_names():
@@ -111,6 +116,73 @@ def test_b_identity_reads_the_point_route(monkeypatch):
     finally:
         _clear_caches()
     assert detail is not None
+
+
+def _suite_counts():
+    """(suite, caps, task count) of every check key in the benchmark's
+    reference outputs, such as "check da-paths nmax=4"."""
+    for key, value in json.loads(REFERENCE.read_text()).items():
+        words = key.split()
+        if words[0] == "check":
+            caps = {k: int(v) for k, v in (w.split("=") for w in words[2:])}
+            yield words[1], caps, value["tasks"]
+
+
+def test_suite_sizes_match_the_reference():
+    counts = list(_suite_counts())
+    assert len(counts) == len(suite_names()) - 1
+    for name, caps, tasks in counts:
+        assert len(build_suite(name, **caps)) == tasks, (name, caps)
+    assert len(build_suite("all")) == 2978
+
+
+def _failures(kind, suite="certificates"):
+    """{label: detail} of the failing tasks of one kind in a suite."""
+    results = [run_task(task) for task in build_suite(suite) if task[0] == kind]
+    assert results
+    return {r["task"]: r["detail"] for r in results if not r["ok"]}
+
+
+def _off_by_one(monkeypatch, module, name, target):
+    true = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: true(*args) + (args == target))
+
+
+def test_certificates_catch_a_wrong_polynomial(monkeypatch):
+    # The one- and two-set tasks run one body; each keeps its own text.
+    with monkeypatch.context() as mp:
+        _off_by_one(mp, poly_n, "lp_poly", ((2, 4),))
+        assert _failures("certificate_line") == {
+            "certificate_line {2,5}": "shift recurrence failed at {2,5}: residual PolyQ(-1)",
+            "certificate_line {3,4}": "shift recurrence failed at {3,4}: residual PolyQ(-1)",
+            "certificate_line {3,5}": "shift recurrence failed at {3,5}: residual PolyQ(-1)",
+            "certificate_line {0,1,4}": "lift recurrence failed at {0,1,4}: residual PolyQ(2)",
+            "certificate_line {0,2,3}": "lift recurrence failed at {0,2,3}: residual PolyQ(2)",
+            "certificate_line {0,2,4}":
+                "lift recurrence failed at {0,2,4}: residual PolyQ(2 + -1*n)",
+        }
+    with monkeypatch.context() as mp:
+        _off_by_one(mp, poly_n, "lp_a_poly", ((2,), (1,)))
+        assert _failures("certificate_pair_line") == {
+            f"certificate_pair_line {I} {J}":
+                f"two-set {kind} recurrence failed at ({I}, {J})"
+            for kind, I, J in (("shift", "{2}", "{2}"), ("shift", "{3}", "{1}"),
+                               ("shift", "{3}", "{2}"), ("lift", "{0,1}", "{0,1}"),
+                               ("lift", "{0,2}", "{0,1}"))
+        }
+
+
+def test_d_identity_catches_a_wrong_complement(monkeypatch):
+    # Every set of size 2 above {1,3} weighs its value at n = 7 by a
+    # positive Pascal minor in the forward transform.
+    _off_by_one(monkeypatch, checks, "alpha_complement", ((1, 3), 7))
+    expected = {}
+    for _, I in build_suite("d-identity"):
+        if len(I) == 2 and leq((1, 3), I):
+            I = format_indexset(I)
+            expected[f"d_identity_line {I}"] = f"skew transform failed at {I}, n=7"
+    assert len(expected) == 11
+    assert _failures("d_identity_line", "d-identity") == expected
 
 
 def test_caps_shrink_suites():

@@ -363,7 +363,8 @@ half = Fraction(1, 2)
 print(raises(exact._det_bareiss, [[half, 1], [1, 1]]),
       raises(exact._pf_elimination, [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, half],
                                      [0, 0, -half, 0]]), file=sys.stderr)
-qschur._onerow_tables[5] = ([1, 3], [0, 1])
+values, odd_sums = qschur._onerow_table(5)
+values[:], odd_sums[:] = [1, 3], [0, 1]
 sys.exit(cli.main(["delta", "-m", "10", "-n", "5", "-r", "3", "--path", "nrs"]))
 """
 

@@ -14,9 +14,7 @@ from mldeg.poly_n import (
     b_poly,
     delta_poly,
     interpolate,
-    lp_a_lift_residual,
     lp_a_poly,
-    lp_a_shift_residual,
     lp_d_parity_residuals,
     lp_d_quasipoly,
     lp_leading_coeff,
@@ -173,9 +171,9 @@ def test_square_residuals():
                 for tj in range(6):
                     for J in enumerate_indexsets(r, tj):
                         if I[0] == 0 and J[0] == 0:
-                            assert not lp_a_lift_residual(I, J), (I, J)
+                            assert not lp_lift_residual(I, J), (I, J)
                         elif 0 not in I and 0 not in J:
-                            assert not lp_a_shift_residual(I, J), (I, J)
+                            assert not lp_shift_residual(I, J), (I, J)
 
 
 def test_skew_parity_residuals():
@@ -216,10 +214,10 @@ def test_residuals_catch_a_wrong_polynomial(monkeypatch):
         pairs = [(I, J) for r in (1, 2) for ti in range(6) for I in enumerate_indexsets(r, ti)
                  for tj in range(6) for J in enumerate_indexsets(r, tj)]
         assert {(I, J) for I, J in pairs
-                if I[0] == 0 and J[0] == 0 and lp_a_lift_residual(I, J)} == {
+                if I[0] == 0 and J[0] == 0 and lp_lift_residual(I, J)} == {
             ((0, 2), (0, 1)), ((0, 1), (0, 1))}
         assert {(I, J) for I, J in pairs
-                if I[0] != 0 and J[0] != 0 and lp_a_shift_residual(I, J)} == {
+                if I[0] != 0 and J[0] != 0 and lp_shift_residual(I, J)} == {
             ((3,), (1,)), ((2,), (2,)), ((3,), (2,))}
     # (0, 1, 3) drops its 0 on the odd branch; (0, 2) is wrong on both.
     for target, wrong in (((1, 3), {(0, 1, 3): (False, True)}),

@@ -1,3 +1,4 @@
+import functools
 import itertools
 from fractions import Fraction
 
@@ -115,7 +116,11 @@ def test_q_onerow_at_deep_index():
 
 
 def test_corrupt_onerow_table_raises(monkeypatch):
-    monkeypatch.setitem(qschur._onerow_tables, 5, ([1, 3], [0, 1]))
+    # A fresh cache, so the corrupted table for n = 5 goes with the test.
+    monkeypatch.setattr(qschur, "_onerow_table",
+                        functools.cache(qschur._onerow_table.__wrapped__))
+    values, odd_sums = qschur._onerow_table(5)
+    values[:], odd_sums[:] = [1, 3], [0, 1]
     with pytest.raises(ConsistencyError):
         q_onerow_at(3, 5)
 

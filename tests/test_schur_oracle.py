@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 from collections import defaultdict
@@ -257,7 +258,8 @@ def test_one_alphabet_levels_are_checked(monkeypatch):
     # a broken series level must surface, not be read from
     from mldeg import schur_oracle
 
-    monkeypatch.setattr(schur_oracle, "_series_memo", {})
+    monkeypatch.setattr(schur_oracle, "_series_state",
+                        functools.cache(schur_oracle._series_state.__wrapped__))
     monkeypatch.setattr(schur_oracle, "_pair_forms",
                         lambda nvars, include_diagonal: [(1, 0), (1, 1)])
     with pytest.raises(ConsistencyError):
