@@ -13,10 +13,14 @@ outside the feasibility window, zero at infeasible ranks).
 
 A type is described once, by its shape (SHAPES); the ambient
 dimension, the windows and the terms of both sums follow from it.
-Only the coefficient kernels differ beyond that: TYPE_TABLE maps
-(type, role) to the partial sums and the phi function of each type,
-and delta_direct_info, delta_nrs_info and the rank loop behind the
-phi_* functions run every type through it.
+A term of either sum is (weight, sets), sets being (I,) for sym and
+skew and (I, J) for square, with weight 1 in the direct sum and
+(-1)^g C(m-1, g) in the closed form; one body, _term_sum, serves all
+six partial sums.  a_value is an int, so only the sym and skew closed
+forms sum Fractions.  Only the kernels differ beyond the shape:
+TYPE_TABLE maps (type, role) to the partial sums and the phi function
+of each type, and delta_direct_info, delta_nrs_info and the rank loop
+behind the phi_* functions run every type through it.
 """
 
 from __future__ import annotations
@@ -49,11 +53,11 @@ def ambient_dim(kind, k):
 
 
 def _terms(sets, size, total, bound=None):
-    """Every term of `sets` index sets of the given size, entries below
-    bound, whose sums add up to total: bare sets for one set per term,
-    else pairs (I, J) by increasing sum of I."""
+    """Every tuple of `sets` index sets of the given size, entries below
+    bound, whose sums add up to total: (I,) for one set per term, else
+    (I, J) by increasing sum of I."""
     if sets == 1:
-        return list(enumerate_indexsets(size, total, bound))
+        return [(I,) for I in enumerate_indexsets(size, total, bound)]
     low = binom(size, 2)
     return [(I, J) for t in range(low, total - low + 1)
             for I in enumerate_indexsets(size, t, bound)
@@ -61,21 +65,22 @@ def _terms(sets, size, total, bound=None):
 
 
 def direct_terms(kind, m, n, r):
-    """Terms of the direct sum at rank r: sets of size scale * (n - r)
-    inside [scale * n] whose sums add up to m - diagonal * size."""
+    """Terms (1, sets) of the direct sum at rank r: sets of size
+    scale * (n - r) inside [scale * n] whose sums add up to
+    m - diagonal * size."""
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
     if not 0 <= r <= n:
         return []
     sets, scale, diagonal = SHAPES[kind]
     size = scale * (n - r)
-    return _terms(sets, size, m - diagonal * size, scale * n)
+    return [(1, term) for term in _terms(sets, size, m - diagonal * size, scale * n)]
 
 
 def nrs_terms(kind, m, s):
-    """Weighted terms (coeff, term) of the closed form at corank s.
+    """Terms (weight, sets) of the closed form at corank s.
 
-    Terms are sets of size scale * s with sum t, for t from
+    The sets have size scale * s and sum t, for t from
     sets * C(size, 2) up to m - diagonal * size, each weighted by
     (-1)^g C(m-1, g) with g the distance of t from that top.
     """
@@ -87,73 +92,57 @@ def nrs_terms(kind, m, s):
     items = []
     for t in range(sets * binom(size, 2), top + 1):
         g = top - t
-        coeff = (-1) ** g * binom(m - 1, g)
-        items.extend((coeff, term) for term in _terms(sets, size, t))
+        weight = (-1) ** g * binom(m - 1, g)
+        items.extend((weight, term) for term in _terms(sets, size, t))
     return items
 
 
 def delta_sym_items(m, n, r):
-    """Index sets the symmetric direct sum ranges over; one term per set.
-    perfbench/make_reference.py builds its second phi route on these."""
-    return direct_terms("sym", m, n, r)
+    """Index sets the symmetric direct sum ranges over, in the order of
+    direct_terms.  perfbench/make_reference.py builds its second phi
+    route on these."""
+    return [I for _, (I,) in direct_terms("sym", m, n, r)]
 
 
 # ------------------------------------------------------------ partial sums
 
+def _term_sum(coeff, factor, k, items):
+    """Sum of weight * coeff(*sets) * factor(*sets, k) over the terms
+    (weight, sets): the body of both routes for every type."""
+    total = 0
+    for weight, sets in items:
+        c = coeff(*sets)
+        if c:
+            total += weight * c * factor(*sets, k)
+    return total
+
+
 # One per type and route, each a module-level function that finds its
 # kernels among this module's globals when it runs, so a rebound kernel
-# is what it calls.  The one-set types share their bodies.
-
-def _one_set_partial(coeff, complement, k, items):
-    total = 0
-    for I in items:
-        c = coeff(I)
-        if c:
-            total += c * complement(I, k)
-    return total
-
-
-def _one_set_nrs_partial(coeff, value, k, items):
-    total = Fraction(0)
-    for weight, I in items:
-        c = coeff(I)
-        if c:
-            total += weight * c * value(I, k)
-    return total
-
+# is what it calls.
 
 def delta_sym_partial(n, items):
-    return _one_set_partial(psi, psi_complement, n, items)
+    return _term_sum(psi, psi_complement, n, items)
 
 
 def delta_sym_nrs_partial(n, items):
-    return _one_set_nrs_partial(psi, b_value, n, items)
+    return _term_sum(psi, b_value, n, items)
 
 
 def delta_type_d_partial(n, items):
-    return _one_set_partial(alpha, alpha_complement, 2 * n, items)
+    return _term_sum(alpha, alpha_complement, 2 * n, items)
 
 
 def delta_type_d_nrs_partial(n, items):
-    return _one_set_nrs_partial(alpha, d_value, 2 * n, items)
+    return _term_sum(alpha, d_value, 2 * n, items)
 
 
 def delta_type_a_partial(n, items):
-    total = 0
-    for I, J in items:
-        c = d_a(I, J)
-        if c:
-            total += c * d_a_complement(I, J, n)
-    return total
+    return _term_sum(d_a, d_a_complement, n, items)
 
 
 def delta_type_a_nrs_partial(n, items):
-    total = Fraction(0)
-    for weight, (I, L) in items:
-        c = d_a(I, L)
-        if c:
-            total += weight * c * a_value(I, L, n)
-    return total
+    return _term_sum(d_a, a_value, n, items)
 
 
 # ------------------------------------------------ square closed-form weight
@@ -188,12 +177,16 @@ def a_value(I, J, n):
     taken as (b+1) C(n, b+1): it vanishes at n = 0 and for b >= n, so
     the boundary values come out of the factors themselves.  As a
     polynomial in n it has degree sum(I) + sum(J) + #I, and
-    poly_n.a_ij_poly is its fit.
+    poly_n.a_ij_poly is its fit.  The dimension is an int: a remainder
+    in the division raises ConsistencyError.
     """
     I, J = check_same_size(I, J, "a_value")
     if n < 0:
         raise ValueError(f"a_value: need n >= 0, got {n}")
-    return Fraction(_a_left(I, n) * _a_right(J, n), _cauchy(I, J))
+    value, remainder = divmod(_a_left(I, n) * _a_right(J, n), _cauchy(I, J))
+    if remainder:
+        raise ConsistencyError(f"a_value{I},{J} at n={n}: the Cauchy product does not divide")
+    return value
 
 
 # -------------------------------------------------------------------- sums

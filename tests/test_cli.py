@@ -350,7 +350,7 @@ def test_check_respects_caps(capsys):
 _BROKEN_DIVISION = """
 import sys
 from fractions import Fraction
-from mldeg import cli, exact, qschur
+from mldeg import cli, degrees, exact, qschur
 
 def raises(fn, *args):
     try:
@@ -360,9 +360,15 @@ def raises(fn, *args):
     return False
 
 half = Fraction(1, 2)
+# One more than the Cauchy product of ((0,), (0,)) does not divide the
+# per-set factors 1 and 5 at n = 5.
+cauchy = degrees._cauchy
+degrees._cauchy = lambda I, J: cauchy(I, J) + 1
 print(raises(exact._det_bareiss, [[half, 1], [1, 1]]),
       raises(exact._pf_elimination, [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, half],
-                                     [0, 0, -half, 0]]), file=sys.stderr)
+                                     [0, 0, -half, 0]]),
+      raises(degrees.a_value, (0,), (0,), 5), file=sys.stderr)
+degrees._cauchy = cauchy
 values, odd_sums = qschur._onerow_table(5)
 values[:], odd_sums[:] = [1, 3], [0, 1]
 sys.exit(cli.main(["delta", "-m", "10", "-n", "5", "-r", "3", "--path", "nrs"]))
@@ -376,7 +382,7 @@ def test_broken_exact_division_exits_3_under_optimize():
     )
     assert proc.returncode == 3, proc.stderr
     assert not proc.stdout
-    assert proc.stderr.splitlines()[0] == "True True"
+    assert proc.stderr.splitlines()[0] == "True True True"
     assert "internal disagreement" in proc.stderr
 
 

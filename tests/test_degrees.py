@@ -20,8 +20,8 @@ from mldeg.degrees import (
     phi_type_d,
     phi_value,
 )
-from mldeg.indexsets import enumerate_indexsets, lambda_of, leq
-from mldeg.lascoux import alpha, d_a, psi, s_ij
+from mldeg.indexsets import complement, enumerate_indexsets, lambda_of, leq
+from mldeg.lascoux import alpha, d_a, psi, psi_recursion, s_ij
 from mldeg.poly_n import a_ij_poly
 
 
@@ -326,6 +326,61 @@ def test_delta_info_forked_matches_serial(monkeypatch, fork_calls, kind, m, n, r
     monkeypatch.setattr(degrees, "_CHUNK", 1)
     assert [info(kind, m, n, r, jobs=2) for info in infos] == serial
     assert fork_calls == [terms - 1 for _, terms in serial if terms > 2]
+
+
+# Each partial-sum role: its coefficient and factor kernels, by their
+# names in degrees, and the argument k of the factor at n.
+_PARTIAL_KERNELS = {
+    ("sym", "partial"): ("psi", "psi_complement", 1),
+    ("sym", "nrs_partial"): ("psi", "b_value", 1),
+    ("a", "partial"): ("d_a", "d_a_complement", 1),
+    ("a", "nrs_partial"): ("d_a", "a_value", 1),
+    ("d", "partial"): ("alpha", "alpha_complement", 2),
+    ("d", "nrs_partial"): ("alpha", "d_value", 2),
+}
+
+# Hand-built terms per type; the last one's coefficient is set to 0.
+_HAND_TERMS = {
+    "sym": [((0, 2),), ((1,),), ((1, 3),), ((0, 1, 3),), ((2,),)],
+    "a": [((0, 2), (1, 3)), ((1,), (0,)), ((0, 1), (0, 2)), ((2,), (1,)), ((0,), (3,))],
+    "d": [((0, 1),), ((1, 2),), ((0, 3),), ((1, 2, 3, 4),), ((0, 5),)],
+}
+
+
+@pytest.mark.parametrize("role", sorted(_PARTIAL_KERNELS), ids="-".join)
+def test_partial_sums_are_one_weighted_body(monkeypatch, role):
+    coeff_name, factor_name, scale = _PARTIAL_KERNELS[role]
+    coeff, factor = getattr(degrees, coeff_name), getattr(degrees, factor_name)
+    n = 4
+    terms = _HAND_TERMS[role[0]]
+    zero = terms[-1]
+    items = list(zip((3, -2, 1, 5, 7), terms))
+
+    def coeff_with_zero(*sets):
+        return 0 if sets == zero else coeff(*sets)
+
+    def factor_off_zero(*args):
+        if args[:-1] == zero:
+            raise AssertionError("factor taken at a term whose coefficient is 0")
+        return factor(*args)
+
+    expected = sum(weight * coeff_with_zero(*sets) * factor(*sets, scale * n)
+                   for weight, sets in items)
+    # The partials read their kernels as module globals when they run.
+    monkeypatch.setattr(degrees, coeff_name, coeff_with_zero)
+    monkeypatch.setattr(degrees, factor_name, factor_off_zero)
+    assert degrees.TYPE_TABLE[role](n, items) == expected != 0
+
+
+@pytest.mark.parametrize("m, n, r", [(4, 3, 1), (6, 4, 2), (9, 5, 2), (12, 6, 3)])
+def test_delta_sym_items_are_the_direct_sets(m, n, r):
+    # perfbench/make_reference.py sums psi_recursion(I) times
+    # psi_recursion of the complement over these bare sets.
+    items = degrees.delta_sym_items(m, n, r)
+    assert items == [I for _, (I,) in degrees.direct_terms("sym", m, n, r)]
+    assert all(type(a) is int for I in items for a in I)
+    total = sum(psi_recursion(I) * psi_recursion(complement(I, n)) for I in items)
+    assert total == delta_direct_info("sym", m, n, r)[0] != 0
 
 
 def _upper_sets(J, cap):

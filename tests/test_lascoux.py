@@ -338,7 +338,8 @@ def test_alpha_complement_builds_no_complement_sets(monkeypatch):
              for I in itertools.combinations(range(k), r)]
     expected = {(I, k): alpha_recursion(complement(I, k)) for I, k in cases}
     items = degrees.direct_terms("d", 14, 5, 3)
-    total = sum(alpha_recursion(I) * alpha_recursion(complement(I, 10)) for I in items)
+    total = sum(weight * alpha_recursion(I) * alpha_recursion(complement(I, 10))
+                for weight, (I,) in items)
     lascoux._pf_alpha.cache_clear()
     lascoux._pf_alpha_complement.cache_clear()
     monkeypatch.setattr(lascoux, "complement", refuse, raising=False)
@@ -466,7 +467,8 @@ def test_d_a_complement_builds_no_complement_sets(monkeypatch):
               for J in itertools.combinations(range(6), 3)]
     expected = {(I, J): _d_a_complement_reference(I, J, 6) for I, J in pairs}
     items = degrees.direct_terms("a", 12, 6, 3)
-    total = sum(d_a(I, J) * _d_a_complement_reference(I, J, 6) for I, J in items)
+    total = sum(weight * d_a(I, J) * _d_a_complement_reference(I, J, 6)
+                for weight, (I, J) in items)
     monkeypatch.setattr(lascoux, "complement", refuse, raising=False)
     monkeypatch.setattr(lascoux, "d_a", refuse)
     for (I, J), value in expected.items():
