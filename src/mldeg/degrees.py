@@ -55,13 +55,13 @@ def ambient_dim(kind, k):
 def _terms(sets, size, total, bound=None):
     """Every tuple of `sets` index sets of the given size, entries below
     bound, whose sums add up to total: (I,) for one set per term, else
-    (I, J) by increasing sum of I."""
+    (I, J) by increasing sum of I.  The sets of each sum are enumerated
+    once and paired with those of the complementary sum."""
     if sets == 1:
         return [(I,) for I in enumerate_indexsets(size, total, bound)]
     low = binom(size, 2)
-    return [(I, J) for t in range(low, total - low + 1)
-            for I in enumerate_indexsets(size, t, bound)
-            for J in enumerate_indexsets(size, total - t, bound)]
+    by_sum = [list(enumerate_indexsets(size, t, bound)) for t in range(low, total - low + 1)]
+    return [(I, J) for Is, Js in zip(by_sum, reversed(by_sum)) for I in Is for J in Js]
 
 
 def direct_terms(kind, m, n, r):

@@ -127,12 +127,18 @@ def psi_complement(I, n):
     _psi_pair_complement.  The sub-Pfaffians are cached on the bitmask
     of their set with bit n set, so the key names n as well.
     """
+    return _complement_pf("psi_complement", _pf_complement, I, n)
+
+
+def _complement_pf(label, pf, I, n):
+    """pf at the bitmask of I with bit n set, or 0 when I does not sit
+    inside [n]: the body of psi_complement and alpha_complement."""
     I = check_indexset(I)
     if n < 0:
-        raise ValueError(f"psi_complement: need n >= 0, got {n}")
+        raise ValueError(f"{label}: need n >= 0, got {n}")
     if I and I[-1] >= n:
         return 0
-    return _pf_complement(sum(1 << i for i in I) | 1 << n)
+    return pf(sum(1 << i for i in I) | 1 << n)
 
 
 @functools.cache
@@ -144,10 +150,15 @@ def _pf_complement(key):
 
 @functools.cache
 def _psi_pair_complement(i, j, n):
-    """psi_complement((i, j), n) for i < j < n, in closed form."""
-    comb = math.comb
-    return (sum(comb(w, j) * (comb(w, i + 1) + comb(w + 1, i + 1)) for w in range(j, n))
-            - comb(n, i + 1) * comb(n, j + 1))
+    """psi_complement((i, j), n) for i < j < n, in closed form.
+
+    It is the hockey-stick sum over w in [j, n) of
+    C(w, j) (C(w, i+1) + C(w+1, i+1)), less C(n, i+1) C(n, j+1); as
+    C(w+1, i+1) = C(w, i+1) + C(w, i), the sum is two square pair
+    entries, each O(i).
+    """
+    return (2 * _d_a_pair_complement(i + 1, j, n) + _d_a_pair_complement(i, j, n)
+            - math.comb(n, i + 1) * math.comb(n, j + 1))
 
 
 @functools.cache
@@ -212,12 +223,7 @@ def alpha_complement(I, k):
     The sub-Pfaffians are cached on the bitmask of their set with bit k
     set, so the key names k as well.
     """
-    I = check_indexset(I)
-    if k < 0:
-        raise ValueError(f"alpha_complement: need k >= 0, got {k}")
-    if I and I[-1] >= k:
-        return 0
-    return _pf_alpha_complement(sum(1 << i for i in I) | 1 << k)
+    return _complement_pf("alpha_complement", _pf_alpha_complement, I, k)
 
 
 @functools.cache
@@ -288,11 +294,7 @@ def _d_a(I, J):
 
 def d_a_recursion(I, J):
     """Recursive route for equal-size square-case entries."""
-    I = check_indexset(I)
-    J = check_indexset(J)
-    if len(I) != len(J):
-        raise ValueError(f"d_a_recursion: size mismatch {I}, {J}")
-    return _lift_recursion((I, J), 1)
+    return _lift_recursion(check_same_size(I, J, "d_a_recursion"), 1)
 
 
 def d_a_complement(I, J, n):

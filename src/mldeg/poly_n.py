@@ -1,12 +1,15 @@
 """Polynomials in the size parameter, recovered by exact interpolation.
 
 Every family here has a proven degree in n, so each is fitted once at
-that degree, and five more evaluation points must land on the fit.  The
-skew complement family is a pair of polynomials, one per parity of its
-argument; the complement-value family also carries a closed-form
-leading coefficient that the fit has to reproduce.  A missed point, a
-wrong leading coefficient or a nonzero residual of the recurrence
-certificates at the bottom means a formula path is broken.
+that degree from an int point route, and five more evaluation points
+must land on the fit.  Each family checks its arguments and makes one
+call to _fit, the one cache of the fits, keyed by the route, its
+arguments, the degree and the grid.  The skew complement family is a
+pair of polynomials, one per parity of its argument; the
+complement-value family also carries a closed-form leading coefficient
+that the fit has to reproduce.  A missed point, a wrong leading
+coefficient or a nonzero residual of the recurrence certificates at
+the bottom means a formula path is broken.
 """
 
 from __future__ import annotations
@@ -39,17 +42,22 @@ def interpolate(points):
     return poly
 
 
-def _fit(label, value_at, degree, start=0, step=1):
-    """Interpolate at a proven degree on an arithmetic grid.
+@functools.cache
+def _fit(label, route, args, degree, start=0, step=1):
+    """Interpolate route(*args, x) at a proven degree on an arithmetic grid.
 
     The degree + 1 nodes fix the polynomial; the five grid points after
-    them must land on it, or the values are not that polynomial.
+    them must land on it, or the values are not that polynomial.  This
+    is the one cache of the fits, keyed by the route itself as well as
+    its arguments, degree and grid, so a route rebound in this module
+    is fitted anew; what the route calls in turn is not in the key.
     """
     grid = [start + step * t for t in range(degree + 6)]
-    poly = interpolate([(x, value_at(x)) for x in grid[: degree + 1]])
+    poly = interpolate([(x, route(*args, x)) for x in grid[: degree + 1]])
     for x in grid[degree + 1:]:
-        if poly(x) != value_at(x):
-            raise ConsistencyError(f"{label}: degree-{degree} fit misses the value at {x}")
+        if poly(x) != route(*args, x):
+            call = ", ".join(map(repr, args))
+            raise ConsistencyError(f"{label}({call}): degree-{degree} fit misses the value at {x}")
     return poly
 
 
@@ -75,13 +83,9 @@ def lp_poly(I):
     coefficient must reproduce the closed form; either failing is a
     formula-path bug, not an input error.
     """
-    return _lp_poly(check_indexset(I))
-
-
-@functools.cache
-def _lp_poly(I):
+    I = check_indexset(I)
     degree = sum(I) + len(I)
-    poly = _fit(f"lp_poly{I}", lambda n: psi_complement(I, n), degree)
+    poly = _fit("lp_poly", psi_complement, (I,), degree)
     if poly.degree != degree or poly.coeffs[-1] != lp_leading_coeff(I):
         raise ConsistencyError(f"leading coefficient certificate failed for {I}")
     return poly
@@ -94,13 +98,8 @@ def lp_a_poly(I, J):
     signed sum over L <= I of s_ij(I, L) a_ij_poly(L, J), of degree
     sum(L) + sum(J) + len(L).
     """
-    return _lp_a_poly(*check_same_size(I, J, "lp_a_poly"))
-
-
-@functools.cache
-def _lp_a_poly(I, J):
-    return _fit(f"lp_a_poly{I},{J}", lambda n: d_a_complement(I, J, n),
-                sum(I) + sum(J) + len(I))
+    I, J = check_same_size(I, J, "lp_a_poly")
+    return _fit("lp_a_poly", d_a_complement, (I, J), sum(I) + sum(J) + len(I))
 
 
 def lp_d_quasipoly(I):
@@ -109,27 +108,17 @@ def lp_d_quasipoly(I):
     sum of d_value(J, k) over J <= I, and on one parity of k each
     d_value(J, k) is 0 or a polynomial of degree sum(J).
     """
-    return _lp_d_quasipoly(check_indexset(I))
-
-
-@functools.cache
-def _lp_d_quasipoly(I):
-    return tuple(
-        _fit(f"lp_d_quasipoly{I}[{parity}]", lambda k: alpha_complement(I, k),
-             sum(I), start=parity, step=2)
-        for parity in (0, 1))
+    I = check_indexset(I)
+    return tuple(_fit("lp_d_quasipoly", alpha_complement, (I,), sum(I), start=parity, step=2)
+                 for parity in (0, 1))
 
 
 def b_poly(I):
     """Polynomial through the Q specialization b_value(I, n) at every
     integer n >= 0, of degree sum(I) + len(I) exactly."""
-    return _b_poly(check_indexset(I))
-
-
-@functools.cache
-def _b_poly(I):
+    I = check_indexset(I)
     degree = sum(I) + len(I)
-    poly = _fit(f"b_poly{I}", lambda n: b_value(I, n), degree)
+    poly = _fit("b_poly", b_value, (I,), degree)
     if poly.degree != degree:
         raise ConsistencyError(f"b_poly{I}: fit has degree {poly.degree}, not {degree}")
     return poly
@@ -138,12 +127,12 @@ def _b_poly(I):
 def a_ij_poly(I, J):
     """Dimension polynomial of the glued shape of degrees.a_value, fitted
     at every n >= 0 at its degree sum(I) + sum(J) + len(I)."""
-    return _a_ij_poly(*check_same_size(I, J, "a_ij_poly"))
+    I, J = check_same_size(I, J, "a_ij_poly")
+    return _fit("a_ij_poly", a_value, (I, J), sum(I) + sum(J) + len(I))
 
 
-@functools.cache
-def _a_ij_poly(I, J):
-    return _fit(f"a_ij_poly{I},{J}", lambda n: a_value(I, J, n), sum(I) + sum(J) + len(I))
+def _delta_at(kind, m, s, n):
+    return delta_direct_info(kind, m, n, n - s)[0]
 
 
 def delta_poly(matrix_type, m, s):
@@ -156,8 +145,11 @@ def delta_poly(matrix_type, m, s):
     kind = canonical_type(matrix_type)
     if m <= 0 or s <= 0:
         raise ValueError(f"delta_poly: need m > 0 and s > 0, got m={m}, s={s}")
-    return _fit(f"delta_poly({kind},{m},{s})",
-                lambda n: delta_direct_info(kind, m, n, n - s)[0], m)
+    return _fit("delta_poly", _delta_at, (kind, m, s), m)
+
+
+def _phi_at(kind, d, n):
+    return phi_value(kind, n, d)
 
 
 def phi_poly(matrix_type, d):
@@ -165,10 +157,10 @@ def phi_poly(matrix_type, d):
 
     Degree d - 1 through nodes n = 1..d, then five checked points.
     """
-    mt = canonical_type(matrix_type)
+    kind = canonical_type(matrix_type)
     if d <= 0:
         raise ValueError(f"phi_poly: need d > 0, got {d}")
-    return _fit(f"phi_poly({mt},{d})", lambda n: phi_value(mt, n, d), d - 1, start=1)
+    return _fit("phi_poly", _phi_at, (kind, d), d - 1, start=1)
 
 
 def _residual_family(label, sets):

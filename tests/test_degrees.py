@@ -383,6 +383,34 @@ def test_delta_sym_items_are_the_direct_sets(m, n, r):
     assert total == delta_direct_info("sym", m, n, r)[0] != 0
 
 
+def _square_terms_reference(sets, size, total, bound=None):
+    """The square terms by a nested loop that enumerates the J sets
+    again for every I."""
+    low = binom(size, 2)
+    return [(I, J) for t in range(low, total - low + 1)
+            for I in enumerate_indexsets(size, t, bound)
+            for J in enumerate_indexsets(size, total - t, bound)]
+
+
+def test_square_terms_enumerate_each_sum_once(monkeypatch):
+    with monkeypatch.context() as mp:
+        mp.setattr(degrees, "_terms", _square_terms_reference)
+        reference = degrees.nrs_terms("a", 30, 3)
+        direct = [degrees.direct_terms("a", m, 6, 3) for m in range(3, 25)]
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return enumerate_indexsets(*args)
+
+    monkeypatch.setattr(degrees, "enumerate_indexsets", counting)
+    assert degrees.nrs_terms("a", 30, 3) == reference
+    # One enumeration per sum of I in each _terms call: 253 here, where
+    # enumerating the J sets again for every I makes 2,931.
+    assert len(calls) <= 319
+    assert [degrees.direct_terms("a", m, 6, 3) for m in range(3, 25)] == direct
+
+
 def _upper_sets(J, cap):
     """Strictly increasing I with I >= J componentwise and sum(I) <= cap."""
     out = []

@@ -104,6 +104,21 @@ def test_psi_complement_closed_form_entries():
                 assert psi_complement((i, j), n) == expected, (i, j, n)
 
 
+def test_psi_pair_complement_from_square_pair_entries():
+    # The hockey-stick sum over w in [j, n), kept here as the reference
+    # for the form through two square pair entries.
+    def hockey_stick(i, j, n):
+        comb = math.comb
+        return (sum(comb(w, j) * (comb(w, i + 1) + comb(w + 1, i + 1)) for w in range(j, n))
+                - comb(n, i + 1) * comb(n, j + 1))
+
+    pairs = [(i, j, n) for n in range(41) for i, j in itertools.combinations(range(n), 2)]
+    pairs += [(i, j, n) for n in (97, 200, 400) for i in range(0, n - 1, 7)
+              for j in sorted({i + 1, (i + n) // 2, n - 1})]
+    for i, j, n in pairs:
+        assert lascoux._psi_pair_complement(i, j, n) == hockey_stick(i, j, n), (i, j, n)
+
+
 def _pair_matrix_of_range(n):
     """Pair matrix of [n], with a front pad row of singletons when n is odd."""
     labels = (None,) + tuple(range(n)) if n % 2 else tuple(range(n))

@@ -92,13 +92,18 @@ def test_lp_a_poly_fits_only_its_proven_degree(monkeypatch):
     def lifted(I, J, n):
         return d_a_complement(I, J, n) + n ** (sum(I) + sum(J) + len(I) + 2)
 
-    poly_n._lp_a_poly.cache_clear()
     monkeypatch.setattr(poly_n, "d_a_complement", lifted)
-    try:
-        with pytest.raises(ConsistencyError, match="lp_a_poly"):
-            lp_a_poly((1,), (2,))
-    finally:
-        poly_n._lp_a_poly.cache_clear()
+    with pytest.raises(ConsistencyError, match="lp_a_poly"):
+        lp_a_poly((1,), (2,))
+
+
+def test_a_rebound_route_is_fitted_again(monkeypatch):
+    # The fit cache is keyed by the route itself: after the route is
+    # rebound, no cache_clear() is needed to see the new values.
+    old = lp_a_poly((1,), (2,))
+    monkeypatch.setattr(poly_n, "d_a_complement",
+                        lambda I, J, n: d_a_complement(I, J, n) + 1)
+    assert lp_a_poly((1,), (2,)) == old + 1
 
 
 def test_lp_d_quasipoly():

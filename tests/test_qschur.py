@@ -31,7 +31,7 @@ def d_poly(I):
     """The P specialization as a polynomial: a fit of d_value at degree
     sum(I), on the parity n = #I mod 2 when 0 is a member."""
     grid = {"start": len(I) % 2, "step": 2} if 0 in I else {}
-    return poly_n._fit(f"d_poly{I}", lambda n: d_value(I, n), sum(I), **grid)
+    return poly_n._fit("d_poly", d_value, (I,), sum(I), **grid)
 
 
 def _fits_at_degree(value_at, degree, nmax=20):
