@@ -45,6 +45,9 @@ _SET_CAP = 20
 _ELEMENT_CAP = 400
 _WEIGHT_CAP = 20
 _ORACLE_CAP = 6
+# The value routes psi --path can pick, in the order checks.ROUTES
+# first names them; the complement has its own option.
+_PSI_PATHS = tuple(dict.fromkeys(path for _, path in checks.ROUTES if path != "complement"))
 
 
 class UsageError(Exception):
@@ -96,8 +99,7 @@ def build_parser():
     p.add_argument("--family", choices=("psi", "alpha", "d"), default="psi")
     p.add_argument("--complement", type=int, default=None, metavar="N",
                    help="evaluate the complement of the set inside {0..N-1}")
-    p.add_argument("--path", default=None,
-                   choices=("pfaffian", "pascal", "recursion", "oracle"))
+    p.add_argument("--path", default=None, choices=_PSI_PATHS)
 
     p = sub.add_parser("delta", parents=[common],
                        help="algebraic degree of one rank locus")

@@ -176,9 +176,8 @@ def a_value(I, J, n):
     with D the Vandermonde product of a set's entries.  n C(n-1, b) is
     taken as (b+1) C(n, b+1): it vanishes at n = 0 and for b >= n, so
     the boundary values come out of the factors themselves.  As a
-    polynomial in n it has degree sum(I) + sum(J) + #I, and
-    poly_n.a_ij_poly is its fit.  The dimension is an int: a remainder
-    in the division raises ConsistencyError.
+    polynomial in n it has degree sum(I) + sum(J) + #I.  The dimension
+    is an int: a remainder in the division raises ConsistencyError.
     """
     I, J = check_same_size(I, J, "a_value")
     if n < 0:
@@ -190,11 +189,6 @@ def a_value(I, J, n):
 
 
 # -------------------------------------------------------------------- sums
-
-def delta_sym(m, n, r):
-    """Dual degree of the rank-r locus sliced by an m-dimensional pencil."""
-    return delta_direct_info("sym", m, n, r)[0]
-
 
 def phi_sym(n, d):
     """Degree count for symmetric inverses: weighted rank sum over n."""

@@ -117,18 +117,6 @@ class PolyQ:
 
     __rmul__ = __mul__
 
-    def __pow__(self, k):
-        if not isinstance(k, int) or k < 0:
-            raise ValueError(f"PolyQ power needs a nonnegative int, got {k!r}")
-        result = PolyQ((1,))
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
-
     def __eq__(self, other):
         if isinstance(other, PolyQ):
             return self.coeffs == other.coeffs
@@ -161,16 +149,6 @@ class PolyQ:
                 terms.append(f"{format_fraction(c)}*n^{i}")
         return "PolyQ(" + " + ".join(terms) + ")"
 
-    @classmethod
-    def binomial(cls, k, shift=0):
-        """The polynomial n -> C(n + shift, k)."""
-        if k < 0:
-            return cls()
-        p = cls((1,))
-        for t in range(k):
-            p = p * cls((shift - t, 1))
-        return p * Fraction(1, math.factorial(k))
-
     def shift_arg(self, c):
         """Return q with q(n) = p(n + c)."""
         shifted = PolyQ((c, 1))
@@ -178,10 +156,6 @@ class PolyQ:
         for coeff in reversed(self.coeffs):
             acc = acc * shifted + coeff
         return acc
-
-
-# The formal variable, for building polynomials by arithmetic.
-N = PolyQ((0, 1))
 
 
 def _det_bareiss(rows):

@@ -1,9 +1,9 @@
-"""Index sets, partitions, complements, and constrained enumeration.
+"""Index sets, their bitmasks, complements, and constrained enumeration.
 
-An index set is a tuple of strictly increasing nonnegative ints; a
-partition is a tuple of weakly decreasing nonnegative ints (trailing
-zeros carry length information and are kept).  Everything here is a
+An index set is a tuple of strictly increasing nonnegative ints, a
 plain tuple so values can be dict keys and cross process boundaries.
+Its bitmask, one bit per element, is the key every Pfaffian cache in
+the package is stored under.
 """
 
 from __future__ import annotations
@@ -33,24 +33,10 @@ def check_same_size(I, J, label):
     return I, J
 
 
-def lambda_of(I):
-    """Partition of I: subtract the staircase, largest part first.
-
-    Length equals #I; trailing zeros are kept so the size information
-    round-trips through index_of.
-    """
-    I = check_indexset(I)
-    r = len(I)
-    return tuple(I[r - 1 - k] - (r - 1 - k) for k in range(r))
-
-
-def index_of(lam):
-    """Inverse of lambda_of; the partition length (zeros included) sets the size."""
-    lam = tuple(lam)
-    r = len(lam)
-    if any(a < b for a, b in zip(lam, lam[1:])) or (r and lam[-1] < 0):
-        raise ValueError(f"not a partition: {lam}")
-    return tuple(lam[r - 1 - k] + k for k in range(r))
+def mask(labels):
+    """The bitmask with bit i set for each label i; the labels are taken
+    as already checked."""
+    return sum(1 << i for i in labels)
 
 
 def complement(I, n):

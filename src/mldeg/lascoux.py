@@ -18,7 +18,7 @@ import itertools
 import math
 
 from .exact import binom, det, expand_pfaffian
-from .indexsets import check_indexset, check_same_size, lower_sets
+from .indexsets import check_indexset, check_same_size, lower_sets, mask
 
 
 def psi_single(i):
@@ -49,13 +49,13 @@ def psi(I):
     label, and the sub-Pfaffians are cached by the bitmask of their
     set, so every set of a sweep shares them.
     """
-    return _pf(sum(1 << i for i in check_indexset(I)))
+    return _pf(mask(check_indexset(I)))
 
 
 @functools.cache
-def _pf(mask):
-    """Pfaffian of the pair matrix on the set whose bitmask is mask."""
-    return expand_pfaffian(mask, mask, psi_single, psi_pair, _pf)
+def _pf(key):
+    """Pfaffian of the pair matrix on the set whose bitmask is key."""
+    return expand_pfaffian(key, key, psi_single, psi_pair, _pf)
 
 
 def s_ij(I, J):
@@ -138,7 +138,7 @@ def _complement_pf(label, pf, I, n):
         raise ValueError(f"{label}: need n >= 0, got {n}")
     if I and I[-1] >= n:
         return 0
-    return pf(sum(1 << i for i in I) | 1 << n)
+    return pf(mask(I) | 1 << n)
 
 
 @functools.cache
@@ -176,12 +176,12 @@ def _d_a_pair_complement(i, j, n):
 def alpha(I):
     """Pfaffian route, as for psi: the pair values are _alpha_pair and an
     odd set's pad row is [i == 0], so an odd set without 0 gives 0."""
-    return _pf_alpha(sum(1 << i for i in check_indexset(I)))
+    return _pf_alpha(mask(check_indexset(I)))
 
 
 @functools.cache
-def _pf_alpha(mask):
-    return expand_pfaffian(mask, mask, lambda i: int(i == 0), _alpha_pair, _pf_alpha)
+def _pf_alpha(key):
+    return expand_pfaffian(key, key, lambda i: int(i == 0), _alpha_pair, _pf_alpha)
 
 
 @functools.cache

@@ -4,7 +4,9 @@ Every family here has a proven degree in n, so each is fitted once at
 that degree from an int point route, and five more evaluation points
 must land on the fit.  Each family checks its arguments and makes one
 call to _fit, the one cache of the fits, keyed by the route, its
-arguments, the degree and the grid.  The skew complement family is a
+arguments, the degree and the grid.  phi_poly alone fits through the
+uncached body, _fit_route: its route is a whole degree sum, whose
+kernels a cache key could not name.  The skew complement family is a
 pair of polynomials, one per parity of its argument; the
 complement-value family also carries a closed-form leading coefficient
 that the fit has to reproduce.  A missed point, a wrong leading
@@ -19,7 +21,7 @@ import itertools
 import math
 from fractions import Fraction
 
-from .degrees import a_value, canonical_type, delta_direct_info, phi_value
+from .degrees import canonical_type, phi_value
 from .exact import ConsistencyError, PolyQ
 from .indexsets import check_indexset, check_same_size
 from .lascoux import alpha_complement, d_a_complement, psi_complement
@@ -42,15 +44,11 @@ def interpolate(points):
     return poly
 
 
-@functools.cache
-def _fit(label, route, args, degree, start=0, step=1):
+def _fit_route(label, route, args, degree, start=0, step=1):
     """Interpolate route(*args, x) at a proven degree on an arithmetic grid.
 
     The degree + 1 nodes fix the polynomial; the five grid points after
-    them must land on it, or the values are not that polynomial.  This
-    is the one cache of the fits, keyed by the route itself as well as
-    its arguments, degree and grid, so a route rebound in this module
-    is fitted anew; what the route calls in turn is not in the key.
+    them must land on it, or the values are not that polynomial.
     """
     grid = [start + step * t for t in range(degree + 6)]
     poly = interpolate([(x, route(*args, x)) for x in grid[: degree + 1]])
@@ -59,6 +57,12 @@ def _fit(label, route, args, degree, start=0, step=1):
             call = ", ".join(map(repr, args))
             raise ConsistencyError(f"{label}({call}): degree-{degree} fit misses the value at {x}")
     return poly
+
+
+# The one cache of the fits, keyed by the route itself as well as its
+# arguments, degree and grid, so a route rebound in this module is
+# fitted anew; what the route calls in turn is not in the key.
+_fit = functools.cache(_fit_route)
 
 
 def lp_leading_coeff(I):
@@ -95,8 +99,8 @@ def lp_a_poly(I, J):
     """Polynomial through the two-set complement entries at n >= 0.
 
     Its degree is at most sum(I) + sum(J) + len(I): the entry is a
-    signed sum over L <= I of s_ij(I, L) a_ij_poly(L, J), of degree
-    sum(L) + sum(J) + len(L).
+    signed sum over L <= I of s_ij(I, L) degrees.a_value(L, J, n), a
+    polynomial in n of degree sum(L) + sum(J) + len(L).
     """
     I, J = check_same_size(I, J, "lp_a_poly")
     return _fit("lp_a_poly", d_a_complement, (I, J), sum(I) + sum(J) + len(I))
@@ -124,30 +128,6 @@ def b_poly(I):
     return poly
 
 
-def a_ij_poly(I, J):
-    """Dimension polynomial of the glued shape of degrees.a_value, fitted
-    at every n >= 0 at its degree sum(I) + sum(J) + len(I)."""
-    I, J = check_same_size(I, J, "a_ij_poly")
-    return _fit("a_ij_poly", a_value, (I, J), sum(I) + sum(J) + len(I))
-
-
-def _delta_at(kind, m, s, n):
-    return delta_direct_info(kind, m, n, n - s)[0]
-
-
-def delta_poly(matrix_type, m, s):
-    """Dual degree as a polynomial in the size, at fixed m and corank s.
-
-    Every type has degree m: each term of the direct sum is a
-    coefficient times a complement polynomial of degree m, the skew one
-    taken on its even branch at k = 2n.
-    """
-    kind = canonical_type(matrix_type)
-    if m <= 0 or s <= 0:
-        raise ValueError(f"delta_poly: need m > 0 and s > 0, got m={m}, s={s}")
-    return _fit("delta_poly", _delta_at, (kind, m, s), m)
-
-
 def _phi_at(kind, d, n):
     return phi_value(kind, n, d)
 
@@ -156,11 +136,13 @@ def phi_poly(matrix_type, d):
     """Inverse-variety degree as a polynomial in the size, at fixed d.
 
     Degree d - 1 through nodes n = 1..d, then five checked points.
+    It is fitted on every call, so a rebound kernel of the degree sum
+    is what the fit reads.
     """
     kind = canonical_type(matrix_type)
     if d <= 0:
         raise ValueError(f"phi_poly: need d > 0, got {d}")
-    return _fit("phi_poly", _phi_at, (kind, d), d - 1, start=1)
+    return _fit_route("phi_poly", _phi_at, (kind, d), d - 1, start=1)
 
 
 def _residual_family(label, sets):

@@ -19,7 +19,7 @@ import functools
 from fractions import Fraction
 
 from .exact import ConsistencyError, expand_pfaffian
-from .indexsets import check_indexset
+from .indexsets import check_indexset, mask
 
 
 @functools.cache
@@ -60,19 +60,15 @@ def _tworow_at(a, b, n):
 
 
 @functools.cache
-def _pf_q_at(mask, n):
+def _pf_q_at(key, n):
     """Schur's Pfaffian with scalar values at n; the sweep workhorse.
 
     Returns 2^(sum of the labels) times the value, an int.  Cached on
-    the mask of the labels, so sub-Pfaffians are shared across all index
+    the bitmask of the labels, so sub-Pfaffians are shared across all index
     sets of a sweep.
     """
-    return expand_pfaffian(mask, mask, lambda a: _onerow_ints(a, n)[a],
+    return expand_pfaffian(key, key, lambda a: _onerow_ints(a, n)[a],
                            lambda a, b: _tworow_at(b, a, n), lambda k: _pf_q_at(k, n))
-
-
-def _mask(labels):
-    return sum(1 << a for a in labels)
 
 
 def b_value(I, n):
@@ -80,7 +76,7 @@ def b_value(I, n):
     labels are i + 1 for i in I, of weight sum(I) + #I, which is also
     the degree in n (poly_n.b_poly)."""
     I = check_indexset(I)
-    return Fraction(_pf_q_at(_mask(i + 1 for i in I), n), 1 << (sum(I) + len(I)))
+    return Fraction(_pf_q_at(mask(i + 1 for i in I), n), 1 << (sum(I) + len(I)))
 
 
 def d_value(I, n):
@@ -99,4 +95,4 @@ def d_value(I, n):
     I = check_indexset(I)
     if I and I[0] == 0 and (n - len(I)) % 2:
         return Fraction(0)
-    return Fraction(_pf_q_at(_mask(I), n), 1 << (sum(I) + len(I) - (0 in I)))
+    return Fraction(_pf_q_at(mask(I), n), 1 << (sum(I) + len(I) - (0 in I)))

@@ -20,12 +20,11 @@ independent of every fast path it is used to check.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from collections import defaultdict
 
 from .exact import ConsistencyError, binom
-from .indexsets import check_indexset, lambda_of, lower_sets, partition_weight
+from .indexsets import check_indexset, partition_weight
 
 
 def unit_form(i, nvars):
@@ -40,35 +39,6 @@ def _add_form(target, poly, form):
             if fc:
                 key = mono[:var] + (mono[var] + 1,) + mono[var + 1:]
                 target[key] += c * fc
-
-
-def schur_full(shape, nvars):
-    """All monomials of the Schur polynomial s_shape(x_1..x_nvars).
-
-    Branching on the last variable: strip a horizontal strip (the
-    interlacing condition) and recurse on one variable fewer.
-    """
-    return _schur_full(tuple(p for p in shape if p), nvars)
-
-
-@functools.cache
-def _schur_full(lam, nvars):
-    if not lam:
-        return {(0,) * nvars: 1}
-    if len(lam) > nvars:
-        return {}
-    result = defaultdict(int)
-    ranges = []
-    for i in range(len(lam)):
-        lo = lam[i + 1] if i + 1 < len(lam) else 0
-        ranges.append(range(lo, lam[i] + 1))
-    total = sum(lam)
-    for mu in itertools.product(*ranges):
-        sub = schur_full(mu, nvars - 1)
-        last = total - sum(mu)
-        for mono, c in sub.items():
-            result[mono + (last,)] += c
-    return dict(result)
 
 
 def orbit_size(dominant):
@@ -243,26 +213,3 @@ def d_oracle(I, J):
     return sum(sx * sy * cross_coefficient(a, b)
                for sx, a in alternant_terms(I) for sy, b in y_terms)
 
-
-def sij_row_oracle(I):
-    """All shifted-argument coefficients with upper set I.
-
-    Substituting x -> x + 1 into s_{lambda(I)} and reading off the
-    Schur coefficient of s_mu for each mu inside lambda(I) yields the
-    coefficients indexed by lower sets J of the same size.
-    """
-    I = check_indexset(I)
-    shifted = defaultdict(int)
-    for mono, c in schur_full(lambda_of(I), len(I)).items():
-        for picks in itertools.product(*(range(e + 1) for e in mono)):
-            mult = c
-            for e, k in zip(mono, picks):
-                mult *= binom(e, k)
-            shifted[picks] += mult
-    check_symmetric(shifted)
-    result = {}
-    for J in lower_sets(I):
-        c = sum(sign * shifted.get(e, 0) for sign, e in alternant_terms(J))
-        if c:
-            result[J] = c
-    return result

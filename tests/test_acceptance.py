@@ -56,14 +56,14 @@ def test_criterion_02_conic_counts():
 
 
 def test_criterion_03_closed_form_equality_full_range():
-    from mldeg.degrees import delta_nrs_info, delta_sym
+    from mldeg.degrees import delta_direct_info, delta_nrs_info
 
     t0 = time.monotonic()
     checked = 0
     for n in range(2, 8):
         for s in range(1, n):
             for m in range(1, binom(n + 1, 2) + 1):
-                direct = delta_sym(m, n, n - s)
+                direct = delta_direct_info("sym", m, n, n - s)[0]
                 closed = delta_nrs_info("sym", m, n, n - s)[0]
                 assert direct == closed, (
                     f"(m={m}, n={n}, s={s}): direct {direct}, closed {closed}"
@@ -75,7 +75,7 @@ def test_criterion_03_closed_form_equality_full_range():
 
 
 def test_criterion_04_duality_full_range():
-    from mldeg.degrees import delta_sym
+    from mldeg.degrees import delta_direct_info
 
     t0 = time.monotonic()
     checked = 0
@@ -83,8 +83,8 @@ def test_criterion_04_duality_full_range():
         top = binom(n + 1, 2)
         for s in range(1, n):
             for m in range(0, top + 1):
-                left = delta_sym(m, n, n - s)
-                right = delta_sym(top - m, n, s)
+                left = delta_direct_info("sym", m, n, n - s)[0]
+                right = delta_direct_info("sym", top - m, n, s)[0]
                 assert left == right, f"(m={m}, n={n}, s={s}): {left} vs {right}"
                 checked += 1
     elapsed = time.monotonic() - t0

@@ -9,7 +9,7 @@ import pytest
 from mldeg import checks, pool, poly_n, qschur
 from mldeg.checks import build_suite, run_suite, run_task, suite_names, task_label
 from mldeg.exact import ConsistencyError, binom
-from mldeg.indexsets import format_indexset, leq
+from mldeg.indexsets import format_indexset, leq, mask
 
 REFERENCE = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "reference.json"
 
@@ -103,12 +103,12 @@ def test_b_identity_reads_the_point_route(monkeypatch):
     # over a set above it fails, by its detail or by a missed fit.  The
     # caches are cleared on both sides of the corruption.
     point = qschur._pf_q_at
-    bad_mask = qschur._mask((1, 3))  # the labels of b_value((0, 2), n)
+    bad_mask = mask((1, 3))  # the labels of b_value((0, 2), n)
     _clear_caches()
     try:
         with monkeypatch.context() as patch:
             patch.setattr(qschur, "_pf_q_at",
-                          lambda mask, n: point(mask, n) + (mask == bad_mask))
+                          lambda key, n: point(key, n) + (key == bad_mask))
             try:
                 detail = checks.b_identity_line((0, 2, 3))
             except ConsistencyError as exc:

@@ -1,5 +1,6 @@
 """Command line contract: exit codes, JSON shape, worker counts."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -13,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mldeg import checks, degrees
-from mldeg.cli import UsageError, main, parse_set
+from mldeg.cli import UsageError, build_parser, main, parse_set
 from mldeg.indexsets import format_indexset
 
 
@@ -101,6 +102,11 @@ def test_one_route_table_drives_psi_and_path_suites(capsys, monkeypatch):
              "d": ("da_paths_pair", I, J)}
     routes = [key for key in checks.ROUTES if key[1] != "complement"]
     assert {family for family, _ in routes} == set(tasks)
+    subparsers = next(a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    choices = next(a.choices for a in subparsers.choices["psi"]._actions if a.dest == "path")
+    assert choices == ("pfaffian", "pascal", "recursion", "oracle")
+    assert choices == tuple(dict.fromkeys(path for _, path in routes))
     for family, path in routes:
         with monkeypatch.context() as patch:
             patch.setitem(checks.ROUTES, (family, path), lambda *sets: sentinel)
@@ -389,11 +395,10 @@ def test_broken_exact_division_exits_3_under_optimize():
 _BAD_ARGUMENTS = """
 from mldeg.degrees import a_value, pataki_window
 from mldeg.indexsets import enumerate_indexsets
-from mldeg.poly_n import delta_poly, lp_a_poly
+from mldeg.poly_n import lp_a_poly
 from mldeg.qschur import b_value
 
 calls = (
-    lambda: delta_poly("sym", 0, 1),
     lambda: lp_a_poly((0,), (0, 1)),
     lambda: pataki_window("sym", 3, 0),
     lambda: list(enumerate_indexsets(-1, 0)),
@@ -417,7 +422,7 @@ def test_bad_arguments_raise_value_error_under_optimize():
         capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["ValueError"] * 8
+    assert proc.stdout.split() == ["ValueError"] * 7
 
 
 def _option(flag, values):

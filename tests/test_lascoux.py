@@ -6,7 +6,7 @@ import pytest
 
 from mldeg import degrees, exact, indexsets, lascoux
 from mldeg.exact import det, pfaffian
-from mldeg.indexsets import complement, enumerate_indexsets, lambda_of
+from mldeg.indexsets import complement, enumerate_indexsets
 from mldeg.lascoux import (
     alpha,
     alpha_complement,
@@ -25,9 +25,8 @@ from mldeg.schur_oracle import (
     alpha_oracle,
     d_oracle,
     psi_oracle,
-    schur_full,
-    sij_row_oracle,
 )
+from references import lambda_of, schur_full, sij_row_oracle
 from test_schur_oracle import hom_full
 
 

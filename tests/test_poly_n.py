@@ -3,16 +3,15 @@ from fractions import Fraction
 
 import pytest
 
-from mldeg.exact import ConsistencyError, N, PolyQ
+from mldeg.exact import ConsistencyError, PolyQ
 from mldeg.degrees import (
-    a_value, delta_direct_info, delta_sym, phi_sym, phi_type_a, phi_type_d,
+    a_value, delta_direct_info, phi_sym, phi_type_a, phi_type_d,
 )
 from mldeg.indexsets import enumerate_indexsets
 from mldeg.lascoux import alpha_complement, d_a_complement, psi_complement, s_ij
-from mldeg import poly_n
+from mldeg import degrees, poly_n
 from mldeg.poly_n import (
     b_poly,
-    delta_poly,
     interpolate,
     lp_a_poly,
     lp_d_parity_residuals,
@@ -24,6 +23,7 @@ from mldeg.poly_n import (
     phi_poly,
 )
 from mldeg.qschur import d_value
+from references import N, binomial, delta_poly
 
 
 def _small_sets(max_size, max_total):
@@ -45,13 +45,13 @@ def test_interpolate():
 
 def test_lp_poly_anchors():
     assert lp_poly(()) == 1
-    assert lp_poly((1,)) == PolyQ.binomial(2)
-    assert lp_poly((0, 2)) == 2 * PolyQ.binomial(4, shift=1)
+    assert lp_poly((1,)) == binomial(2)
+    assert lp_poly((0, 2)) == 2 * binomial(4, shift=1)
     assert lp_poly((0, 2))(4) == 10
     for i in range(6):
-        assert lp_poly((i,)) == PolyQ.binomial(i + 1)
+        assert lp_poly((i,)) == binomial(i + 1)
     for j in range(1, 5):
-        assert lp_poly((0, j)) == j * PolyQ.binomial(j + 2, shift=1)
+        assert lp_poly((0, j)) == j * binomial(j + 2, shift=1)
 
 
 def test_lp_leading_coeff():
@@ -106,6 +106,15 @@ def test_a_rebound_route_is_fitted_again(monkeypatch):
     assert lp_a_poly((1,), (2,)) == old + 1
 
 
+def test_phi_poly_reads_a_rebound_degree_sum(monkeypatch):
+    # phi_poly's route is a whole degree sum, which no cache key names,
+    # so it is fitted on every call.
+    old = phi_poly("sym", 4)
+    phi = degrees.TYPE_TABLE[("sym", "phi")]
+    monkeypatch.setitem(degrees.TYPE_TABLE, ("sym", "phi"), lambda n, d: phi(n, d) + 1)
+    assert phi_poly("sym", 4) == old + 1
+
+
 def test_lp_d_quasipoly():
     assert lp_d_quasipoly(()) == (PolyQ((1,)), PolyQ((1,)))
     assert lp_d_quasipoly((0,)) == (PolyQ(()), PolyQ((1,)))
@@ -127,7 +136,7 @@ def test_delta_poly_sym():
             poly = delta_poly("sym", m, s)
             assert poly(0) == 0
             for n in range(11):
-                assert poly(n) == delta_sym(m, n, n - s), (m, s, n)
+                assert poly(n) == delta_direct_info("sym", m, n, n - s)[0], (m, s, n)
 
 
 def test_delta_poly_square_and_skew():

@@ -6,7 +6,7 @@ from collections import defaultdict
 import pytest
 
 from mldeg.exact import ConsistencyError
-from mldeg.indexsets import enumerate_indexsets, index_of, lambda_of
+from mldeg.indexsets import enumerate_indexsets
 from mldeg.lascoux import alpha, d_a, psi
 from mldeg.schur_oracle import (
     _add_form,
@@ -16,10 +16,9 @@ from mldeg.schur_oracle import (
     cross_coefficient,
     d_oracle,
     psi_oracle,
-    schur_full,
-    sij_row_oracle,
     unit_form,
 )
+from references import index_of, lambda_of, schur_full, sij_row_oracle
 
 
 def hom_full(forms, degree, nvars):
