@@ -36,6 +36,8 @@ from .lascoux import (
 )
 from .poly_n import (
     b_poly,
+    combine,
+    evaluate,
     lp_d_parity_residuals,
     lp_d_quasipoly,
     lp_lift_residual,
@@ -207,17 +209,19 @@ def _transform_miss(what, I, value, transformed, where=""):
 
     Over J <= I, with gap = sum(I) - sum(J), the sum of
     (1/2)^gap s_ij(I, J) value(J) must be transformed(I), and the sum of
-    (-1/2)^gap s_ij(I, J) transformed(J) must be value(I).
+    (-1/2)^gap s_ij(I, J) transformed(J) must be value(I).  Both return
+    fits on one grid, or point values as constant 1-tuples.
     """
-    forward = backward = 0
+    forward = [(-1, transformed(I))]
+    backward = [(-1, value(I))]
     for J in lower_sets(I):
         gap = sum(I) - sum(J)
         c = s_ij(I, J)
-        forward = forward + Fraction(1, 2) ** gap * c * value(J)
-        backward = backward + Fraction(-1, 2) ** gap * c * transformed(J)
-    if forward != transformed(I):
+        forward.append((Fraction(1, 2) ** gap * c, value(J)))
+        backward.append((Fraction(-1, 2) ** gap * c, transformed(J)))
+    if combine(forward):
         return f"{what} failed at {format_indexset(I)}{where}"
-    if backward != value(I):
+    if combine(backward):
         return f"inverse {what} failed at {format_indexset(I)}{where}"
     return None
 
@@ -234,8 +238,8 @@ _D_IDENTITY_NMAX = 12
 @_task
 def d_identity_line(I):
     for n in range(_D_IDENTITY_NMAX + 1):
-        miss = _transform_miss("skew transform", I, lambda J: alpha_complement(J, n),
-                               lambda J: d_value(J, n), f", n={n}")
+        miss = _transform_miss("skew transform", I, lambda J: (alpha_complement(J, n),),
+                               lambda J: (d_value(J, n),), f", n={n}")
         if miss:
             return miss
     return None
@@ -254,7 +258,7 @@ def conormal_line(n):
 def quasi_d_line(I):
     branches = lp_d_quasipoly(I)
     for k in range(13):
-        if branches[k % 2](k) != alpha_complement(I, k):
+        if evaluate(branches[k % 2], k // 2) != alpha_complement(I, k):
             return f"quasi-polynomial miss at {format_indexset(I)}, k={k}"
     return None
 

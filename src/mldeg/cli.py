@@ -16,6 +16,7 @@ import time
 
 from . import checks
 from .degrees import (
+    ambient_dim,
     canonical_type,
     delta_direct_info,
     delta_nrs_info,
@@ -190,6 +191,7 @@ def cmd_delta(args):
     _require(0 <= r <= n, "need 0 <= r <= n")
     _require(m >= 0, "need m >= 0")
     _require_cap(args, "n", n, _N_CAP[kind], kind)
+    _require_cap(args, "m", m, ambient_dim(kind, n), kind)
     path = args.path
     if path in ("nrs", "both"):
         _require(m >= 1, "closed form needs m >= 1")
@@ -233,8 +235,7 @@ def cmd_phi(args):
         header = "d," + ",".join(f"coeff_{k}" for k in range(dmax))
         lines = [header]
         for d in range(1, dmax + 1):
-            poly = phi_poly(kind, d)
-            cells = [format_fraction(c) for c in poly.coeffs]
+            cells = [format_fraction(c) for c in phi_poly(kind, d)]
             cells += ["0"] * (dmax - len(cells))
             lines.append(str(d) + "," + ",".join(cells))
         return {"csv": lines}, EXIT_OK
@@ -245,9 +246,8 @@ def cmd_phi(args):
         d = args.d
         _require(d >= 1, "need d >= 1")
         _require_cap(args, "d", d)
-        poly = phi_poly(kind, d)
         coeffs = [int(c) if c.denominator == 1 else format_fraction(c)
-                  for c in poly.coeffs]
+                  for c in phi_poly(kind, d)]
         query = {"d": d, "family": "phi", "poly": True, "type": kind}
         return {"query": query, "result": coeffs}, EXIT_OK
 

@@ -1,8 +1,7 @@
 """Exact scalar arithmetic and exact linear algebra.
 
-Everything downstream (coefficient tables, degree sums, interpolation)
-runs on stdlib ints, Fractions, and the PolyQ polynomials defined here.
-No floats anywhere.
+Everything downstream (coefficient tables, degree sums, fits in n)
+runs on stdlib ints and Fractions.  No floats anywhere.
 """
 
 from __future__ import annotations
@@ -34,128 +33,6 @@ def format_fraction(x):
     if f.denominator == 1:
         return str(f.numerator)
     return f"{f.numerator}/{f.denominator}"
-
-
-class PolyQ:
-    """Univariate polynomial over Q, dense, lowest degree first.
-
-    Immutable.  Coefficients are Fractions with no trailing zeros, so
-    two equal polynomials have identical coefficient tuples.  A constant
-    polynomial hashes and compares equal to its scalar value.
-    """
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs=()):
-        cs = [Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PolyQ is immutable")
-
-    @property
-    def degree(self):
-        return len(self.coeffs) - 1
-
-    def __call__(self, x):
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    @staticmethod
-    def _coerce(other):
-        if isinstance(other, PolyQ):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return PolyQ((other,))
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        a, b = self.coeffs, o.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return PolyQ(out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return PolyQ(tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        a, b = self.coeffs, o.coeffs
-        if not a or not b:
-            return PolyQ()
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-        return PolyQ(out)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        if isinstance(other, PolyQ):
-            return self.coeffs == other.coeffs
-        if isinstance(other, (int, Fraction)):
-            if not self.coeffs:
-                return other == 0
-            return len(self.coeffs) == 1 and self.coeffs[0] == other
-        return NotImplemented
-
-    def __hash__(self):
-        if len(self.coeffs) <= 1:
-            return hash(self.coeffs[0] if self.coeffs else Fraction(0))
-        return hash(self.coeffs)
-
-    def __bool__(self):
-        return bool(self.coeffs)
-
-    def __repr__(self):
-        if not self.coeffs:
-            return "PolyQ(0)"
-        terms = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if i == 0:
-                terms.append(format_fraction(c))
-            elif i == 1:
-                terms.append(f"{format_fraction(c)}*n")
-            else:
-                terms.append(f"{format_fraction(c)}*n^{i}")
-        return "PolyQ(" + " + ".join(terms) + ")"
-
-    def shift_arg(self, c):
-        """Return q with q(n) = p(n + c)."""
-        shifted = PolyQ((c, 1))
-        acc = PolyQ()
-        for coeff in reversed(self.coeffs):
-            acc = acc * shifted + coeff
-        return acc
 
 
 def _det_bareiss(rows):

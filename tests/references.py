@@ -10,26 +10,18 @@ import functools
 import itertools
 import math
 from collections import defaultdict
-from fractions import Fraction
 
 from mldeg.degrees import a_value, canonical_type, delta_direct_info
-from mldeg.exact import PolyQ, binom
+from mldeg.exact import binom
 from mldeg.indexsets import check_indexset, check_same_size, lower_sets
 from mldeg.poly_n import _fit
 from mldeg.schur_oracle import alternant_terms, check_symmetric
 
-# The formal variable, for building polynomials by arithmetic.
-N = PolyQ((0, 1))
-
 
 def binomial(k, shift=0):
-    """The polynomial n -> C(n + shift, k)."""
-    if k < 0:
-        return PolyQ()
-    p = PolyQ((1,))
-    for t in range(k):
-        p = p * PolyQ((shift - t, 1))
-    return p * Fraction(1, math.factorial(k))
+    """The fit of n -> C(n + shift, k), shift >= 0, on the grid of every
+    n, by Vandermonde: C(n + s, k) = sum over j of C(s, k - j) C(n, j)."""
+    return tuple(math.comb(shift, k - j) for j in range(k + 1))
 
 
 # ------------------------------------------------------------ partitions

@@ -16,23 +16,13 @@ import ast
 import pathlib
 
 from mldeg import checks
-from test_reference_imports import SCRIPT
+from test_reference_imports import benchmark_imports
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "mldeg"
 
-
-def _benchmark_imports():
-    """The "module.name" labels perfbench/make_reference.py imports from
-    mldeg, as test_reference_imports finds them ("checks" for a module)."""
-    tree = ast.parse(SCRIPT.read_text(), filename=str(SCRIPT))
-    return {f"{node.module}.{alias.name}".removeprefix("mldeg.")
-            for node in ast.walk(tree)
-            if isinstance(node, ast.ImportFrom) and node.level == 0
-            and node.module.split(".")[0] == "mldeg"
-            for alias in node.names}
-
-
-KEPT = _benchmark_imports()
+# The "module.name" labels perfbench/make_reference.py imports from
+# mldeg ("checks" for a module).
+KEPT = {f"{module}.{name}".removeprefix("mldeg.") for module, name in benchmark_imports()}
 
 
 def _imports(tree):

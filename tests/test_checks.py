@@ -144,8 +144,15 @@ def _failures(kind, suite="certificates"):
 
 
 def _off_by_one(monkeypatch, module, name, target):
+    """module.<name> one more at target: on the value, or on the constant
+    coefficient of a fit."""
     true = getattr(module, name)
-    monkeypatch.setattr(module, name, lambda *args: true(*args) + (args == target))
+
+    def patched(*args):
+        value, wrong = true(*args), args == target
+        return value + wrong if isinstance(value, int) else poly_n.combine([(1, value), (wrong, (1,))])
+
+    monkeypatch.setattr(module, name, patched)
 
 
 def test_certificates_catch_a_wrong_polynomial(monkeypatch):
@@ -153,13 +160,13 @@ def test_certificates_catch_a_wrong_polynomial(monkeypatch):
     with monkeypatch.context() as mp:
         _off_by_one(mp, poly_n, "lp_poly", ((2, 4),))
         assert _failures("certificate_line") == {
-            "certificate_line {2,5}": "shift recurrence failed at {2,5}: residual PolyQ(-1)",
-            "certificate_line {3,4}": "shift recurrence failed at {3,4}: residual PolyQ(-1)",
-            "certificate_line {3,5}": "shift recurrence failed at {3,5}: residual PolyQ(-1)",
-            "certificate_line {0,1,4}": "lift recurrence failed at {0,1,4}: residual PolyQ(2)",
-            "certificate_line {0,2,3}": "lift recurrence failed at {0,2,3}: residual PolyQ(2)",
+            "certificate_line {2,5}": "shift recurrence failed at {2,5}: residual (-1,)",
+            "certificate_line {3,4}": "shift recurrence failed at {3,4}: residual (-1,)",
+            "certificate_line {3,5}": "shift recurrence failed at {3,5}: residual (-1,)",
+            "certificate_line {0,1,4}": "lift recurrence failed at {0,1,4}: residual (2,)",
+            "certificate_line {0,2,3}": "lift recurrence failed at {0,2,3}: residual (2,)",
             "certificate_line {0,2,4}":
-                "lift recurrence failed at {0,2,4}: residual PolyQ(2 + -1*n)",
+                "lift recurrence failed at {0,2,4}: residual (2, -1)",
         }
     with monkeypatch.context() as mp:
         _off_by_one(mp, poly_n, "lp_a_poly", ((2,), (1,)))

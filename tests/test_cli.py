@@ -273,6 +273,20 @@ def test_delta_unsafe_range(capsys):
     assert code == 0 and json.loads(out)["result"] == 72
 
 
+def test_delta_caps_m_at_the_matrix_space(capsys):
+    # No m-dimensional pencil of 7x7 symmetric matrices exists past
+    # m = w(7) = 28, where the closed form would only sum its way to 0.
+    proc = run_cli("delta", "--type", "sym", "-m", "60", "-n", "7", "-r", "3",
+                   "--path", "nrs")
+    assert proc.returncode == 2 and not proc.stdout
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: m=60 is past the default cap")
+    base = ("delta", "--type", "sym", "-n", "7", "-r", "3", "--path", "nrs")
+    assert run_main(capsys, *base, "-m", "28")[0] == 0
+    code, out, _ = run_main(capsys, *base, "-m", "29", "--unsafe-range")
+    assert code == 0 and json.loads(out)["result"] == 0
+
+
 def test_delta_disagreement_exits_3(capsys, monkeypatch):
     monkeypatch.setitem(
         degrees.TYPE_TABLE, ("sym", "nrs_partial"), lambda n, items: Fraction(999))

@@ -6,7 +6,7 @@ import pytest
 
 from mldeg import degrees, pool
 from mldeg.cli import _D_CAP, _N_CAP
-from mldeg.exact import PolyQ, binom
+from mldeg.exact import binom
 from mldeg.degrees import (
     a_value,
     ambient_dim,
@@ -21,7 +21,8 @@ from mldeg.degrees import (
 )
 from mldeg.indexsets import complement, enumerate_indexsets, leq
 from mldeg.lascoux import alpha, d_a, psi, psi_recursion, s_ij
-from references import N, a_ij_poly, lambda_of
+from mldeg.poly_n import evaluate
+from references import a_ij_poly, lambda_of
 
 
 def _direct(kind, m, n, r):
@@ -167,17 +168,18 @@ def test_pataki_vanishing_small():
 
 
 def test_a_ij_poly():
-    assert a_ij_poly((0,), (0,)) == N
-    expected = N * N * (N - 1) * (N + 1) * Fraction(1, 12)
-    assert a_ij_poly((0, 1), (0, 1)) == expected
-    assert a_ij_poly((1,), (0,))(2) == 3
-    assert a_ij_poly((0, 1), (0, 1))(1) == 0
+    assert a_ij_poly((0,), (0,)) == (0, 1)
+    # n^2 (n^2 - 1) / 12, of degree 4, at nine nodes
+    square = a_ij_poly((0, 1), (0, 1))
+    assert [evaluate(square, n) for n in range(9)] == [n * n * (n * n - 1) // 12
+                                                       for n in range(9)]
+    assert evaluate(a_ij_poly((1,), (0,)), 2) == 3
     for I in itertools.combinations(range(4), 2):
         for J in itertools.combinations(range(4), 2):
             p = a_ij_poly(I, J)
             for n in range(6):
-                assert a_value(I, J, n) == p(n)
-                assert p(n).denominator == 1
+                assert a_value(I, J, n) == evaluate(p, n)
+                assert evaluate(p, n).denominator == 1
 
 
 # An independent reference for a_value and a_ij_poly: the glued shape
@@ -211,11 +213,9 @@ def content_hook_cells(nu):
             for i, row in enumerate(nu) for j in range(row)]
 
 
-def glued_dimension(I, J):
-    poly = PolyQ((1,))
-    for content, hook in content_hook_cells(glued_shape(I, J)):
-        poly = poly * (N + content) * Fraction(1, hook)
-    return poly
+def glued_dimension(I, J, n):
+    cells = content_hook_cells(glued_shape(I, J))
+    return Fraction(math.prod(n + c for c, _ in cells), math.prod(h for _, h in cells))
 
 
 def _sets_up_to_weight(r, wmax):
@@ -227,11 +227,8 @@ def test_a_value_matches_glued_shape():
         sets = _sets_up_to_weight(r, 8)
         for I in sets:
             for J in sets:
-                cells = content_hook_cells(glued_shape(I, J))
-                hooks = math.prod(hook for _, hook in cells)
                 for n in range(13):
-                    expected = Fraction(math.prod(n + c for c, _ in cells), hooks)
-                    assert a_value(I, J, n) == expected, (I, J, n)
+                    assert a_value(I, J, n) == glued_dimension(I, J, n), (I, J, n)
 
 
 def test_a_ij_poly_matches_glued_shape():
@@ -239,7 +236,10 @@ def test_a_ij_poly_matches_glued_shape():
         sets = _sets_up_to_weight(r, 4)
         for I in sets:
             for J in sets:
-                assert a_ij_poly(I, J) == glued_dimension(I, J), (I, J)
+                # at more nodes than the degree + 1 that pin both sides
+                p = a_ij_poly(I, J)
+                for n in range(sum(I) + sum(J) + len(I) + 2):
+                    assert evaluate(p, n) == glued_dimension(I, J, n), (I, J, n)
 
 
 @pytest.mark.parametrize("I, J, n, expected", [
@@ -258,8 +258,8 @@ def test_a_ij_poly_matches_glued_shape():
 ])
 def test_a_value_boundaries(I, J, n, expected):
     assert a_value(I, J, n) == expected
-    assert glued_dimension(I, J)(n) == expected
-    assert a_ij_poly(I, J)(n) == expected
+    assert glued_dimension(I, J, n) == expected
+    assert evaluate(a_ij_poly(I, J), n) == expected
 
 
 def test_a_value_rejects_bad_arguments():

@@ -1,5 +1,4 @@
 import itertools
-import math
 import random
 from fractions import Fraction
 
@@ -9,7 +8,6 @@ from hypothesis import strategies as st
 
 from mldeg.exact import (
     ConsistencyError,
-    PolyQ,
     _pair_matrix,
     binom,
     det,
@@ -17,7 +15,6 @@ from mldeg.exact import (
     format_fraction,
     pfaffian,
 )
-from references import N, binomial
 
 
 def test_binom_values():
@@ -43,9 +40,8 @@ def test_det_rejects_nonsquare():
 
 
 def test_det_rejects_non_int_entries():
-    for m in ([[Fraction(1, 2), 1], [1, 1]], [[N, PolyQ((1,))], [PolyQ((1,)), N]]):
-        with pytest.raises(TypeError):
-            det(m)
+    with pytest.raises(TypeError):
+        det([[Fraction(1, 2), 1], [1, 1]])
 
 
 def test_pfaffian_small():
@@ -65,9 +61,8 @@ def test_pfaffian_small():
 
 def test_pfaffian_rejects_non_int_entries():
     half = Fraction(1, 2)
-    for m in ([[0, half], [-half, 0]], [[0, N], [-N, 0]]):
-        with pytest.raises(TypeError):
-            pfaffian(m)
+    with pytest.raises(TypeError):
+        pfaffian([[0, half], [-half, 0]])
 
 
 def test_pfaffian_structure_errors():
@@ -183,60 +178,9 @@ def test_det_multiplicative(seed, n):
     assert det(ab) == det(a) * det(b)
 
 
-small_polys = st.lists(
-    st.fractions(min_value=-30, max_value=30, max_denominator=12), min_size=0, max_size=5
-).map(PolyQ)
-
-
-@given(small_polys, small_polys, st.integers(min_value=-8, max_value=8))
-@settings(max_examples=80)
-def test_polyq_eval_is_ring_hom(p, q, k):
-    assert (p * q)(k) == p(k) * q(k)
-    assert (p + q)(k) == p(k) + q(k)
-    assert (p - q)(k) == p(k) - q(k)
-
-
-@given(small_polys, st.integers(min_value=-5, max_value=5), st.integers(min_value=-8, max_value=8))
-@settings(max_examples=60)
-def test_polyq_shift_arg(p, c, k):
-    assert p.shift_arg(c)(k) == p(k + c)
-
-
-def test_polyq_binomial_matches_binom():
-    for k in range(6):
-        for shift in (-2, 0, 1, 3):
-            p = binomial(k, shift)
-            assert p.degree == k
-            for n in range(max(0, -shift), 9):
-                assert p(n) == binom(n + shift, k)
-
-
-def test_polyq_basics():
-    z = PolyQ()
-    assert not z
-    assert z == 0
-    assert z.degree == -1
-    p = PolyQ((3,))
-    assert p == 3
-    assert hash(p) == hash(Fraction(3))
-    q = PolyQ((1, 2, 0, 0))
-    assert q.coeffs == (Fraction(1), Fraction(2))
-    assert q.degree == 1
-    assert (N * N * N)(2) == 8
-    assert 1 - N == PolyQ((1, -1))
-    assert (2 * N + 1)(Fraction(1, 2)) == 2
-    with pytest.raises(AttributeError):
-        q.coeffs = ()
-
-
 def test_format_fraction():
     assert format_fraction(Fraction(3, 1)) == "3"
     assert format_fraction(Fraction(-7, 2)) == "-7/2"
     assert format_fraction(5) == "5"
     assert format_fraction(Fraction(2, 4)) == "1/2"
 
-
-def test_polyq_factorial_scaling():
-    # n(n-1)(n-2)/6 = C(n,3)
-    p = N * (N - 1) * (N - 2) * Fraction(1, math.factorial(3))
-    assert p == binomial(3)

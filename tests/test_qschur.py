@@ -5,11 +5,11 @@ from fractions import Fraction
 import pytest
 
 from mldeg import poly_n, qschur
-from mldeg.exact import ConsistencyError, PolyQ, binom
+from mldeg.exact import ConsistencyError, binom
 from mldeg.indexsets import enumerate_indexsets, mask
-from mldeg.poly_n import b_poly
+from mldeg.poly_n import b_poly, evaluate, interpolate
 from mldeg.qschur import b_value, d_value
-from references import N, binomial
+from references import binomial
 
 
 def q_onerow_at(a, n):
@@ -36,9 +36,10 @@ def d_poly(I):
 
 
 def _fits_at_degree(value_at, degree, nmax=20):
-    """value_at(n) for n = 0..nmax lies on one polynomial of exactly this degree."""
-    poly = poly_n.interpolate([(n, value_at(n)) for n in range(degree + 1)])
-    return poly.degree == degree and all(poly(n) == value_at(n) for n in range(nmax + 1))
+    """value_at(n) for n = 0..nmax lies on one polynomial of exactly this
+    degree: the difference of that order is the last nonzero one."""
+    diffs = interpolate([value_at(n) for n in range(nmax + 1)])
+    return diffs[degree] != 0 and not any(diffs[degree + 1:])
 
 
 def test_q_onerow_small():
@@ -82,7 +83,7 @@ def test_q_tworow():
         assert q_strict_at((1,), n) == n
         expected = q_onerow_at(2, n) * q_onerow_at(1, n) - 2 * q_onerow_at(3, n)
         assert q_strict_at((2, 1), n) == expected
-        assert q_strict_at((2, 1), n) == binomial(3, shift=1)(n)  # (n^3 - n)/6
+        assert q_strict_at((2, 1), n) == binom(n + 1, 3)  # (n^3 - n)/6
 
 
 def test_q_strict():
@@ -140,25 +141,27 @@ def test_q_strict_poly_vs_point():
 
 
 def test_b_poly():
-    assert b_poly(()) == 1
-    assert b_poly((0,)) == N
-    assert b_poly((1,)) == N * N * Fraction(1, 2)
+    assert b_poly(()) == (1,)
+    assert b_poly((0,)) == (0, 1)
+    # n^2 / 2 = C(n, 2) + C(n, 1) / 2
+    assert b_poly((1,)) == (0, Fraction(1, 2), 1)
     assert b_poly((0, 1)) == binomial(3, shift=1)
     for size in range(4):
         for total in range(9):
             for I in enumerate_indexsets(size, total):
                 p = b_poly(I)
-                assert p.degree == sum(I) + len(I), I
+                assert len(p) == sum(I) + len(I) + 1, I
                 for n in range(21):
-                    assert p(n) >= 0, (I, n)
-                    assert b_value(I, n) == p(n), (I, n)
+                    assert evaluate(p, n) >= 0, (I, n)
+                    assert b_value(I, n) == evaluate(p, n), (I, n)
 
 
 def test_d_poly():
-    assert d_poly(()) == 1
-    assert d_poly((0,)) == 1
-    assert d_poly((1,)) == N * Fraction(1, 2)
-    assert d_poly((0, 1)) == N * Fraction(1, 2)
+    assert d_poly(()) == (1,)
+    assert d_poly((0,)) == (1,)
+    assert d_poly((1,)) == (0, Fraction(1, 2))
+    # n / 2 on the nodes n = 2t
+    assert d_poly((0, 1)) == (0, 1)
 
 
 def test_d_value_parity():
@@ -179,7 +182,10 @@ def test_label_zero_is_the_pad():
     sets = [I for r in range(5) for I in itertools.combinations(range(1, 11), r)
             if sum(I) <= 10]
     for I in sets:
-        assert d_poly((0,) + I) == d_poly(I), I
+        # equal as polynomials in n: at sum(I) + 1 nodes of the padded grid
+        padded, start = d_poly((0,) + I), (len(I) + 1) % 2
+        for t in range(sum(I) + 1):
+            assert evaluate(padded, t) == evaluate(d_poly(I), start + 2 * t), (I, t)
         for n in range(13):
             expected = d_value(I, n) if (n - len(I) - 1) % 2 == 0 else 0
             assert d_value((0,) + I, n) == expected, (I, n)

@@ -21,12 +21,17 @@ def _resolves(module_name, name):
     return True
 
 
-def test_make_reference_imports_resolve():
+def benchmark_imports():
+    """The (module, name) pairs the script imports from mldeg."""
     tree = ast.parse(SCRIPT.read_text(), filename=str(SCRIPT))
-    names = [(node.module, alias.name) for node in ast.walk(tree)
-             if isinstance(node, ast.ImportFrom) and node.level == 0
-             and node.module.split(".")[0] == "mldeg"
-             for alias in node.names]
+    return [(node.module, alias.name) for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level == 0
+            and node.module.split(".")[0] == "mldeg"
+            for alias in node.names]
+
+
+def test_make_reference_imports_resolve():
+    names = benchmark_imports()
     assert len(names) > 10
     missing = [f"{module}.{name}" for module, name in names if not _resolves(module, name)]
     assert not missing

@@ -62,6 +62,9 @@ def test_spans_cover_degree_layers():
     assert "degrees.delta_type_a_nrs_partial" in names.values()
     parents = {(name, names.get(parent)) for _, parent, name in result["spans"]}
     assert ("degrees.phi_sym", "poly_n.phi_poly") in parents
+    # poly_n.interpolate_s is the self time of these spans: a fit that
+    # bypasses the module-level interpolate would read 0 there.
+    assert ("poly_n.interpolate", "poly_n.phi_poly") in parents
     # lascoux.psi_complement_s is the self time of these spans.  The
     # complement is a Pfaffian over the labels of its own set, so it
     # never builds the Pfaffian of [n] minus the set through psi.
