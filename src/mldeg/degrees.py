@@ -16,8 +16,9 @@ dimension, the windows and the terms of both sums follow from it.
 A term of either sum is (weight, sets), sets being (I,) for sym and
 skew and (I, J) for square, with weight 1 in the direct sum and
 (-1)^g C(m-1, g) in the closed form; one body, _term_sum, serves all
-six partial sums.  a_value is an int, so only the sym and skew closed
-forms sum Fractions.  Only the kernels differ beyond the shape:
+six partial sums.  Every factor is an int or a Fraction over a power
+of two, so every sum adds ints over one power of two.  Only the kernels
+differ beyond the shape:
 TYPE_TABLE maps (type, role) to the partial sums and the phi function
 of each type, and delta_direct_info, delta_nrs_info and the rank loop
 behind the phi_* functions run every type through it.
@@ -108,13 +109,28 @@ def delta_sym_items(m, n, r):
 
 def _term_sum(coeff, factor, k, items):
     """Sum of weight * coeff(*sets) * factor(*sets, k) over the terms
-    (weight, sets): the body of both routes for every type."""
-    total = 0
+    (weight, sets): the body of both routes for every type.
+
+    A factor is an int or, for b_value and d_value, a Fraction over a
+    power of two.  The sum is kept as an int over the largest such power
+    met so far, so it adds ints only, and the result is one Fraction, or
+    an int when every factor was.  A factor over any other denominator
+    raises ConsistencyError.
+    """
+    total = shift = 0
     for weight, sets in items:
         c = coeff(*sets)
         if c:
-            total += weight * c * factor(*sets, k)
-    return total
+            p, q = factor(*sets, k).as_integer_ratio()
+            e = q.bit_length() - 1
+            if q != 1 << e:
+                raise ConsistencyError(
+                    f"factor at {sets}: denominator {q} is not a power of two")
+            if e > shift:
+                total <<= e - shift
+                shift = e
+            total += weight * c * p << shift - e
+    return Fraction(total, 1 << shift) if shift else total
 
 
 # One per type and route, each a module-level function that finds its
@@ -152,7 +168,12 @@ def _vandermonde(I):
 
 
 def _cauchy(I, J):
-    return math.prod(a + b + 1 for a in I for b in J)
+    product = 1
+    for a in I:
+        a += 1
+        for b in J:
+            product *= a + b
+    return product
 
 
 @functools.cache

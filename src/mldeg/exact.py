@@ -151,8 +151,10 @@ def expand_pfaffian(key, members, single, pair, pf):
     S minus {s, t}.  A sub-Pfaffian is pf(key with the bits of the
     removed labels cleared), so key may carry bits above the members
     that name the entries, and pf caches on it.  A zero entry builds no
-    sub-Pfaffian.  Sets above _EXPANSION_MAX elements eliminate the
-    matrix instead.
+    sub-Pfaffian.  Each entry is read when the expansion reaches it, so
+    single, pair and pf are best cached functions or functools.partial
+    over them, with no Python frame of their own.  Sets above
+    _EXPANSION_MAX elements eliminate the matrix instead.
     """
     size = members.bit_count()
     if size > _EXPANSION_MAX:

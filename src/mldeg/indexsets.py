@@ -1,9 +1,11 @@
 """Index sets, their bitmasks, complements, and constrained enumeration.
 
-An index set is a tuple of strictly increasing nonnegative ints, a
-plain tuple so values can be dict keys and cross process boundaries.
-Its bitmask, one bit per element, is the key every Pfaffian cache in
-the package is stored under.
+An index set is a tuple of strictly increasing nonnegative ints, so
+values can be dict keys and cross process boundaries.  A set is checked
+once: check_indexset and enumerate_indexsets return it as an IndexSet,
+a tuple subclass that check_indexset then returns as it is.  Its
+bitmask, one bit per element, is the key every Pfaffian and minor
+cache in the package is stored under.
 """
 
 from __future__ import annotations
@@ -11,16 +13,25 @@ from __future__ import annotations
 from .exact import binom
 
 
+class IndexSet(tuple):
+    """A tuple of strictly increasing nonnegative ints.  Only
+    check_indexset and enumerate_indexsets build one."""
+
+    __slots__ = ()
+
+
 def check_indexset(I):
-    """I as a tuple; ValueError unless its entries are strictly
-    increasing nonnegative ints."""
+    """I as an IndexSet; ValueError unless its entries are strictly
+    increasing nonnegative ints.  An IndexSet comes back as it is."""
+    if type(I) is IndexSet:
+        return I
     I = tuple(I)
     for k, v in enumerate(I):
         if not isinstance(v, int) or v < 0:
             raise ValueError(f"bad index entry {v!r}")
         if k and I[k - 1] >= v:
             raise ValueError(f"not strictly increasing: {I}")
-    return I
+    return IndexSet(I)
 
 
 def check_same_size(I, J, label):
@@ -36,7 +47,7 @@ def check_same_size(I, J, label):
 def mask(labels):
     """The bitmask with bit i set for each label i; the labels are taken
     as already checked."""
-    return sum(1 << i for i in labels)
+    return sum(map((1).__lshift__, labels))
 
 
 def complement(I, n):
@@ -71,28 +82,41 @@ def enumerate_indexsets(size, total, bound=None):
     """Yield every strictly increasing set with the given size and sum.
 
     Elements are < bound when bound is given.  Lexicographic order, so
-    downstream sums and emitted files are reproducible.
+    downstream sums and emitted files are reproducible.  Each element
+    runs only over the values that leave the slots after it a reachable
+    sum: at least the sum of the next consecutive values, and, below
+    bound, at most the sum of the largest values under it.  The last
+    element is what remains.  The sets come out as IndexSets.
     """
     if size < 0:
         raise ValueError(f"enumerate_indexsets: negative size {size}")
 
     def rec(prefix, remaining, lo, slots):
-        if slots == 0:
-            if remaining == 0:
-                yield prefix
+        # slots >= 2 elements from lo up, summing to remaining.  After v
+        # the other slots - 1 sum to (slots - 1) * v + C(slots, 2) at
+        # least and, below bound, to (slots - 1) * bound - C(slots, 2) at
+        # most.
+        staircase = slots * (slots - 1) // 2
+        hi = (remaining - staircase) // slots
+        if bound is not None:
+            lo = max(lo, remaining - (slots - 1) * bound + staircase)
+        if slots == 2:
+            for v in range(lo, hi + 1):
+                yield IndexSet(prefix + (v, remaining - v))
             return
-        # remaining must cover lo + (lo+1) + ... for the slots left
-        hi = bound if bound is not None else remaining + 1
-        for v in range(lo, hi):
-            tail_min = (slots - 1) * v + slots * (slots - 1) // 2
-            rest = remaining - v
-            if rest < tail_min:
-                break
-            yield from rec(prefix + (v,), rest, v + 1, slots - 1)
+        for v in range(lo, hi + 1):
+            yield from rec(prefix + (v,), remaining - v, v + 1, slots - 1)
 
     if total < 0:
         return
-    yield from rec((), total, 0, size)
+    if size == 0:
+        if total == 0:
+            yield IndexSet()
+    elif size == 1:
+        if bound is None or total < bound:
+            yield IndexSet((total,))
+    else:
+        yield from rec((), total, 0, size)
 
 
 def format_indexset(I):

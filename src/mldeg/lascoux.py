@@ -8,7 +8,10 @@ entries, and the binomial-minor change-of-basis coefficients.  The
 symmetric and off-diagonal families are Pfaffians of their pair
 values, and every complement at [n] is a minor over the sets' own
 labels, so its size does not grow with n.  The Pfaffians all run
-through exact.expand_pfaffian, each cached on its own bitmask keys.
+through exact.expand_pfaffian, each cached on its own bitmask keys,
+with entries read through functools.partial over cached functions
+whose first argument is n or k.  The square-case minors d_a are a
+Laplace expansion cached on (row, column) bitmasks in the same way.
 """
 
 from __future__ import annotations
@@ -144,12 +147,18 @@ def _complement_pf(label, pf, I, n):
 @functools.cache
 def _pf_complement(key):
     n = key.bit_length() - 1
-    return expand_pfaffian(key, key ^ 1 << n, lambda i: binom(n, i + 1),
-                           lambda i, j: _psi_pair_complement(i, j, n), _pf_complement)
+    return expand_pfaffian(key, key ^ 1 << n, functools.partial(_psi_single_complement, n),
+                           functools.partial(_psi_pair_complement, n), _pf_complement)
 
 
 @functools.cache
-def _psi_pair_complement(i, j, n):
+def _psi_single_complement(n, i):
+    """psi_complement((i,), n) = C(n, i+1) for i < n."""
+    return math.comb(n, i + 1)
+
+
+@functools.cache
+def _psi_pair_complement(n, i, j):
     """psi_complement((i, j), n) for i < j < n, in closed form.
 
     It is the hockey-stick sum over w in [j, n) of
@@ -181,7 +190,13 @@ def alpha(I):
 
 @functools.cache
 def _pf_alpha(key):
-    return expand_pfaffian(key, key, lambda i: int(i == 0), _alpha_pair, _pf_alpha)
+    return expand_pfaffian(key, key, _alpha_single, _alpha_pair, _pf_alpha)
+
+
+@functools.cache
+def _alpha_single(i):
+    """alpha((i,)): 1 for i = 0, else 0."""
+    return int(i == 0)
 
 
 @functools.cache
@@ -229,13 +244,13 @@ def alpha_complement(I, k):
 @functools.cache
 def _pf_alpha_complement(key):
     k = key.bit_length() - 1
-    return expand_pfaffian(key, key ^ 1 << k, lambda i: _alpha_single_complement(i, k),
-                           lambda i, j: _alpha_pair_complement(i, j, k),
+    return expand_pfaffian(key, key ^ 1 << k, functools.partial(_alpha_single_complement, k),
+                           functools.partial(_alpha_pair_complement, k),
                            _pf_alpha_complement)
 
 
 @functools.cache
-def _alpha_single_complement(i, k):
+def _alpha_single_complement(k, i):
     """alpha_complement((i,), k): k mod 2 for i = 0, and otherwise the
     sum of C(w, i-1) over w < k-1 with w = k mod 2."""
     if i == 0:
@@ -245,7 +260,7 @@ def _alpha_single_complement(i, k):
 
 
 @functools.cache
-def _alpha_pair_complement(i, j, k):
+def _alpha_pair_complement(k, i, j):
     """alpha_complement((i, j), k) for i < j < k, in one pass over w < k.
 
     A pair (0, j) has the singleton value of j for even k and 0 for odd
@@ -255,7 +270,7 @@ def _alpha_pair_complement(i, j, k):
     label 0, s the singleton values at k.
     """
     if i == 0:
-        return 0 if k % 2 else _alpha_single_complement(j, k)
+        return 0 if k % 2 else _alpha_single_complement(k, j)
     comb = math.comb
     total = even_i = even_j = 0
     for w in range(i - 1, 2 * ((k - 1) // 2)):
@@ -265,8 +280,8 @@ def _alpha_pair_complement(i, j, k):
             even_i += comb(w, i - 1)
             even_j += comb(w, j - 1)
     if k % 2 == 0:
-        total += (comb(k - 1, i) * _alpha_single_complement(j, k)
-                  - comb(k - 1, j) * _alpha_single_complement(i, k))
+        total += (comb(k - 1, i) * _alpha_single_complement(k, j)
+                  - comb(k - 1, j) * _alpha_single_complement(k, i))
     return total
 
 
@@ -281,15 +296,53 @@ def d_a(I, J):
     J = check_indexset(J)
     if len(I) > len(J):
         I, J = J, I
-    return _d_a(I, J)
-
-
-@functools.cache
-def _d_a(I, J):
     t = len(J) - len(I)
-    if J[:t] != tuple(range(t)):
+    segment = (1 << t) - 1
+    cols = mask(J)
+    if cols & segment != segment:
         return 0
-    return det([[binom(i + j, i) for j in J[t:]] for i in I])
+    if len(I) > _LAPLACE_MAX:
+        return det([[math.comb(i + j, i) for j in J[t:]] for i in I])
+    return _d_a_laplace(mask(I), cols ^ segment)
+
+
+# The Laplace expansion of a minor with s rows visits up to 2**s
+# sub-minors, and _d_a keeps those of every pair of sets a sweep meets.
+# Above this size they cost more memory than they save time, and d_a
+# eliminates the matrix instead.
+_LAPLACE_MAX = 4
+
+
+def _d_a_laplace(rows, cols):
+    """det of C(i+j, i) for i and j on the set bits of rows and cols,
+    which have as many bits each.
+
+    Laplace along the highest row i: the sum over the columns j, in
+    ascending order, of (-1)^(position of i + position of j)
+    C(i+j, i) times the minor without that row and column.  Those
+    minors are _d_a, this body cached on their (rows, cols) bitmasks,
+    so every pair of sets of a sweep shares the minors of the rows
+    below.  d_a calls the body uncached, as a pair of sets of a sweep
+    seldom comes twice.
+    """
+    if not rows:
+        return 1
+    top = rows.bit_length() - 1
+    rows ^= 1 << top
+    comb = math.comb
+    result = 0
+    negate = rows.bit_count() % 2 == 1
+    rest = cols
+    while rest:
+        bit = rest & -rest
+        rest ^= bit
+        term = comb(top + bit.bit_length() - 1, top) * _d_a(rows, cols ^ bit)
+        result = result - term if negate else result + term
+        negate = not negate
+    return result
+
+
+_d_a = functools.cache(_d_a_laplace)
 
 
 def d_a_recursion(I, J):

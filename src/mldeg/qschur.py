@@ -49,8 +49,14 @@ def _onerow_ints(a, n):
 
 
 @functools.cache
-def _tworow_at(a, b, n):
-    """2^(a+b) times the two-row value at integer n."""
+def _onerow_at(n, a):
+    """G_a at n: 2^a times the one-row value."""
+    return _onerow_ints(a, n)[a]
+
+
+@functools.cache
+def _tworow_at(n, b, a):
+    """2^(a+b) times the two-row value (a, b), b < a, at integer n."""
     g = _onerow_ints(a + b, n)
     acc = g[a] * g[b]
     for k in range(1, b + 1):
@@ -60,15 +66,15 @@ def _tworow_at(a, b, n):
 
 
 @functools.cache
-def _pf_q_at(key, n):
+def _pf_q_at(n, key):
     """Schur's Pfaffian with scalar values at n; the sweep workhorse.
 
     Returns 2^(sum of the labels) times the value, an int.  Cached on
-    the bitmask of the labels, so sub-Pfaffians are shared across all index
-    sets of a sweep.
+    n and the bitmask of the labels, so sub-Pfaffians are shared across
+    all index sets of a sweep.
     """
-    return expand_pfaffian(key, key, lambda a: _onerow_ints(a, n)[a],
-                           lambda a, b: _tworow_at(b, a, n), lambda k: _pf_q_at(k, n))
+    return expand_pfaffian(key, key, functools.partial(_onerow_at, n),
+                           functools.partial(_tworow_at, n), functools.partial(_pf_q_at, n))
 
 
 def b_value(I, n):
@@ -76,7 +82,7 @@ def b_value(I, n):
     labels are i + 1 for i in I, of weight sum(I) + #I, which is also
     the degree in n (poly_n.b_poly)."""
     I = check_indexset(I)
-    return Fraction(_pf_q_at(mask(i + 1 for i in I), n), 1 << (sum(I) + len(I)))
+    return Fraction(_pf_q_at(n, mask(I) << 1), 1 << (sum(I) + len(I)))
 
 
 def d_value(I, n):
@@ -95,4 +101,4 @@ def d_value(I, n):
     I = check_indexset(I)
     if I and I[0] == 0 and (n - len(I)) % 2:
         return Fraction(0)
-    return Fraction(_pf_q_at(mask(I), n), 1 << (sum(I) + len(I) - (0 in I)))
+    return Fraction(_pf_q_at(n, mask(I)), 1 << (sum(I) + len(I) - (0 in I)))

@@ -108,7 +108,7 @@ def test_b_identity_reads_the_point_route(monkeypatch):
     try:
         with monkeypatch.context() as patch:
             patch.setattr(qschur, "_pf_q_at",
-                          lambda key, n: point(key, n) + (key == bad_mask))
+                          lambda n, key: point(n, key) + (key == bad_mask))
             try:
                 detail = checks.b_identity_line((0, 2, 3))
             except ConsistencyError as exc:

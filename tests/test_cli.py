@@ -311,6 +311,29 @@ def test_delta_non_integer_closed_form_exits_3(capsys, monkeypatch):
     assert "not an integer" in err
 
 
+@pytest.mark.parametrize("kind, name, m, n, r", [("sym", "b_value", 6, 4, 2),
+                                                  ("d", "d_value", 14, 4, 2)])
+def test_closed_form_term_off_by_a_power_of_two_exits_3(capsys, monkeypatch,
+                                                        kind, name, m, n, r):
+    # One term of the int accumulator gains 2^-(k+1), k the argument of
+    # its factor, and the one division of the total leaves a remainder.
+    factor = getattr(degrees, name)
+    shifted = []
+
+    def one_term_off(I, k):
+        value = factor(I, k)
+        if not shifted:
+            shifted.append(I)
+            value += Fraction(1, 2 ** (k + 1))
+        return value
+
+    monkeypatch.setattr(degrees, name, one_term_off)
+    code, out, err = run_main(capsys, "delta", "--type", kind, "-m", str(m), "-n", str(n),
+                              "-r", str(r), "--path", "nrs")
+    assert shifted and code == 3 and not out
+    assert "not an integer" in err
+
+
 def test_phi_examples(capsys):
     code, out, _ = run_main(capsys, "phi", "--type", "sym", "-n", "3", "-d", "3")
     assert code == 0 and json.loads(out)["result"] == 4
@@ -437,6 +460,48 @@ def test_bad_arguments_raise_value_error_under_optimize():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["ValueError"] * 7
+
+
+_EXIT_CODES = """
+import contextlib, io
+from fractions import Fraction
+from mldeg import checks, cli, degrees, lascoux
+from mldeg.indexsets import check_indexset
+
+def exit_code(*argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return cli.main(list(argv))
+
+codes = [exit_code("psi", "--set", "{0,3}"),
+         exit_code("delta", "--type", "a", "-m", "9", "-n", "4", "-r", "2", "--path", "both")]
+codes += [exit_code("psi", "--set", text) for text in ("{3,1}", "{-1}", "{0.5}")]
+d_a = lascoux.d_a
+checks.ROUTES[("d", "pascal")] = lambda I, J: d_a(I, J) + 1
+codes.append(exit_code("check", "da-paths", "--nmax", "3"))
+b_value = degrees.b_value
+degrees.b_value = lambda I, n: b_value(I, n) + Fraction(1, 2 ** (n + 1))
+codes.append(exit_code("delta", "--type", "sym", "-m", "6", "-n", "4", "-r", "2",
+                       "--path", "nrs"))
+print(*codes)
+for bad in ((3, 1), (-1,), (0.5,)):
+    for fn in (check_indexset, lascoux.psi):
+        try:
+            fn(bad)
+        except ValueError as exc:
+            print(exc)
+"""
+
+
+def test_exit_codes_and_set_checks_hold_under_optimize():
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _EXIT_CODES],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "0 0 2 2 2 1 3"
+    texts = ["not strictly increasing: (3, 1)", "bad index entry -1", "bad index entry 0.5"]
+    assert lines[1:] == [text for text in texts for _ in range(2)]
 
 
 def _option(flag, values):

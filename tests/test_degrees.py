@@ -3,10 +3,12 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mldeg import degrees, pool
 from mldeg.cli import _D_CAP, _N_CAP
-from mldeg.exact import binom
+from mldeg.exact import ConsistencyError, binom
 from mldeg.degrees import (
     a_value,
     ambient_dim,
@@ -369,6 +371,29 @@ def test_partial_sums_are_one_weighted_body(monkeypatch, role):
     monkeypatch.setattr(degrees, coeff_name, coeff_with_zero)
     monkeypatch.setattr(degrees, factor_name, factor_off_zero)
     assert degrees.TYPE_TABLE[role](n, items) == expected != 0
+
+
+_BIG = st.integers(-10 ** 30, 10 ** 30)
+_DYADIC = st.one_of(_BIG, st.builds(lambda p, e: Fraction(p, 1 << e), _BIG, st.integers(0, 90)))
+
+
+@given(st.lists(st.tuples(st.integers(-10 ** 6, 10 ** 6), _DYADIC), max_size=40))
+@settings(max_examples=150, deadline=None)
+def test_term_sum_adds_dyadic_terms_exactly(terms):
+    # The accumulator keeps ints over one power of two; the reference
+    # adds the same terms as Fractions.
+    items = [(weight, (value,)) for weight, value in terms]
+    total = degrees._term_sum(lambda value: 1, lambda value, k: value, 0, items)
+    expected = sum((weight * Fraction(value) for weight, value in terms), Fraction(0))
+    assert total == expected
+    assert type(total) is int or total.denominator > 1 or any(
+        Fraction(value).denominator > 1 for _, value in terms)
+
+
+def test_term_sum_rejects_other_denominators():
+    with pytest.raises(ConsistencyError, match="not a power of two"):
+        degrees._term_sum(lambda value: 1, lambda value, k: value, 0,
+                          [(1, (Fraction(1, 2),)), (1, (Fraction(1, 3),))])
 
 
 @pytest.mark.parametrize("m, n, r", [(4, 3, 1), (6, 4, 2), (9, 5, 2), (12, 6, 3)])

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 from fractions import Fraction
@@ -126,7 +127,9 @@ def test_pfaffian_matches_matching_sum():
 def test_expand_pfaffian_matches_elimination(seed):
     # Random int entries, a third of them zero, on 12 labels.  Odd seeds
     # key the sub-Pfaffians with bit 12 set above the members, as the
-    # complement caches do.
+    # complement caches do.  The entries and the sub-Pfaffians are
+    # partials over cached functions whose first argument is the seed,
+    # as the library passes them.
     rng = random.Random(seed)
 
     def entry():
@@ -134,15 +137,21 @@ def test_expand_pfaffian_matches_elimination(seed):
 
     singles = {i: entry() for i in range(12)}
     pairs = {ij: entry() for ij in itertools.combinations(range(12), 2)}
-    single, pair = singles.__getitem__, lambda i, j: pairs[i, j]
     high = (seed % 2) << 12
-    cache = {}
 
-    def pf(key):
-        if key not in cache:
-            cache[key] = expand_pfaffian(key, key & 0xFFF, single, pair, pf)
-        return cache[key]
+    @functools.cache
+    def single_at(s, i):
+        return singles[i]
 
+    @functools.cache
+    def pair_at(s, i, j):
+        return pairs[i, j]
+
+    @functools.cache
+    def pf_at(s, key):
+        return expand_pfaffian(key, key & 0xFFF, single, pair, pf)
+
+    single, pair, pf = (functools.partial(f, seed) for f in (single_at, pair_at, pf_at))
     assert pf(high) == 1
     for size in range(1, 11):
         for S in rng.sample(list(itertools.combinations(range(12), size)), 12):

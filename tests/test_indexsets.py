@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mldeg.indexsets import (
+    IndexSet,
     check_indexset,
     complement,
     enumerate_indexsets,
@@ -15,6 +16,7 @@ from mldeg.indexsets import (
     mask,
     partition_weight,
 )
+from mldeg.lascoux import psi
 from references import index_of, lambda_of
 
 
@@ -90,17 +92,51 @@ def test_enumerate_examples():
     assert list(enumerate_indexsets(3, 2)) == []
 
 
+def _combinations_by_sum(universe, size, top):
+    """itertools.combinations of range(universe), kept in their order,
+    grouped by sum for the sums up to top."""
+    by_sum = {}
+    for I in itertools.combinations(range(universe), size):
+        if sum(I) <= top:
+            by_sum.setdefault(sum(I), []).append(I)
+    return by_sum
+
+
+def test_checked_sets_are_checked_once():
+    I = check_indexset([0, 2])
+    assert type(I) is IndexSet and I == (0, 2)
+    assert check_indexset(I) is I
+    for J in enumerate_indexsets(3, 7, 6):
+        assert check_indexset(J) is J
+    # Input that is not an IndexSet gets the full check and its texts.
+    for bad, text in (((3, 1), "not strictly increasing: (3, 1)"),
+                      ([0, 2, 2], "not strictly increasing: (0, 2, 2)"),
+                      ((-1,), "bad index entry -1"),
+                      ((0, 0.5), "bad index entry 0.5"),
+                      (("1",), "bad index entry '1'")):
+        with pytest.raises(ValueError) as info:
+            check_indexset(bad)
+        assert str(info.value) == text
+        # The public functions check the same way.
+        with pytest.raises(ValueError) as info:
+            psi(bad)
+        assert str(info.value) == text
+
+
 def test_enumerate_is_lexicographic_and_complete():
-    for size in range(4):
-        for total in range(12):
-            got = list(enumerate_indexsets(size, total, 9))
-            brute = [
-                I
-                for I in itertools.combinations(range(9), size)
-                if sum(I) == total
-            ]
-            assert got == sorted(brute)
-            assert got == brute  # combinations is already lex
+    # The reference is the plain filter, in the order of combinations,
+    # which is lexicographic.
+    # Without a bound, a set of size s summing to at most 40 has its
+    # elements below 41 - C(s-1, 2).
+    top = 40
+    for size in range(8):
+        for bound in [None, *range(14)]:
+            universe = bound if bound is not None else top + 1 - (size - 1) * (size - 2) // 2
+            by_sum = _combinations_by_sum(universe, size, top)
+            for total in range(-1, top + 1):
+                got = list(enumerate_indexsets(size, total, bound))
+                assert got == by_sum.get(total, []), (size, total, bound)
+                assert all(type(I) is IndexSet for I in got)
 
 
 def _count_partitions(total, max_parts, part_bound=None):

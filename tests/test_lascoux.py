@@ -115,7 +115,7 @@ def test_psi_pair_complement_from_square_pair_entries():
     pairs += [(i, j, n) for n in (97, 200, 400) for i in range(0, n - 1, 7)
               for j in sorted({i + 1, (i + n) // 2, n - 1})]
     for i, j, n in pairs:
-        assert lascoux._psi_pair_complement(i, j, n) == hockey_stick(i, j, n), (i, j, n)
+        assert lascoux._psi_pair_complement(n, i, j) == hockey_stick(i, j, n), (i, j, n)
 
 
 def _pair_matrix_of_range(n):
@@ -405,6 +405,55 @@ def test_d_a_values():
     assert d_a((1,), (0, 2)) == 3
     assert d_a((1, 3), (1, 2)) == 8
     assert d_a((), ()) == 1
+
+
+def _binomial_det(I, J):
+    """det of the literal matrix [C(i+j, i)] over I x J."""
+    return det([[math.comb(i + j, i) for j in J] for i in I])
+
+
+def test_d_a_is_the_binomial_determinant():
+    subsets = {r: list(itertools.combinations(range(8), r)) for r in range(6)}
+    lascoux._d_a.cache_clear()
+    for r in range(5):
+        for I in subsets[r]:
+            for J in subsets[r]:
+                assert d_a(I, J) == _binomial_det(I, J), (I, J)
+    # Sizes that differ by t: the segment rule, 0 unless the larger set
+    # starts with [t], and then the determinant with [t] dropped.
+    for r in range(4):
+        for t in (1, 2):
+            for I in subsets[r]:
+                for J in subsets[r + t]:
+                    expected = _binomial_det(I, J[t:]) if J[:t] == tuple(range(t)) else 0
+                    assert d_a(I, J) == d_a(J, I) == expected, (I, J)
+
+
+def test_d_a_past_the_laplace_size_eliminates():
+    # Above _LAPLACE_MAX rows the minor is the determinant of the matrix,
+    # and no sub-minor is cached.
+    size = lascoux._LAPLACE_MAX + 1
+    I, J = tuple(range(0, 2 * size, 2)), tuple(range(1, 3 * size, 3))
+    lascoux._d_a.cache_clear()
+    assert d_a(I, J) == _binomial_det(I, J)
+    assert lascoux._d_a.cache_info().currsize == 0
+    assert d_a(I, (0,) + J) == d_a((0,) + J, I) == _binomial_det(I, J)
+    assert lascoux._d_a.cache_info().currsize == 0
+    assert d_a(I[1:], J[1:]) == _binomial_det(I[1:], J[1:])
+    assert lascoux._d_a.cache_info().currsize > 0
+
+
+def test_a_wide_pair_computes_one_entry():
+    # The expansion reads the entries of the highest row one at a time,
+    # so a set {0, t} computes the single pair entry (0, t), not the
+    # row below t.
+    for pf, entry, value in ((lascoux._pf, psi_pair, psi), (lascoux._pf_alpha,
+                                                            lascoux._alpha_pair, alpha)):
+        pf.cache_clear()
+        entry.cache_clear()
+        value((0, 20000))
+        info = entry.cache_info()
+        assert (info.misses, info.currsize) == (1, 1), entry
 
 
 def test_d_a_symmetry_and_unequal_oracle():
