@@ -46,6 +46,9 @@ _SET_CAP = 20
 _ELEMENT_CAP = 400
 _WEIGHT_CAP = 20
 _ORACLE_CAP = 6
+# check: --nmax and --sum-max, the largest default any suite reads; the
+# suite builders list every task before the first one runs.
+_CHECK_CAP = 8
 # The value routes psi --path can pick, in the order checks.ROUTES
 # first names them; the complement has its own option.
 _PSI_PATHS = tuple(dict.fromkeys(path for _, path in checks.ROUTES if path != "complement"))
@@ -78,11 +81,12 @@ def parse_set(text):
 
 def build_parser():
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="fork N workers for work left after a short serial "
-                             "start; output does not depend on N")
     common.add_argument("--unsafe-range", action="store_true",
                         help="lift the default size caps")
+    pooled = argparse.ArgumentParser(add_help=False, parents=[common])
+    pooled.add_argument("--jobs", type=int, default=1, metavar="N",
+                        help="fork N workers for work left after a short serial "
+                             "start; output does not depend on N")
 
     parser = argparse.ArgumentParser(
         prog="mldeg",
@@ -102,7 +106,7 @@ def build_parser():
                    help="evaluate the complement of the set inside {0..N-1}")
     p.add_argument("--path", default=None, choices=_PSI_PATHS)
 
-    p = sub.add_parser("delta", parents=[common],
+    p = sub.add_parser("delta", parents=[pooled],
                        help="algebraic degree of one rank locus")
     p.add_argument("--type", dest="matrix_type", default="sym")
     p.add_argument("-m", type=int, required=True)
@@ -120,7 +124,7 @@ def build_parser():
     p.add_argument("--table", type=int, default=None, metavar="DMAX",
                    help="CSV of coefficient rows for d = 1..DMAX")
 
-    p = sub.add_parser("check", parents=[common],
+    p = sub.add_parser("check", parents=[pooled],
                        help="run a named invariant suite")
     p.add_argument("suite", choices=checks.suite_names())
     p.add_argument("--nmax", type=int, default=None)
@@ -143,6 +147,11 @@ def _require_cap(args, label, value, cap=_D_CAP, kind=None):
     _require(args.unsafe_range or value <= cap,
              f"{label}={value} is past the default cap{where} "
              f"(pass --unsafe-range to lift)")
+
+
+def _jobs(args):
+    _require(args.jobs >= 1, "--jobs needs N >= 1")
+    return args.jobs
 
 
 def cmd_psi(args):
@@ -186,6 +195,7 @@ def cmd_delta(args):
         kind = canonical_type(args.matrix_type)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
+    jobs = _jobs(args)
     m, n, r = args.m, args.n, args.r
     _require(n >= 1, "need n >= 1")
     _require(0 <= r <= n, "need 0 <= r <= n")
@@ -201,10 +211,10 @@ def cmd_delta(args):
     paths = {}
     values = {}
     if path in ("direct", "both"):
-        values["direct"], terms = delta_direct_info(kind, m, n, r, args.jobs)
+        values["direct"], terms = delta_direct_info(kind, m, n, r, jobs)
         paths["direct"] = {"terms": terms, "value": values["direct"]}
     if path in ("nrs", "both"):
-        values["nrs"], terms = delta_nrs_info(kind, m, n, r, args.jobs)
+        values["nrs"], terms = delta_nrs_info(kind, m, n, r, jobs)
         paths["nrs"] = {"terms": terms, "value": values["nrs"]}
 
     payload = {"paths": paths, "query": query}
@@ -263,10 +273,13 @@ def cmd_phi(args):
 
 
 def cmd_check(args):
+    jobs = _jobs(args)
     for flag, value in (("--nmax", args.nmax), ("--sum-max", args.sum_max)):
-        _require(value is None or value >= 0, f"{flag} needs a nonnegative value")
+        if value is not None:
+            _require(value >= 0, f"{flag} needs a nonnegative value")
+            _require_cap(args, flag, value, _CHECK_CAP)
     results, failures = checks.run_suite(
-        args.suite, nmax=args.nmax, sum_max=args.sum_max, jobs=args.jobs
+        args.suite, nmax=args.nmax, sum_max=args.sum_max, jobs=jobs
     )
     payload = {
         "failures": [{"detail": f["detail"], "task": f["task"]} for f in failures],
@@ -286,7 +299,6 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     started = time.monotonic()
     try:
-        _require(args.jobs >= 1, "--jobs needs N >= 1")
         payload, code = _DISPATCH[args.command](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -11,125 +11,95 @@ r variables and delta = (r-1, ..., 1, 0),
 
 and lambda + delta is the index set I itself, largest entry first.
 Only the w with w(delta) <= I in every place contribute.  With one
-alphabet the monomials come from a product of geometric series, grown
-one degree at a time and checked for symmetry level by level.  With two
-alphabets they have a closed form, so no series is built.  Slow but
-independent of every fast path it is used to check.
+alphabet the monomials come from the product of 1/(1 - x_i - x_j) over
+the index pairs i <= j (psi) or i < j (alpha), grown one degree at a
+time and checked for symmetry level by level.  With two alphabets they
+have a closed form, so no series is built.  Slow but independent of
+every fast path it is used to check.
 """
 
 from __future__ import annotations
 
 import functools
-import math
+import itertools
+import operator
 from collections import defaultdict
 
 from .exact import ConsistencyError, binom
 from .indexsets import check_indexset, partition_weight
 
 
-def unit_form(i, nvars):
-    """Coefficient vector of the variable x_i."""
-    return tuple(1 if k == i else 0 for k in range(nvars))
-
-
-def _add_form(target, poly, form):
-    """target += poly * (linear form), monomial dicts."""
+def _add_form(target, poly, i, j):
+    """target += poly * (x_i + x_j) on monomial dicts; i == j gives 2 x_i."""
     for mono, c in poly.items():
-        for var, fc in enumerate(form):
-            if fc:
-                key = mono[:var] + (mono[var] + 1,) + mono[var + 1:]
-                target[key] += c * fc
-
-
-def orbit_size(dominant):
-    """Number of distinct permutations of an exponent vector."""
-    counts = defaultdict(int)
-    for v in dominant:
-        counts[v] += 1
-    size = math.factorial(len(dominant))
-    for c in counts.values():
-        size //= math.factorial(c)
-    return size
+        for var in (i, j):
+            target[mono[:var] + (mono[var] + 1,) + mono[var + 1:]] += c
 
 
 def check_symmetric(poly):
     """Raise ConsistencyError unless a monomial dict is symmetric.
 
-    Every orbit of exponent vectors must be present in full, with one
-    coefficient throughout.
+    Swapping two adjacent exponents of a present monomial must find the
+    same coefficient; those swaps generate every permutation.
     """
-    orbits = defaultdict(dict)
-    for mono, c in poly.items():
-        if c:
-            orbits[tuple(sorted(mono, reverse=True))][mono] = c
-    for dom, members in orbits.items():
-        if len(set(members.values())) != 1 or len(members) != orbit_size(dom):
-            raise ConsistencyError(f"monomial dict is not symmetric at orbit {dom}")
+    present = {mono: c for mono, c in poly.items() if c}
+    r = len(next(iter(present), ()))
+    for p in range(r - 1):
+        swap = operator.itemgetter(*range(p), p + 1, p, *range(p + 2, r))
+        for mono, c in present.items():
+            if present.get(swap(mono)) != c:
+                raise ConsistencyError(f"monomial dict is not symmetric at {mono}")
 
 
 def alternant_terms(I):
     """(sgn(w), I - w(delta)) for every w with w(delta) <= I in each place.
 
-    Backtracking over the value w(delta) takes at place p (entries in
-    ascending order, so the identity puts p there): a value above I[p]
-    is never tried, and a set of small weight visits few permutations.
+    The places are filled in ascending order (the identity puts p at
+    place p), each with a still-free value no larger than I[p], smallest
+    first; taking the k-th smallest free value, from 0, adds k
+    inversions.  A set of small weight visits few permutations.
     """
-    r = len(I)
-    used = [False] * r
-    exps = [0] * r
     terms = []
 
-    def place(p, sign):
-        if p == r:
-            terms.append((sign, tuple(exps)))
+    def place(p, free, sign, exps):
+        if p == len(I):
+            terms.append((sign, exps))
             return
-        larger = 0
-        for v in range(r - 1, -1, -1):
-            if used[v]:
-                larger += 1
-            elif v <= I[p]:
-                used[v] = True
-                exps[p] = I[p] - v
-                place(p + 1, -sign if larger % 2 else sign)
-                used[v] = False
+        for k, v in enumerate(free):
+            if v > I[p]:
+                break
+            place(p + 1, free[:k] + free[k + 1:], -sign if k % 2 else sign,
+                  exps + (I[p] - v,))
 
-    place(0, 1)
+    place(0, tuple(range(len(I))), 1, ())
     return terms
-
-
-def _pair_forms(nvars, include_diagonal):
-    forms = []
-    for i in range(nvars):
-        for j in range(i if include_diagonal else i + 1, nvars):
-            fi = unit_form(i, nvars)
-            fj = unit_form(j, nvars)
-            forms.append(tuple(a + b for a, b in zip(fi, fj)))
-    return forms
 
 
 @functools.cache
 def _series_state(family, nvars):
-    """(pair forms, top level of each partial product, finished levels)
-    of the series of family in nvars variables; _series_level grows the
-    two lists in place."""
-    forms = _pair_forms(nvars, include_diagonal=(family == "psi"))
+    """(index pairs (i, j) of the forms x_i + x_j, top level of each
+    partial product, finished levels) of the series of family in nvars
+    variables; _series_level grows the two lists in place."""
+    choose = (itertools.combinations_with_replacement if family == "psi"
+              else itertools.combinations)
+    pairs = list(choose(range(nvars), 2))
     one = {(0,) * nvars: 1}
-    return forms, [one] * len(forms), [one]
+    return pairs, [one] * len(pairs), [one]
 
 
 def _series_level(family, nvars, degree):
-    """Degree piece of prod 1/(1 - f) over the pair forms f, memoized.
+    """Degree piece of prod 1/(1 - x_i - x_j) over the pairs, memoized.
 
     With S_k the product over the first k forms, S_k[a] = S_{k-1}[a] +
     f_k S_k[a-1], so one more level needs only the top level of each
     partial product.  Each finished level is checked for symmetry once.
     """
-    forms, tops, levels = _series_state(family, nvars)
+    pairs, tops, levels = _series_state(family, nvars)
     while len(levels) <= degree:
         below = {}
-        for k, form in enumerate(forms):
+        for k, (i, j) in enumerate(pairs):
             level = defaultdict(int, below)
-            _add_form(level, tops[k], form)
+            _add_form(level, tops[k], i, j)
             tops[k] = below = level
         level = {mono: c for mono, c in below.items() if c}
         check_symmetric(level)

@@ -225,7 +225,7 @@ def test_usage_errors(capsys):
         ("phi", "-n", "3"),
         ("phi", "--poly", "-d", "13"),
         ("phi", "--table", "0"),
-        ("psi", "--set", "{0}", "--jobs", "0"),
+        ("check", "worked", "--jobs", "0"),
         ("delta", "-m", "2", "-n", "3", "-r", "2", "--jobs", "-1"),
         ("check", "duality", "--nmax", "-3"),
         ("check", "leading", "--sum-max", "-1"),
@@ -390,6 +390,40 @@ def test_check_respects_caps(capsys):
     assert json.loads(out)["tasks"] == 3
 
 
+def test_check_caps_refuse_before_any_task(capsys, monkeypatch):
+    # the suite builders list every task up front, so a cap past the
+    # largest default is refused before a suite is built
+    def refuse(*args, **kwargs):
+        raise AssertionError("a suite was built past its cap")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(checks, "run_suite", refuse)
+        for argv in (("check", "da-paths", "--nmax", "9"),
+                     ("check", "leading", "--sum-max", "9"),
+                     ("check", "all", "--nmax", "8", "--sum-max", "100")):
+            code, out, err = run_main(capsys, *argv)
+            assert code == 2 and not out, argv
+            errors = err.splitlines()
+            assert len(errors) == 1 and errors[0].startswith("error: "), errors
+            assert "--unsafe-range" in errors[0]
+    code, out, _ = run_main(capsys, "check", "psi-paths", "--nmax", "9", "--unsafe-range")
+    assert code == 0
+    assert json.loads(out) == {"failures": [], "ok": True, "suite": "psi-paths", "tasks": 175}
+
+
+def test_jobs_only_where_it_acts(capsys):
+    for argv in (("phi", "-n", "3", "-d", "2", "--jobs", "2"),
+                 ("psi", "--set", "{0}", "--jobs", "1")):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2, argv
+        assert not capsys.readouterr().out
+    parser = build_parser()
+    for argv in (("psi", "--set", "{0}"), ("delta", "-m", "1", "-n", "2", "-r", "1"),
+                 ("phi", "-n", "3", "-d", "2"), ("check", "worked")):
+        assert parser.parse_args([*argv, "--unsafe-range"]).unsafe_range, argv
+
+
 _BROKEN_DIVISION = """
 import sys
 from fractions import Fraction
@@ -551,7 +585,8 @@ def _argv(draw):
     else:
         argv += [draw(st.sampled_from(["worked", "conics", "duality", "pataki"]))]
         argv += ["--nmax", str(draw(st.integers(-2, 3)))]
-    argv += draw(_option("--jobs", st.integers(-1, 2).map(str)))
+    if command in ("delta", "check"):
+        argv += draw(_option("--jobs", st.integers(-1, 2).map(str)))
     if unsafe:
         argv.append("--unsafe-range")
     return argv

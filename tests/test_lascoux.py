@@ -542,11 +542,11 @@ def test_d_a_complement_builds_no_complement_sets(monkeypatch):
 
 def test_completeness_of_expansion():
     # the fast values must reassemble the full homogeneous sums
-    from mldeg.schur_oracle import _pair_forms
-
     for family, fast in (("psi", psi), ("alpha", alpha)):
         for r in (1, 2, 3):
-            forms = _pair_forms(r, include_diagonal=(family == "psi"))
+            # x_i + x_j for i <= j (psi) or i < j (alpha), as coefficient vectors
+            forms = [tuple(int(k == i) + int(k == j) for k in range(r))
+                     for i in range(r) for j in range(i if family == "psi" else i + 1, r)]
             levels = hom_full(forms, 6, r)
             for d in range(7):
                 assembled = defaultdict(int)

@@ -1,7 +1,8 @@
-import functools
+import ast
 import itertools
 import random
 from collections import defaultdict
+from pathlib import Path
 
 import pytest
 
@@ -9,16 +10,31 @@ from mldeg.exact import ConsistencyError
 from mldeg.indexsets import enumerate_indexsets
 from mldeg.lascoux import alpha, d_a, psi
 from mldeg.schur_oracle import (
-    _add_form,
     alpha_oracle,
     alternant_terms,
     check_symmetric,
     cross_coefficient,
     d_oracle,
     psi_oracle,
-    unit_form,
 )
 from references import index_of, lambda_of, schur_full, sij_row_oracle
+
+ORACLE = Path(__file__).resolve().parents[1] / "src" / "mldeg" / "schur_oracle.py"
+
+
+def unit_form(i, nvars):
+    """Coefficient vector of the variable x_i."""
+    return tuple(1 if k == i else 0 for k in range(nvars))
+
+
+def _add_form(target, poly, form):
+    """target += poly * (linear form), monomial dicts; a form is the
+    coefficient vector of any linear form, not only a pair of variables."""
+    for mono, c in poly.items():
+        for var, fc in enumerate(form):
+            if fc:
+                key = mono[:var] + (mono[var] + 1,) + mono[var + 1:]
+                target[key] += c * fc
 
 
 def hom_full(forms, degree, nvars):
@@ -71,6 +87,11 @@ def test_check_symmetric_rejects_asymmetric():
     with pytest.raises(ConsistencyError):
         check_symmetric({(2, 0): 1, (0, 2): 2, (1, 1): 1})
     check_symmetric({(2, 0): 7, (1, 1): 10, (0, 2): 7})
+    # x^2 y + x y^2 + y^2 z + y z^2 + x^2 z misses x z^2 from its orbit
+    partial = {(2, 1, 0): 1, (1, 2, 0): 1, (0, 2, 1): 1, (0, 1, 2): 1, (2, 0, 1): 1}
+    with pytest.raises(ConsistencyError):
+        check_symmetric(partial)
+    check_symmetric({**partial, (1, 0, 2): 1})
 
 
 def test_schur_roundtrip_random():
@@ -93,6 +114,20 @@ def test_alternant_terms_prune_to_contributing_permutations():
     assert sorted(alternant_terms((1, 2))) == [(-1, (0, 2)), (1, (1, 1))]
     big = alternant_terms((5, 6, 7, 8))
     assert len(big) == 24 and sum(sign for sign, _ in big) == 0
+
+
+def test_alternant_terms_match_brute_force():
+    # every permutation w of delta, signed by its inversions, kept where
+    # I - w(delta) stays nonnegative in every place
+    for r in range(7):
+        for I in itertools.combinations(range(9), r):
+            brute = []
+            for w in itertools.permutations(range(r)):
+                inversions = sum(a > b for a, b in itertools.combinations(w, 2))
+                exps = tuple(i - v for i, v in zip(I, w))
+                if min(exps, default=0) >= 0:
+                    brute.append(((-1) ** inversions, exps))
+            assert sorted(alternant_terms(I)) == sorted(brute), I
 
 
 def test_psi_oracle_values():
@@ -257,9 +292,42 @@ def test_one_alphabet_levels_are_checked(monkeypatch):
     # a broken series level must surface, not be read from
     from mldeg import schur_oracle
 
+    one = {(0, 0): 1}
+    # the forms 2 x_1 and x_0 + x_1: degree one is x_0 + 3 x_1
     monkeypatch.setattr(schur_oracle, "_series_state",
-                        functools.cache(schur_oracle._series_state.__wrapped__))
-    monkeypatch.setattr(schur_oracle, "_pair_forms",
-                        lambda nvars, include_diagonal: [(1, 0), (1, 1)])
+                        lambda family, nvars: ([(1, 1), (0, 1)], [one, one], [one]))
     with pytest.raises(ConsistencyError):
         psi_oracle((1, 2))
+
+
+def _mldeg_imports(source):
+    """The mldeg modules a module's source imports, as dotted names;
+    a relative import is inside mldeg."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module if node.level == 0 else ".".join(
+                filter(None, ("mldeg", node.module)))
+            names = ([f"{base}.{alias.name}" for alias in node.names]
+                     if base == "mldeg" else [base])
+        else:
+            continue
+        found.update(name for name in names if name.split(".")[0] == "mldeg")
+    return found
+
+
+def test_import_scan_sees_every_form():
+    source = ("import math\nimport mldeg.degrees\nfrom . import lascoux\n"
+              "from .checks import ROUTES\nfrom mldeg import qschur\n"
+              "from mldeg.poly_n import combine\n")
+    assert _mldeg_imports(source) == {"mldeg.degrees", "mldeg.lascoux", "mldeg.checks",
+                                      "mldeg.qschur", "mldeg.poly_n"}
+
+
+def test_oracle_imports_no_fast_route():
+    # the oracle checks every fast route, so it may share only the exact
+    # arithmetic and the index-set checks with them
+    imported = _mldeg_imports(ORACLE.read_text())
+    assert imported <= {"mldeg.exact", "mldeg.indexsets"}, imported
