@@ -7,6 +7,7 @@ runs on stdlib ints and Fractions.  No floats anywhere.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from fractions import Fraction
 
 
@@ -135,51 +136,86 @@ def pfaffian(rows):
 
 
 # The expansion of a set of size s visits about 1.618**s sub-sets; above
-# this size expand_pfaffian eliminates the matrix instead.
+# this size a table eliminates the matrix instead.
 _EXPANSION_MAX = 20
 
 
-def expand_pfaffian(key, members, single, pair, pf):
-    """Pfaffian of the matrix of pair(i, j) entries, i < j, on the set
-    bits of members, with a front pad row of single(j) entries when the
-    set is odd.
+def pfaffian_table(single, pair):
+    """pf(members): the Pfaffian of the matrix of pair(i, j) entries,
+    i < j, on the set bits of the int members, with a front pad row of
+    single(j) entries when the set is odd.
 
     The Pfaffian is expanded along the row of the highest label t:
     pf(S) = sum over k of (-1)^(k+1) e_k pf(S_k), with k counted from 1
     along that row, pad first.  For an odd set e_1 = single(t) and S_1 =
     S minus {t}; the other entries are pair(s, t) for s < t in S, with
-    S minus {s, t}.  A sub-Pfaffian is pf(key with the bits of the
-    removed labels cleared), so key may carry bits above the members
-    that name the entries, and pf caches on it.  A zero entry builds no
-    sub-Pfaffian.  Each entry is read when the expansion reaches it, so
-    single, pair and pf are best cached functions or functools.partial
-    over them, with no Python frame of their own.  Sets above
+    S minus {s, t}.  A zero entry builds no sub-Pfaffian.  Sets above
     _EXPANSION_MAX elements eliminate the matrix instead.
+
+    pf.memo holds every Pfaffian the table has computed, keyed by its
+    members, and the expansion reads a sub-Pfaffian there before it
+    recurses.  The entries are read lazily into one column per label
+    t, keyed by the bit of the other label and 0 for the pad, so each
+    of single and pair runs at most once per entry.  pf.cache_clear()
+    empties both.
     """
-    size = members.bit_count()
-    if size > _EXPANSION_MAX:
-        return pfaffian(_pair_matrix(members, single, pair))
-    if not size:
-        return 1
-    top = members.bit_length() - 1
-    key ^= 1 << top
-    members ^= 1 << top
-    result = 0
-    negate = False
-    if size % 2:
-        entry = single(top)
-        if entry:
-            result = entry * pf(key)
-        negate = True
-    while members:
-        bit = members & -members
-        members ^= bit
-        entry = pair(bit.bit_length() - 1, top)
-        if entry:
-            term = entry * pf(key ^ bit)
-            result = result - term if negate else result + term
-        negate = not negate
-    return result
+    memo = {}
+    columns = defaultdict(dict)
+
+    def read(top, bit):
+        column = columns[top]
+        value = column.get(bit)
+        if value is None:
+            value = column[bit] = pair(bit.bit_length() - 1, top) if bit else single(top)
+        return value
+
+    def expand(members):
+        size = members.bit_count()
+        if size > _EXPANSION_MAX:
+            result = pfaffian(_pair_matrix(members, lambda t: read(t, 0),
+                                           lambda s, t: read(t, 1 << s)))
+        elif not size:
+            result = 1
+        else:
+            top = members.bit_length() - 1
+            rest = members ^ 1 << top
+            column = columns[top]
+            result = 0
+            negate = False
+            if size % 2:
+                entry = column.get(0)
+                if entry is None:
+                    entry = column[0] = single(top)
+                if entry:
+                    sub = memo.get(rest)
+                    result = entry * (expand(rest) if sub is None else sub)
+                negate = True
+            bits = rest
+            while bits:
+                bit = bits & -bits
+                bits ^= bit
+                entry = column.get(bit)
+                if entry is None:
+                    entry = column[bit] = pair(bit.bit_length() - 1, top)
+                if entry:
+                    sub = memo.get(rest ^ bit)
+                    term = entry * (expand(rest ^ bit) if sub is None else sub)
+                    result = result - term if negate else result + term
+                negate = not negate
+        memo[members] = result
+        return result
+
+    def pf(members):
+        value = memo.get(members)
+        return expand(members) if value is None else value
+
+    def cache_clear():
+        memo.clear()
+        columns.clear()
+
+    pf.memo = memo
+    pf.cache_clear = cache_clear
+    return pf
 
 
 def _pair_matrix(members, single, pair):

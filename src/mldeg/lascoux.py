@@ -7,11 +7,11 @@ pattern covers the off-diagonal family, the two-set square-case
 entries, and the binomial-minor change-of-basis coefficients.  The
 symmetric and off-diagonal families are Pfaffians of their pair
 values, and every complement at [n] is a minor over the sets' own
-labels, so its size does not grow with n.  The Pfaffians all run
-through exact.expand_pfaffian, each cached on its own bitmask keys,
-with entries read through functools.partial over cached functions
-whose first argument is n or k.  The square-case minors d_a are a
-Laplace expansion cached on (row, column) bitmasks in the same way.
+labels, so its size does not grow with n.  The Pfaffians are
+exact.pfaffian_table tables keyed by the bitmask of their set: one for
+psi, one for alpha, and one per n for each complement, from a cached
+factory.  The square-case minors d_a are a Laplace expansion cached on
+(row, column) bitmasks.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import functools
 import itertools
 import math
 
-from .exact import binom, det, expand_pfaffian
+from .exact import binom, det, pfaffian_table
 from .indexsets import check_indexset, check_same_size, lower_sets, mask
 
 
@@ -48,17 +48,14 @@ def psi_pair(i, j):
 def psi(I):
     """Pfaffian route; odd sizes get a front pad row of singleton values.
 
-    exact.expand_pfaffian expands it along the row of the highest
-    label, and the sub-Pfaffians are cached by the bitmask of their
-    set, so every set of a sweep shares them.
+    The table _pf expands it along the row of the highest label, and
+    keeps the sub-Pfaffians by the bitmask of their set, so every set of
+    a sweep shares them.
     """
     return _pf(mask(check_indexset(I)))
 
 
-@functools.cache
-def _pf(key):
-    """Pfaffian of the pair matrix on the set whose bitmask is key."""
-    return expand_pfaffian(key, key, psi_single, psi_pair, _pf)
+_pf = pfaffian_table(psi_single, psi_pair)
 
 
 def s_ij(I, J):
@@ -127,37 +124,34 @@ def psi_complement(I, n):
     M^-1 = D P^T Omega P D with D = diag((-1)^a).  By Pfaffian-Jacobi
     the complement values of pairs are entries of that inverse, up to
     sign, and the hockey-stick identity sums them to
-    _psi_pair_complement.  The sub-Pfaffians are cached on the bitmask
-    of their set with bit n set, so the key names n as well.
+    _psi_pair_complement.  The sub-Pfaffians are kept in the table of
+    n, by the bitmask of their set.
     """
-    return _complement_pf("psi_complement", _pf_complement, I, n)
+    return _complement_pf("psi_complement", _psi_complement_table, I, n)
 
 
-def _complement_pf(label, pf, I, n):
-    """pf at the bitmask of I with bit n set, or 0 when I does not sit
-    inside [n]: the body of psi_complement and alpha_complement."""
+def _complement_pf(label, table, I, n):
+    """table(n) at the bitmask of I, or 0 when I does not sit inside
+    [n]: the body of psi_complement and alpha_complement."""
     I = check_indexset(I)
     if n < 0:
         raise ValueError(f"{label}: need n >= 0, got {n}")
     if I and I[-1] >= n:
         return 0
-    return pf(mask(I) | 1 << n)
+    return table(n)(mask(I))
 
 
 @functools.cache
-def _pf_complement(key):
-    n = key.bit_length() - 1
-    return expand_pfaffian(key, key ^ 1 << n, functools.partial(_psi_single_complement, n),
-                           functools.partial(_psi_pair_complement, n), _pf_complement)
+def _psi_complement_table(n):
+    return pfaffian_table(functools.partial(_psi_single_complement, n),
+                          functools.partial(_psi_pair_complement, n))
 
 
-@functools.cache
 def _psi_single_complement(n, i):
     """psi_complement((i,), n) = C(n, i+1) for i < n."""
     return math.comb(n, i + 1)
 
 
-@functools.cache
 def _psi_pair_complement(n, i, j):
     """psi_complement((i, j), n) for i < j < n, in closed form.
 
@@ -188,12 +182,6 @@ def alpha(I):
     return _pf_alpha(mask(check_indexset(I)))
 
 
-@functools.cache
-def _pf_alpha(key):
-    return expand_pfaffian(key, key, _alpha_single, _alpha_pair, _pf_alpha)
-
-
-@functools.cache
 def _alpha_single(i):
     """alpha((i,)): 1 for i = 0, else 0."""
     return int(i == 0)
@@ -205,6 +193,9 @@ def _alpha_pair(i, j):
     if i == 0:
         return 1
     return math.comb(i + j - 2, i) - math.comb(i + j - 2, j)
+
+
+_pf_alpha = pfaffian_table(_alpha_single, _alpha_pair)
 
 
 def alpha_recursion(I):
@@ -235,18 +226,16 @@ def alpha_complement(I, k):
     C(a, i-1)] and S^-1 (-1 at every even a < odd b) into the sums of
     _alpha_pair_complement.  Label 0 drops out along the pad row for odd
     k; for even k it adds the row (-1)^a to P and the boundary terms.
-    The sub-Pfaffians are cached on the bitmask of their set with bit k
-    set, so the key names k as well.
+    The sub-Pfaffians are kept in the table of k, by the bitmask of
+    their set.
     """
-    return _complement_pf("alpha_complement", _pf_alpha_complement, I, k)
+    return _complement_pf("alpha_complement", _alpha_complement_table, I, k)
 
 
 @functools.cache
-def _pf_alpha_complement(key):
-    k = key.bit_length() - 1
-    return expand_pfaffian(key, key ^ 1 << k, functools.partial(_alpha_single_complement, k),
-                           functools.partial(_alpha_pair_complement, k),
-                           _pf_alpha_complement)
+def _alpha_complement_table(k):
+    return pfaffian_table(functools.partial(_alpha_single_complement, k),
+                          functools.partial(_alpha_pair_complement, k))
 
 
 @functools.cache

@@ -4,9 +4,9 @@ Setting every variable to 1/2 turns Q_lambda(x_1..x_n) into a
 polynomial in n.  Here it is evaluated at integer n: one-row values
 come from the coefficient recurrence of ((1+t/2)/(1-t/2))^n, two-row
 values from the classical reduction, and general strict shapes from
-Schur's Pfaffian of the two-row values, expanded by
-exact.expand_pfaffian over the parts as labels.  The polynomials in n
-are poly_n fits of these point values.
+Schur's Pfaffian of the two-row values over the parts as labels, one
+exact.pfaffian_table per n.  The polynomials in n are poly_n fits of
+these point values.
 
 The values run on ints: 2^|lambda| Q_lambda(1/2, ..., 1/2) is an
 integer, because the coefficients of ((1+u)/(1-u))^n are.  Only the
@@ -18,7 +18,7 @@ from __future__ import annotations
 import functools
 from fractions import Fraction
 
-from .exact import ConsistencyError, expand_pfaffian
+from .exact import ConsistencyError, pfaffian_table
 from .indexsets import check_indexset, mask
 
 
@@ -48,13 +48,11 @@ def _onerow_ints(a, n):
     return values
 
 
-@functools.cache
 def _onerow_at(n, a):
     """G_a at n: 2^a times the one-row value."""
     return _onerow_ints(a, n)[a]
 
 
-@functools.cache
 def _tworow_at(n, b, a):
     """2^(a+b) times the two-row value (a, b), b < a, at integer n."""
     g = _onerow_ints(a + b, n)
@@ -66,15 +64,14 @@ def _tworow_at(n, b, a):
 
 
 @functools.cache
-def _pf_q_at(n, key):
+def _q_table(n):
     """Schur's Pfaffian with scalar values at n; the sweep workhorse.
 
-    Returns 2^(sum of the labels) times the value, an int.  Cached on
-    n and the bitmask of the labels, so sub-Pfaffians are shared across
-    all index sets of a sweep.
+    The table maps the bitmask of the labels to 2^(sum of the labels)
+    times the value, an int, so sub-Pfaffians are shared across all
+    index sets of a sweep.
     """
-    return expand_pfaffian(key, key, functools.partial(_onerow_at, n),
-                           functools.partial(_tworow_at, n), functools.partial(_pf_q_at, n))
+    return pfaffian_table(functools.partial(_onerow_at, n), functools.partial(_tworow_at, n))
 
 
 def b_value(I, n):
@@ -82,7 +79,7 @@ def b_value(I, n):
     labels are i + 1 for i in I, of weight sum(I) + #I, which is also
     the degree in n (poly_n.b_poly)."""
     I = check_indexset(I)
-    return Fraction(_pf_q_at(n, mask(I) << 1), 1 << (sum(I) + len(I)))
+    return Fraction(_q_table(n)(mask(I) << 1), 1 << (sum(I) + len(I)))
 
 
 def d_value(I, n):
@@ -101,4 +98,4 @@ def d_value(I, n):
     I = check_indexset(I)
     if I and I[0] == 0 and (n - len(I)) % 2:
         return Fraction(0)
-    return Fraction(_pf_q_at(n, mask(I)), 1 << (sum(I) + len(I) - (0 in I)))
+    return Fraction(_q_table(n)(mask(I)), 1 << (sum(I) + len(I) - (0 in I)))

@@ -101,14 +101,22 @@ def test_b_identity_reads_the_point_route(monkeypatch):
     # The b-identity suite must certify the values that the closed-form
     # sums use: with one Pfaffian of the point route corrupted, the task
     # over a set above it fails, by its detail or by a missed fit.  The
-    # caches are cleared on both sides of the corruption.
-    point = qschur._pf_q_at
+    # value is corrupted in the memo of each n's table, where the
+    # expansions of larger sets read it too.  The caches are cleared on
+    # both sides of the corruption.
+    table = qschur._q_table
     bad_mask = mask((1, 3))  # the labels of b_value((0, 2), n)
+
+    def corrupted(n):
+        pf = table(n)
+        if bad_mask not in pf.memo:
+            pf.memo[bad_mask] = pf(bad_mask) + 1
+        return pf
+
     _clear_caches()
     try:
         with monkeypatch.context() as patch:
-            patch.setattr(qschur, "_pf_q_at",
-                          lambda n, key: point(n, key) + (key == bad_mask))
+            patch.setattr(qschur, "_q_table", corrupted)
             try:
                 detail = checks.b_identity_line((0, 2, 3))
             except ConsistencyError as exc:

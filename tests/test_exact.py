@@ -1,4 +1,3 @@
-import functools
 import itertools
 import random
 from fractions import Fraction
@@ -12,9 +11,9 @@ from mldeg.exact import (
     _pair_matrix,
     binom,
     det,
-    expand_pfaffian,
     format_fraction,
     pfaffian,
+    pfaffian_table,
 )
 
 
@@ -124,45 +123,79 @@ def test_pfaffian_matches_matching_sum():
 
 
 @pytest.mark.parametrize("seed", range(4))
-def test_expand_pfaffian_matches_elimination(seed):
-    # Random int entries, a third of them zero, on 12 labels.  Odd seeds
-    # key the sub-Pfaffians with bit 12 set above the members, as the
-    # complement caches do.  The entries and the sub-Pfaffians are
-    # partials over cached functions whose first argument is the seed,
-    # as the library passes them.
+def test_pfaffian_table_matches_elimination(seed):
+    # Random int entries, a third of them zero, on 12 labels.  A second
+    # table on the same labels, with entries of its own, is read in turn
+    # with the first: each keeps its own values, though both key their
+    # Pfaffians by the same bitmasks.
     rng = random.Random(seed)
 
-    def entry():
+    def entry(rng):
         return rng.choice((0, rng.randint(-9, 9), rng.randint(-9, 9)))
 
-    singles = {i: entry() for i in range(12)}
-    pairs = {ij: entry() for ij in itertools.combinations(range(12), 2)}
-    high = (seed % 2) << 12
+    def entries(rng):
+        singles = {i: entry(rng) for i in range(12)}
+        pairs = {ij: entry(rng) for ij in itertools.combinations(range(12), 2)}
+        return singles, pairs, singles.__getitem__, lambda i, j: pairs[i, j]
 
-    @functools.cache
-    def single_at(s, i):
-        return singles[i]
-
-    @functools.cache
-    def pair_at(s, i, j):
-        return pairs[i, j]
-
-    @functools.cache
-    def pf_at(s, key):
-        return expand_pfaffian(key, key & 0xFFF, single, pair, pf)
-
-    single, pair, pf = (functools.partial(f, seed) for f in (single_at, pair_at, pf_at))
-    assert pf(high) == 1
+    singles, pairs, single, pair = entries(rng)
+    _, _, other_single, other_pair = entries(random.Random(seed + 100))
+    pf = pfaffian_table(single, pair)
+    other = pfaffian_table(other_single, other_pair)
+    assert pf(0) == other(0) == 1
     for size in range(1, 11):
         for S in rng.sample(list(itertools.combinations(range(12), size)), 12):
             mask = sum(1 << i for i in S)
-            assert pf(mask | high) == pfaffian(_pair_matrix(mask, single, pair)), S
+            assert pf(mask) == pfaffian(_pair_matrix(mask, single, pair)), S
+            assert other(mask) == pfaffian(_pair_matrix(mask, other_single, other_pair)), S
     # Written out: pad row first for an odd set.
     a, b, c, d = 1, 4, 6, 9
     even = pairs[a, b] * pairs[c, d] - pairs[a, c] * pairs[b, d] + pairs[a, d] * pairs[b, c]
     odd = singles[a] * pairs[b, c] - singles[b] * pairs[a, c] + singles[c] * pairs[a, b]
-    assert pf(sum(1 << i for i in (a, b, c, d)) | high) == even
-    assert pf(sum(1 << i for i in (a, b, c)) | high) == odd
+    assert pf(sum(1 << i for i in (a, b, c, d))) == even
+    assert pf(sum(1 << i for i in (a, b, c))) == odd
+
+
+def _padded_skew(rng, n):
+    """A random skew matrix on a pad row and n labels, a third of its
+    entries zero, with the single and pair entries a table reads from
+    it: row 0 is the pad, row i + 1 label i."""
+    rows = [[0] * (n + 1) for _ in range(n + 1)]
+    for a, b in itertools.combinations(range(n + 1), 2):
+        rows[a][b] = rng.choice((0, rng.randint(-9, 9), rng.randint(-9, 9)))
+        rows[b][a] = -rows[a][b]
+    return rows, lambda j: rows[0][j + 1], lambda i, j: rows[i + 1][j + 1]
+
+
+def _subpfaffian(rows, S):
+    """Pfaffian of rows on the labels of S, with the pad for odd S."""
+    index = ([0] if len(S) % 2 else []) + [i + 1 for i in S]
+    return pfaffian([[rows[a][b] for b in index] for a in index])
+
+
+@pytest.mark.parametrize("n", (8, 9))
+def test_pfaffian_table_on_random_skew_matrices(n, monkeypatch):
+    # Every subset of n labels, odd and even sizes, against elimination
+    # on the matrix itself.  With the expansion cap at 3 the sets above
+    # it eliminate too, and only those sets enter the memo.
+    from mldeg import exact
+
+    rng = random.Random(n)
+    rows, single, pair = _padded_skew(rng, n)
+    subsets = [S for r in range(n + 1) for S in itertools.combinations(range(n), r)]
+    expected = {S: _subpfaffian(rows, S) for S in subsets}
+    assert any(value == 0 for value in expected.values())
+    pf = pfaffian_table(single, pair)
+    for S in subsets:
+        assert pf(sum(1 << i for i in S)) == expected[S], S
+    monkeypatch.setattr(exact, "_EXPANSION_MAX", 3)
+    pf = pfaffian_table(single, pair)
+    large = [S for S in subsets if len(S) > 3]
+    for S in large:
+        assert pf(sum(1 << i for i in S)) == expected[S], S
+    assert len(pf.memo) == len(large)
+    pf.cache_clear()
+    assert not pf.memo
 
 
 def test_inexact_division_raises():

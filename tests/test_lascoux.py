@@ -1,10 +1,11 @@
 import itertools
 import math
+import random
 from collections import defaultdict
 
 import pytest
 
-from mldeg import degrees, exact, indexsets, lascoux
+from mldeg import cli, degrees, exact, indexsets, lascoux, qschur
 from mldeg.exact import det, pfaffian
 from mldeg.indexsets import complement, enumerate_indexsets
 from mldeg.lascoux import (
@@ -21,6 +22,7 @@ from mldeg.lascoux import (
     psi_recursion,
     s_ij,
 )
+from mldeg.qschur import b_value, d_value
 from mldeg.schur_oracle import (
     alpha_oracle,
     d_oracle,
@@ -175,24 +177,24 @@ def test_psi_matches_padded_pair_matrix_pfaffian():
 def test_psi_large_sets_eliminate(monkeypatch):
     # Above the expansion cap psi and psi_complement eliminate the matrix;
     # both routes agree.  The expansion values are recorded first, and
-    # the eliminations run on cleared caches, so neither route reads the
+    # the eliminations run on cleared tables, so neither route reads the
     # other's entries.
     sets = [I for r in range(4, 8) for I in itertools.combinations(range(9), r)]
     expanded = {I: psi(I) for I in sets}
     complements = {(I, n): psi_complement(I, n) for I in sets for n in (9, 12)}
     lascoux._pf.cache_clear()
-    lascoux._pf_complement.cache_clear()
+    lascoux._psi_complement_table.cache_clear()
     monkeypatch.setattr(exact, "_EXPANSION_MAX", 3)
     for I in sets:
         assert psi(I) == expanded[I], I
     for (I, n), value in complements.items():
         assert psi_complement(I, n) == value, (I, n)
-    # Only the sets themselves were cached: no sub-Pfaffian was expanded.
-    assert lascoux._pf.cache_info().currsize == len(sets)
-    assert lascoux._pf_complement.cache_info().currsize == len(complements)
+    # Only the sets themselves were kept: no sub-Pfaffian was expanded.
+    assert len(lascoux._pf.memo) == len(sets)
+    assert sum(len(lascoux._psi_complement_table(n).memo) for n in (9, 12)) == len(complements)
     monkeypatch.undo()
     lascoux._pf.cache_clear()
-    lascoux._pf_complement.cache_clear()
+    lascoux._psi_complement_table.cache_clear()
     assert psi(tuple(range(40))) == 1
     assert psi_complement((0,), 40) == psi_recursion(tuple(range(1, 40)))
     assert psi_complement(tuple(range(1, 40)), 40) == psi((0,)) == 1
@@ -355,13 +357,66 @@ def test_alpha_complement_builds_no_complement_sets(monkeypatch):
     total = sum(weight * alpha_recursion(I) * alpha_recursion(complement(I, 10))
                 for weight, (I,) in items)
     lascoux._pf_alpha.cache_clear()
-    lascoux._pf_alpha_complement.cache_clear()
+    lascoux._alpha_complement_table.cache_clear()
     monkeypatch.setattr(lascoux, "complement", refuse, raising=False)
     monkeypatch.setattr(indexsets, "complement", refuse)
     monkeypatch.setattr(lascoux, "_alpha_recursion", refuse)
     for (I, k), value in expected.items():
         assert alpha_complement(I, k) == value, (I, k)
     assert degrees.delta_type_d_partial(5, items) == total != 0
+
+
+def test_tables_keep_each_n_apart():
+    # The complement and Q tables are one per n, keyed by the bitmask of
+    # the set alone.  Read over n in a shuffled order, repeats included,
+    # each value matches an independent one: the Pfaffian or recursion of
+    # the complement set, and for the Q values the same call made on
+    # cleared tables one n at a time.
+    rng = random.Random(25)
+    sets = [I for r in range(6) for I in itertools.combinations(range(8), r)]
+    ns = range(11)
+    points = {}
+    for n in ns:
+        qschur._q_table.cache_clear()
+        points.update({(I, n): (b_value(I, n), d_value(I, n)) for I in sets})
+    lascoux._psi_complement_table.cache_clear()
+    lascoux._alpha_complement_table.cache_clear()
+    qschur._q_table.cache_clear()
+    order = [*ns, *ns, *rng.sample(ns, 5)]
+    calls = [(I, n) for I in sets for n in order]
+    rng.shuffle(calls)
+    for I, n in calls:
+        inside = not I or I[-1] < n
+        assert psi_complement(I, n) == (psi(complement(I, n)) if inside else 0), (I, n)
+        assert alpha_complement(I, n) == (alpha_recursion(complement(I, n)) if inside else 0), \
+            (I, n)
+        assert (b_value(I, n), d_value(I, n)) == points[I, n], (I, n)
+
+
+def test_each_entry_is_computed_once_per_table(monkeypatch, capsys):
+    # Over a whole phi query, each table reads every entry it meets once
+    # from its entry function: the psi table from psi_pair, and the
+    # complement table of n from _psi_pair_complement at n.
+    calls = defaultdict(int)
+
+    def counting(fn):
+        def wrapper(*args):
+            calls[fn.__name__, args] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(lascoux, "_pf", exact.pfaffian_table(lascoux.psi_single,
+                                                             counting(psi_pair)))
+    monkeypatch.setattr(lascoux, "_psi_pair_complement",
+                        counting(lascoux._psi_pair_complement))
+    lascoux._psi_complement_table.cache_clear()
+    try:
+        assert cli.main(["phi", "--type", "sym", "-n", "9", "-d", "20", "--unsafe-range"]) == 0
+    finally:
+        lascoux._psi_complement_table.cache_clear()
+    assert capsys.readouterr().out
+    assert {name for name, _ in calls} == {"psi_pair", "_psi_pair_complement"}
+    assert max(calls.values()) == 1
 
 
 def test_s_ij_values():
@@ -454,6 +509,7 @@ def test_a_wide_pair_computes_one_entry():
         value((0, 20000))
         info = entry.cache_info()
         assert (info.misses, info.currsize) == (1, 1), entry
+        assert len(pf.memo) == 2, entry
 
 
 def test_d_a_symmetry_and_unequal_oracle():

@@ -25,7 +25,7 @@ def q_strict_at(parts, n):
     parts = tuple(parts)
     if any(p <= 0 for p in parts) or any(a <= b for a, b in zip(parts, parts[1:])):
         raise ValueError(f"not a strict partition of positive parts: {parts}")
-    return Fraction(qschur._pf_q_at(n, mask(parts)), 1 << sum(parts))
+    return Fraction(qschur._q_table(n)(mask(parts)), 1 << sum(parts))
 
 
 def d_poly(I):

@@ -3,7 +3,7 @@
 perfbench/spans.py traces mldeg by rebinding module globals and the
 callables stored in module-level dicts.  A refactor that routes calls
 around those names leaves the per-layer metrics silently at zero, so
-this runs the tracer over eight queries and checks the spans it records.
+this runs the tracer over ten queries and checks the spans it records.
 install() rebinds for the life of the process, hence the subprocess.
 """
 
@@ -35,6 +35,10 @@ with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.St
     codes.append(cli.main(["psi", "--family", "d", "--set", "{1}", "--pair", "{2}",
                            "--path", "recursion"]))
     codes.append(cli.main(["delta", "--type", "d", "-m", "14", "-n", "4", "-r", "2"]))
+    codes.append(cli.main(["delta", "--type", "sym", "-m", "6", "-n", "4", "-r", "2",
+                           "--path", "nrs"]))
+    codes.append(cli.main(["delta", "--type", "d", "-m", "14", "-n", "4", "-r", "2",
+                           "--path", "nrs"]))
 print(json.dumps({"codes": codes, "missing": tracer.missing,
                   "spans": [span[:3] for span in tracer.spans]}))
 """
@@ -49,7 +53,7 @@ def test_spans_cover_degree_layers():
     )
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout)
-    assert result["codes"] == [0] * 8
+    assert result["codes"] == [0] * 10
     assert result["missing"] == []
     names = {sid: name for sid, _, name in result["spans"]}
     assert "degrees.delta_type_a_partial" in names.values()
@@ -83,3 +87,7 @@ def test_spans_cover_degree_layers():
     assert ("lascoux.alpha_complement", "degrees.delta_type_d_partial") in parents
     assert all(parent != "lascoux.alpha_complement"
                for name, parent in parents if name == "lascoux.alpha")
+    # qschur.b_value_s and d_value_s are the self time of these spans:
+    # the closed-form sums read the Q values through the public names.
+    assert ("qschur.b_value", "degrees.delta_sym_nrs_partial") in parents
+    assert ("qschur.d_value", "degrees.delta_type_d_nrs_partial") in parents
