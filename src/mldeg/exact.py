@@ -36,10 +36,21 @@ def format_fraction(x):
     return f"{f.numerator}/{f.denominator}"
 
 
-def _det_bareiss(rows):
-    """Fraction-free determinant for integer matrices."""
+def det(rows):
+    """Exact determinant of a square matrix, by fraction-free (Bareiss)
+    elimination.
+
+    Each update divides exactly by the previous pivot when the entries
+    are ints.  Other exact entries get the determinant when every
+    division is exact, and ConsistencyError otherwise.
+    """
+    n = len(rows)
+    for r in rows:
+        if len(r) != n:
+            raise ValueError("det: matrix is not square")
+    if n == 0:
+        return 1
     m = [list(r) for r in rows]
-    n = len(m)
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -63,31 +74,34 @@ def _det_bareiss(rows):
     return sign * m[n - 1][n - 1]
 
 
-def det(rows):
-    """Exact determinant of a square matrix of ints."""
-    n = len(rows)
-    for r in rows:
-        if len(r) != n:
-            raise ValueError("det: matrix is not square")
-    if n == 0:
-        return 1
-    if not all(isinstance(x, int) for r in rows for x in r):
-        raise TypeError("det: entries must be int")
-    return _det_bareiss(rows)
-
-
-def _pf_elimination(rows):
-    """Fraction-free Schur-complement elimination for int skew matrices.
+def pfaffian(rows):
+    """Exact Pfaffian of an even-dimensional skew-symmetric matrix, by
+    fraction-free Schur-complement elimination.
 
     Each 2x2 leading block is a pivot.  Once the first 2k rows and
     columns are eliminated, entry (i, j) of the trailing block is the
     Pfaffian of the original matrix on those 2k indices and i, j: the
     Pfaffian Schur complement times the Pfaffian of the leading block.
-    So each update divides exactly by the previous pivot, the trailing
-    block stays skew, and the last pivot is the Pfaffian.
+    So each update divides exactly by the previous pivot when the
+    entries are ints, the trailing block stays skew, and the last pivot
+    is the Pfaffian.  Other exact entries get the Pfaffian when every
+    division is exact, and ConsistencyError otherwise.  The elimination
+    updates the upper triangle and mirrors each update, so a matrix that
+    is not skew is rejected first.
     """
+    n = len(rows)
+    for r in rows:
+        if len(r) != n:
+            raise ValueError("pfaffian: matrix is not square")
+    if n % 2:
+        raise ValueError("pfaffian: odd dimension")
+    for i in range(n):
+        if rows[i][i] != 0:
+            raise ValueError("pfaffian: nonzero diagonal")
+        for j in range(i + 1, n):
+            if rows[i][j] != -rows[j][i]:
+                raise ValueError("pfaffian: matrix is not skew-symmetric")
     m = [list(r) for r in rows]
-    n = len(m)
     sign = 1
     prev = 1
     for k in range(0, n, 2):
@@ -114,25 +128,6 @@ def _pf_elimination(rows):
                 m[j][i] = -q
         prev = pivot
     return sign * prev
-
-
-def pfaffian(rows):
-    """Exact Pfaffian of an even-dimensional skew-symmetric matrix of ints."""
-    n = len(rows)
-    for r in rows:
-        if len(r) != n:
-            raise ValueError("pfaffian: matrix is not square")
-    if n % 2:
-        raise ValueError("pfaffian: odd dimension")
-    if not all(isinstance(x, int) for r in rows for x in r):
-        raise TypeError("pfaffian: entries must be int")
-    for i in range(n):
-        if rows[i][i] != 0:
-            raise ValueError("pfaffian: nonzero diagonal")
-        for j in range(i + 1, n):
-            if rows[i][j] != -rows[j][i]:
-                raise ValueError("pfaffian: matrix is not skew-symmetric")
-    return _pf_elimination(rows)
 
 
 # The expansion of a set of size s visits about 1.618**s sub-sets; above

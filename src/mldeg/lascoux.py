@@ -28,7 +28,6 @@ def psi_single(i):
     return 1 << i
 
 
-@functools.cache
 def psi_pair(i, j):
     """Two-element value: sum of the middle binomials of row i+j.
 
@@ -187,7 +186,6 @@ def _alpha_single(i):
     return int(i == 0)
 
 
-@functools.cache
 def _alpha_pair(i, j):
     """alpha((i, j)) = C(i+j-2, i) - C(i+j-2, j), and 1 when i = 0."""
     if i == 0:
@@ -238,7 +236,6 @@ def _alpha_complement_table(k):
                           functools.partial(_alpha_pair_complement, k))
 
 
-@functools.cache
 def _alpha_single_complement(k, i):
     """alpha_complement((i,), k): k mod 2 for i = 0, and otherwise the
     sum of C(w, i-1) over w < k-1 with w = k mod 2."""
@@ -248,7 +245,6 @@ def _alpha_single_complement(k, i):
     return sum(comb(w, i - 1) for w in range(k % 2, k - 1, 2))
 
 
-@functools.cache
 def _alpha_pair_complement(k, i, j):
     """alpha_complement((i, j), k) for i < j < k, in one pass over w < k.
 
@@ -354,7 +350,7 @@ def d_a_complement(I, J, n):
     J = check_indexset(J)
     if n < 0:
         raise ValueError(f"d_a_complement: need n >= 0, got {n}")
-    if not set(I).issubset(range(n)) or not set(J).issubset(range(n)):
+    if I and I[-1] >= n or J and J[-1] >= n:
         return 0
     if len(I) > len(J):
         I, J = J, I

@@ -40,8 +40,13 @@ def test_det_rejects_nonsquare():
 
 
 def test_det_rejects_non_int_entries():
-    with pytest.raises(TypeError):
-        det([[Fraction(1, 2), 1], [1, 1]])
+    # No type check: on exact non-int entries the elimination either
+    # divides exactly, and its value is right, or leaves a remainder and
+    # raises.  It never returns a wrong value.
+    half = Fraction(1, 2)
+    with pytest.raises(ConsistencyError):
+        det([[half, 1], [1, 1]])
+    assert det([[half, 0], [0, 2]]) == 1
 
 
 def test_pfaffian_small():
@@ -60,9 +65,11 @@ def test_pfaffian_small():
 
 
 def test_pfaffian_rejects_non_int_entries():
+    # As for det: a remainder raises, an exact division gives the value.
     half = Fraction(1, 2)
-    with pytest.raises(TypeError):
-        pfaffian([[0, half], [-half, 0]])
+    with pytest.raises(ConsistencyError):
+        pfaffian([[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, half], [0, 0, -half, 0]])
+    assert pfaffian([[0, half], [-half, 0]]) == half
 
 
 def test_pfaffian_structure_errors():
@@ -199,15 +206,13 @@ def test_pfaffian_table_on_random_skew_matrices(n, monkeypatch):
 
 
 def test_inexact_division_raises():
-    from mldeg import exact
-
     # Bareiss divides exactly only on integer matrices
     with pytest.raises(ConsistencyError):
-        exact._det_bareiss([[Fraction(1, 2), 1], [1, 1]])
+        det([[Fraction(1, 2), 1], [1, 1]])
     # and the Pfaffian elimination likewise: a half entry leaves a remainder
     half = Fraction(1, 2)
     with pytest.raises(ConsistencyError):
-        exact._pf_elimination([[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, half], [0, 0, -half, 0]])
+        pfaffian([[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, half], [0, 0, -half, 0]])
 
 
 @given(st.integers(), st.integers(min_value=2, max_value=4))

@@ -395,8 +395,14 @@ def test_tables_keep_each_n_apart():
 
 def test_each_entry_is_computed_once_per_table(monkeypatch, capsys):
     # Over a whole phi query, each table reads every entry it meets once
-    # from its entry function: the psi table from psi_pair, and the
-    # complement table of n from _psi_pair_complement at n.
+    # from its entry function: the psi table from psi_pair, the alpha
+    # table from _alpha_pair, and the complement tables of n from
+    # _psi_pair_complement and _alpha_pair_complement at n.  The tables'
+    # columns are the only store of the entries, so no entry function
+    # keeps a cache of its own.
+    entries = (psi_pair, lascoux._alpha_pair, lascoux._psi_pair_complement,
+               lascoux._alpha_pair_complement, lascoux._alpha_single_complement)
+    assert not [fn for fn in entries if hasattr(fn, "cache_info")]
     calls = defaultdict(int)
 
     def counting(fn):
@@ -407,15 +413,23 @@ def test_each_entry_is_computed_once_per_table(monkeypatch, capsys):
 
     monkeypatch.setattr(lascoux, "_pf", exact.pfaffian_table(lascoux.psi_single,
                                                              counting(psi_pair)))
-    monkeypatch.setattr(lascoux, "_psi_pair_complement",
-                        counting(lascoux._psi_pair_complement))
-    lascoux._psi_complement_table.cache_clear()
+    monkeypatch.setattr(lascoux, "_pf_alpha",
+                        exact.pfaffian_table(lascoux._alpha_single,
+                                             counting(lascoux._alpha_pair)))
+    for name in ("_psi_pair_complement", "_alpha_pair_complement"):
+        monkeypatch.setattr(lascoux, name, counting(getattr(lascoux, name)))
+    tables = (lascoux._psi_complement_table, lascoux._alpha_complement_table)
+    for table in tables:
+        table.cache_clear()
     try:
         assert cli.main(["phi", "--type", "sym", "-n", "9", "-d", "20", "--unsafe-range"]) == 0
+        assert cli.main(["phi", "--type", "d", "-n", "4", "-d", "12"]) == 0
     finally:
-        lascoux._psi_complement_table.cache_clear()
+        for table in tables:
+            table.cache_clear()
     assert capsys.readouterr().out
-    assert {name for name, _ in calls} == {"psi_pair", "_psi_pair_complement"}
+    assert {name for name, _ in calls} == {"psi_pair", "_alpha_pair", "_psi_pair_complement",
+                                           "_alpha_pair_complement"}
     assert max(calls.values()) == 1
 
 
@@ -498,18 +512,24 @@ def test_d_a_past_the_laplace_size_eliminates():
     assert lascoux._d_a.cache_info().currsize > 0
 
 
-def test_a_wide_pair_computes_one_entry():
+def test_a_wide_pair_computes_one_entry(monkeypatch):
     # The expansion reads the entries of the highest row one at a time,
     # so a set {0, t} computes the single pair entry (0, t), not the
     # row below t.
-    for pf, entry, value in ((lascoux._pf, psi_pair, psi), (lascoux._pf_alpha,
-                                                            lascoux._alpha_pair, alpha)):
-        pf.cache_clear()
-        entry.cache_clear()
+    for name, single, pair, value in (("_pf", lascoux.psi_single, psi_pair, psi),
+                                      ("_pf_alpha", lascoux._alpha_single,
+                                       lascoux._alpha_pair, alpha)):
+        calls = []
+
+        def counting(i, j):
+            calls.append((i, j))
+            return pair(i, j)
+
+        pf = exact.pfaffian_table(single, counting)
+        monkeypatch.setattr(lascoux, name, pf)
         value((0, 20000))
-        info = entry.cache_info()
-        assert (info.misses, info.currsize) == (1, 1), entry
-        assert len(pf.memo) == 2, entry
+        assert calls == [(0, 20000)], name
+        assert len(pf.memo) == 2, name
 
 
 def test_d_a_symmetry_and_unequal_oracle():

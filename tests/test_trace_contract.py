@@ -83,6 +83,9 @@ def test_spans_cover_degree_layers():
     assert ("lascoux.d_a_complement", "degrees.delta_type_a_partial") in parents
     assert all(parent != "lascoux.d_a_complement"
                for name, parent in parents if name == "lascoux.d_a")
+    # exact.det_s is the self time of these spans: a determinant that
+    # bypasses the module-level det would read 0 there.
+    assert ("exact.det", "lascoux.d_a_complement") in parents
     # So is the skew complement, a Pfaffian over the labels of its set.
     assert ("lascoux.alpha_complement", "degrees.delta_type_d_partial") in parents
     assert all(parent != "lascoux.alpha_complement"
