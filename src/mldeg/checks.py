@@ -231,13 +231,13 @@ def b_identity_line(I):
     return _transform_miss("half-power transform", I, lp_poly, b_poly)
 
 
-# The skew transform is checked on the point values at n = 0..12.
-_D_IDENTITY_NMAX = 12
+# The skew point checks, d-identity and quasi-d, evaluate at 0..12.
+_SKEW_POINTS_NMAX = 12
 
 
 @_task
 def d_identity_line(I):
-    for n in range(_D_IDENTITY_NMAX + 1):
+    for n in range(_SKEW_POINTS_NMAX + 1):
         miss = _transform_miss("skew transform", I, lambda J: (alpha_complement(J, n),),
                                lambda J: (d_value(J, n),), f", n={n}")
         if miss:
@@ -257,7 +257,7 @@ def conormal_line(n):
 @_task
 def quasi_d_line(I):
     branches = lp_d_quasipoly(I)
-    for k in range(13):
+    for k in range(_SKEW_POINTS_NMAX + 1):
         if evaluate(branches[k % 2], k // 2) != alpha_complement(I, k):
             return f"quasi-polynomial miss at {format_indexset(I)}, k={k}"
     return None

@@ -2,11 +2,12 @@
 
 Setting every variable to 1/2 turns Q_lambda(x_1..x_n) into a
 polynomial in n.  Here it is evaluated at integer n: one-row values
-come from the coefficient recurrence of ((1+t/2)/(1-t/2))^n, two-row
-values from the classical reduction, and general strict shapes from
-Schur's Pfaffian of the two-row values over the parts as labels, one
-exact.pfaffian_table per n.  The polynomials in n are poly_n fits of
-these point values.
+come from a three-term coefficient recurrence of ((1+t/2)/(1-t/2))^n,
+two-row values from the classical reduction, and general strict shapes
+from Schur's Pfaffian of the two-row values over the parts as labels,
+one exact.pfaffian_table per n, which also owns the list of one-row
+values at n.  The polynomials in n are poly_n fits of these point
+values.
 
 The values run on ints: 2^|lambda| Q_lambda(1/2, ..., 1/2) is an
 integer, because the coefficients of ((1+u)/(1-u))^n are.  Only the
@@ -22,40 +23,20 @@ from .exact import ConsistencyError, pfaffian_table
 from .indexsets import check_indexset, mask
 
 
-@functools.cache
-def _onerow_table(n):
-    """The two lists that _onerow_ints grows for n: the values G_k and
-    their inner sums."""
-    return [1], [0]
+def _tworow_at(g, n, b, a):
+    """2^(a+b) times the two-row value (a, b), b < a or b = 0, at integer n.
 
-
-def _onerow_ints(a, n):
-    """[G_0, ..., G_a] at least, G_k = 2^k Q_k(1/2, ..., 1/2) in n variables.
-
-    G_k is the coefficient of u^k in ((1+u)/(1-u))^n.  The list for n
-    grows bottom-up from k*G_k = 2n * (G_(k-1) + G_(k-3) + ...), whose
-    inner sums are kept alongside.  The division by k is exact; a
-    remainder means a corrupted table.
+    g is the list [G_0, G_1, ...] for n, grown here to G_(a+b); G_k =
+    2^k Q_k(1/2, ..., 1/2) is the coefficient of u^k in F = ((1+u)/(1-u))^n.
+    Since (1-u^2) F' = 2n F, k*G_k = 2n*G_(k-1) + (k-2)*G_(k-2).  The
+    division by k is exact; a remainder means a corrupted list.  At b = 0
+    the value is G_a, the one-row value.
     """
-    values, odd_sums = _onerow_table(n)
-    for k in range(len(values), a + 1):
-        odd_sum = values[k - 1] + (odd_sums[k - 2] if k > 1 else 0)
-        value, rem = divmod(2 * n * odd_sum, k)
+    for k in range(len(g), a + b + 1):
+        value, rem = divmod(2 * n * g[k - 1] + (k - 2) * g[k - 2], k)
         if rem:
             raise ConsistencyError(f"one-row value ({k}, n={n}) is not an integer")
-        values.append(value)
-        odd_sums.append(odd_sum)
-    return values
-
-
-def _onerow_at(n, a):
-    """G_a at n: 2^a times the one-row value."""
-    return _onerow_ints(a, n)[a]
-
-
-def _tworow_at(n, b, a):
-    """2^(a+b) times the two-row value (a, b), b < a, at integer n."""
-    g = _onerow_ints(a + b, n)
+        g.append(value)
     acc = g[a] * g[b]
     for k in range(1, b + 1):
         term = 2 * g[a + k] * g[b - k]
@@ -69,9 +50,13 @@ def _q_table(n):
 
     The table maps the bitmask of the labels to 2^(sum of the labels)
     times the value, an int, so sub-Pfaffians are shared across all
-    index sets of a sweep.
+    index sets of a sweep.  Its entries are the two-row values over one
+    list of one-row values, which the table owns: the pad entry of label
+    a is the two-row value (a, 0).
     """
-    return pfaffian_table(functools.partial(_onerow_at, n), functools.partial(_tworow_at, n))
+    g = [1, 2 * n]
+    return pfaffian_table(functools.partial(_tworow_at, g, n, 0),
+                          functools.partial(_tworow_at, g, n))
 
 
 def b_value(I, n):

@@ -151,16 +151,27 @@ def _failures(kind, suite="certificates"):
     return {r["task"]: r["detail"] for r in results if not r["ok"]}
 
 
+def _plant(monkeypatch, module, name, target, wrong):
+    """module.<name> returns wrong(value) at the arguments target."""
+    true = getattr(module, name)
+    monkeypatch.setattr(module, name,
+                        lambda *args: wrong(true(*args)) if args == target else true(*args))
+
+
+def _one_more(value):
+    """One more on an int, or on the constant coefficient of a fit."""
+    return value + 1 if isinstance(value, int) else poly_n.combine([(1, value), (1, (1,))])
+
+
+def _on_value(change):
+    """change on the value of a degree route's (value, terms) pair."""
+    return lambda info: (change(info[0]), info[1])
+
+
 def _off_by_one(monkeypatch, module, name, target):
     """module.<name> one more at target: on the value, or on the constant
     coefficient of a fit."""
-    true = getattr(module, name)
-
-    def patched(*args):
-        value, wrong = true(*args), args == target
-        return value + wrong if isinstance(value, int) else poly_n.combine([(1, value), (wrong, (1,))])
-
-    monkeypatch.setattr(module, name, patched)
+    _plant(monkeypatch, module, name, target, _one_more)
 
 
 def test_certificates_catch_a_wrong_polynomial(monkeypatch):
@@ -198,6 +209,52 @@ def test_d_identity_catches_a_wrong_complement(monkeypatch):
             expected[f"d_identity_line {I}"] = f"skew transform failed at {I}, n=7"
     assert len(expected) == 11
     assert _failures("d_identity_line", "d-identity") == expected
+
+
+@pytest.mark.parametrize("module, name, target, wrong, suite, expected", [
+    (checks, "delta_nrs_info", ("sym", 2, 3, 2), _on_value(_one_more), "nrs-sym",
+     {"nrs_sym_line 3 1": "sym closed form mismatch at (m=2, n=3, s=1): direct 6, closed 7"}),
+    (checks, "delta_nrs_info", ("a", 2, 3, 2), _on_value(_one_more), "nrs-a",
+     {"nrs_a_line 3 1": "a closed form mismatch at (m=2, n=3, s=1): direct 6, closed 7"}),
+    (checks, "delta_nrs_info", ("d", 2, 3, 2), _on_value(_one_more), "nrs-d",
+     {"nrs_d_line 3 1": "d closed form mismatch at (m=2, n=3, s=1): direct 6, closed 7"}),
+    (checks, "delta_direct_info", ("sym", 2, 3, 2), _on_value(_one_more), "duality",
+     {"duality_line 3 1": "duality mismatch at (m=2, n=3, s=1): 7 vs 6",
+      "duality_line 3 2": "duality mismatch at (m=4, n=3, s=2): 6 vs 7"}),
+    (checks, "delta_direct_info", ("a", 1, 2, 1), _on_value(_one_more), "conormal",
+     {"conormal_line 2": "conormal symmetry failed at (m=1, n=2, r=1): 3 vs 2"}),
+    (checks, "phi_sym", (3, 2), _one_more, "fundamental",
+     {"fundamental_line 3": "rank-weighted sum failed at (n=3, d=2)"}),
+    (checks, "delta_direct_info", ("sym", 1, 3, 1), _on_value(lambda v: 1), "pataki",
+     {"pataki_line sym 3 1": "sym: nonzero outside window at (m=1, n=3, r=1): 1"}),
+    (checks, "delta_direct_info", ("sym", 3, 3, 1), _on_value(lambda v: 0), "pataki",
+     {"pataki_line sym 3 1": "sym: zero at window endpoint (m=3, n=3, r=1)"}),
+    (checks, "alpha_complement", ((0, 1), 5), _one_more, "quasi-d",
+     {"quasi_d_line {0,1}": "quasi-polynomial miss at {0,1}, k=5"}),
+    (poly_n, "lp_d_quasipoly", ((0, 2),), lambda q: (_one_more(q[0]), q[1]), "certificates",
+     {"certificate_skew_line {0,2}": "parity recurrence failed at {0,2}"}),
+], ids=["nrs-sym", "nrs-a", "nrs-d", "duality", "conormal", "fundamental", "pataki-outside",
+        "pataki-endpoint", "quasi-d", "certificate-skew"])
+def test_check_tasks_catch_a_planted_value(monkeypatch, module, name, target, wrong, suite,
+                                           expected):
+    # One wrong value fails exactly the tasks that read it, each with its
+    # own text.
+    _plant(monkeypatch, module, name, target, wrong)
+    kind = next(iter(expected)).split()[0]
+    assert _failures(kind, suite) == expected
+
+
+def test_b_identity_catches_a_wrong_b_poly(monkeypatch):
+    # A wrong b_poly at {0,1} breaks the forward transform there and the
+    # inverse transform at every set of size 2 above it.
+    _off_by_one(monkeypatch, checks, "b_poly", ((0, 1),))
+    expected = {"b_identity_line {0,1}": "half-power transform failed at {0,1}"}
+    for _, I in build_suite("b-identity"):
+        if len(I) == 2 and I != (0, 1) and leq((0, 1), I):
+            I = format_indexset(I)
+            expected[f"b_identity_line {I}"] = f"inverse half-power transform failed at {I}"
+    assert len(expected) == 20
+    assert _failures("b_identity_line", "b-identity") == expected
 
 
 def test_caps_shrink_suites():

@@ -425,6 +425,7 @@ def test_jobs_only_where_it_acts(capsys):
 
 
 _BROKEN_DIVISION = """
+import functools
 import sys
 from fractions import Fraction
 from mldeg import cli, degrees, exact, qschur
@@ -446,8 +447,17 @@ print(raises(exact.det, [[half, 1], [1, 1]]),
                               [0, 0, -half, 0]]),
       raises(degrees.a_value, (0,), (0,), 5), file=sys.stderr)
 degrees._cauchy = cauchy
-values, odd_sums = qschur._onerow_table(5)
-values[:], odd_sums[:] = [1, 3], [0, 1]
+# At n = 5 the table runs over a corrupted one-row list: 3*G_3 = 520.
+q_table = qschur._q_table
+
+def broken_q_table(n):
+    if n != 5:
+        return q_table(n)
+    g = [1, 10, 51]
+    return exact.pfaffian_table(functools.partial(qschur._tworow_at, g, n, 0),
+                                functools.partial(qschur._tworow_at, g, n))
+
+qschur._q_table = broken_q_table
 sys.exit(cli.main(["delta", "-m", "10", "-n", "5", "-r", "3", "--path", "nrs"]))
 """
 

@@ -1,4 +1,3 @@
-import functools
 import itertools
 from fractions import Fraction
 
@@ -16,7 +15,7 @@ def q_onerow_at(a, n):
     """Coefficient of t^a in ((1+t/2)/(1-t/2))^n, by the int point route."""
     if a < 0:
         raise ValueError(f"q_onerow_at: negative index {a}")
-    return Fraction(qschur._onerow_ints(a, n)[a], 1 << a)
+    return Fraction(qschur._q_table(n)(1 << a), 1 << a)
 
 
 def q_strict_at(parts, n):
@@ -117,14 +116,10 @@ def test_q_onerow_at_deep_index():
     assert value * 2 ** 3000 == _onerow_series_coeff(3000, 5)
 
 
-def test_corrupt_onerow_table_raises(monkeypatch):
-    # A fresh cache, so the corrupted table for n = 5 goes with the test.
-    monkeypatch.setattr(qschur, "_onerow_table",
-                        functools.cache(qschur._onerow_table.__wrapped__))
-    values, odd_sums = qschur._onerow_table(5)
-    values[:], odd_sums[:] = [1, 3], [0, 1]
+def test_corrupt_onerow_table_raises():
+    # At n = 5, 3*G_3 = 2n*G_2 + G_1 = 520 is not a multiple of 3.
     with pytest.raises(ConsistencyError):
-        q_onerow_at(3, 5)
+        qschur._tworow_at([1, 10, 51], 5, 0, 3)
 
 
 def test_q_strict_poly_vs_point():
