@@ -1,7 +1,8 @@
 """Named invariant suites over the degree formulas.
 
-Each suite expands to a flat list of small independent tasks.  Tasks
-are plain tuples of primitives so they can fan out to worker
+Each suite expands to a flat list of small independent tasks.  A task
+is a tuple of a module-level function of this module and its primitive
+arguments, so it pickles by reference and can fan out to worker
 processes; run_task executes one and reports pass or fail together
 with a counterexample dump.  Suites pass only when every task does.
 """
@@ -48,14 +49,6 @@ from .pool import fork_map
 from .qschur import d_value
 from .schur_oracle import alpha_oracle, d_oracle, psi_oracle
 
-_TASK_KINDS = {}
-
-
-def _task(fn):
-    _TASK_KINDS[fn.__name__] = fn
-    return fn
-
-
 def _fmt(arg):
     if isinstance(arg, tuple):
         return format_indexset(arg)
@@ -63,15 +56,12 @@ def _fmt(arg):
 
 
 def task_label(task):
-    kind, args = task[0], task[1:]
-    if not args:
-        return kind
-    return kind + " " + " ".join(_fmt(a) for a in args)
+    return " ".join([task[0].__name__, *map(_fmt, task[1:])])
 
 
 def run_task(task):
     """Execute one task tuple; detail is empty exactly when it passed."""
-    detail = _TASK_KINDS[task[0]](*task[1:])
+    detail = task[0](*task[1:])
     return {"task": task_label(task), "ok": detail is None, "detail": detail or ""}
 
 
@@ -121,22 +111,18 @@ def _routes_agree(family, sets, expected=None):
     return None
 
 
-@_task
 def psi_paths(I, expected=None):
     return _routes_agree("psi", (I,), expected)
 
 
-@_task
 def alpha_paths_line(I):
     return _routes_agree("alpha", (I,))
 
 
-@_task
 def da_paths_pair(I, J):
     return _routes_agree("d", (I, J))
 
 
-@_task
 def phi_anchor(n, d, expected):
     got = phi_sym(n, d)
     if got != expected:
@@ -154,11 +140,16 @@ def _nrs_line(kind, n, s):
     return None
 
 
-_TASK_KINDS.update(
-    nrs_sym_line=functools.partial(_nrs_line, "sym"),
-    nrs_a_line=functools.partial(_nrs_line, "a"),
-    nrs_d_line=functools.partial(_nrs_line, "d"),
-)
+def nrs_sym_line(n, s):
+    return _nrs_line("sym", n, s)
+
+
+def nrs_a_line(n, s):
+    return _nrs_line("a", n, s)
+
+
+def nrs_d_line(n, s):
+    return _nrs_line("d", n, s)
 
 
 def _duality_miss(kind, n, ranks):
@@ -174,7 +165,6 @@ def _duality_miss(kind, n, ranks):
     return None
 
 
-@_task
 def duality_line(n, s):
     miss = _duality_miss("sym", n, [n - s])
     if miss:
@@ -183,7 +173,6 @@ def duality_line(n, s):
     return None
 
 
-@_task
 def pataki_line(mtype, n, r):
     lo, hi = pataki_window(mtype, n, r)
     for m in range(0, ambient_dim(mtype, n) + 2):
@@ -196,7 +185,6 @@ def pataki_line(mtype, n, r):
     return None
 
 
-@_task
 def leading_line(I):
     # The fit checks its degree, its leading coefficient and five more
     # points, and raises ConsistencyError on a miss.
@@ -226,16 +214,15 @@ def _transform_miss(what, I, value, transformed, where=""):
     return None
 
 
-@_task
 def b_identity_line(I):
     return _transform_miss("half-power transform", I, lp_poly, b_poly)
 
 
-# The skew point checks, d-identity and quasi-d, evaluate at 0..12.
+# The skew point checks evaluate at 13 points: d-identity at n = 0..12,
+# quasi-d at k + 2 * (sum(I) + 6) for k = 0..12, past the fit's nodes.
 _SKEW_POINTS_NMAX = 12
 
 
-@_task
 def d_identity_line(I):
     for n in range(_SKEW_POINTS_NMAX + 1):
         miss = _transform_miss("skew transform", I, lambda J: (alpha_complement(J, n),),
@@ -245,7 +232,6 @@ def d_identity_line(I):
     return None
 
 
-@_task
 def conormal_line(n):
     miss = _duality_miss("a", n, range(n + 1))
     if miss:
@@ -254,10 +240,10 @@ def conormal_line(n):
     return None
 
 
-@_task
 def quasi_d_line(I):
     branches = lp_d_quasipoly(I)
-    for k in range(_SKEW_POINTS_NMAX + 1):
+    past_nodes = 2 * (sum(I) + 6)
+    for k in range(past_nodes, past_nodes + _SKEW_POINTS_NMAX + 1):
         if evaluate(branches[k % 2], k // 2) != alpha_complement(I, k):
             return f"quasi-polynomial miss at {format_indexset(I)}, k={k}"
     return None
@@ -265,8 +251,7 @@ def quasi_d_line(I):
 
 def _certificate(*sets):
     """The lift recurrence when every set holds 0, the shift recurrence
-    when none does, over one set (certificate_line) or two of one size
-    (certificate_pair_line)."""
+    when none does, over one set or two of one size."""
     if all(S and S[0] == 0 for S in sets):
         name, residual = "lift", lp_lift_residual
     elif all(0 not in S for S in sets):
@@ -282,10 +267,14 @@ def _certificate(*sets):
     return f"two-set {name} recurrence failed at ({where})"
 
 
-_TASK_KINDS.update(certificate_line=_certificate, certificate_pair_line=_certificate)
+def certificate_line(I):
+    return _certificate(I)
 
 
-@_task
+def certificate_pair_line(I, J):
+    return _certificate(I, J)
+
+
 def certificate_skew_line(I):
     even_res, odd_res = lp_d_parity_residuals(I)
     if even_res or odd_res:
@@ -307,26 +296,22 @@ def _alternating_sum(kind, value, J, m, top, ratio, where):
     return None
 
 
-@_task
 def sij_sym_line(J, m):
     return _alternating_sum("alternating sum", psi, J, m, m - len(J), Fraction(-1, 2),
                             f"J={format_indexset(J)}")
 
 
-@_task
 def sij_a_line(K, L, m):
     return _alternating_sum("square alternating sum", lambda I: d_a(I, L), K, m,
                             m - len(K) - sum(L), -1,
                             f"K={format_indexset(K)}, L={format_indexset(L)}")
 
 
-@_task
 def sij_d_line(J, m):
     return _alternating_sum("skew alternating sum", alpha, J, m, m, Fraction(-1, 2),
                             f"J={format_indexset(J)}")
 
 
-@_task
 def fundamental_line(n):
     # phi_sym divides the direct-route sum by n; this takes the closed form.
     for d in range(1, ambient_dim("sym", n) + 1):
@@ -351,14 +336,14 @@ _CONIC_COUNTS = (1, 2, 4, 4, 2, 1)
 
 
 def _suite_worked(nmax, sum_max):
-    return [("psi_paths", I, v) for I, v in _WORKED_PSI]
+    return [(psi_paths, I, v) for I, v in _WORKED_PSI]
 
 
 def _suite_conics(nmax, sum_max):
-    return [("phi_anchor", 3, d, _CONIC_COUNTS[d - 1]) for d in range(1, 7)]
+    return [(phi_anchor, 3, d, _CONIC_COUNTS[d - 1]) for d in range(1, 7)]
 
 
-# The four shapes of suite.  Each takes its task name and shape first,
+# The four shapes of suite.  Each takes its task function and shape first,
 # then its default cap, then the --nmax and --sum-max caps.
 
 
@@ -392,12 +377,12 @@ def _subsets(task, sets, max_size, default, nmax, sum_max):
 
 def _suite_pataki(nmax, sum_max):
     nmax = 6 if nmax is None else nmax
-    tasks = [("pataki_line", "sym", n, r)
+    tasks = [(pataki_line, "sym", n, r)
              for n in range(2, nmax + 1) for r in range(1, n)]
     for mtype in ("a", "d"):
         for n in range(2, min(nmax, 4) + 1):
             for r in range(1, n):
-                tasks.append(("pataki_line", mtype, n, r))
+                tasks.append((pataki_line, mtype, n, r))
     return tasks
 
 
@@ -405,10 +390,10 @@ def _suite_certificates(nmax, sum_max):
     sum_max = 8 if sum_max is None else sum_max
     sets = _sets_by_sum(3, sum_max, min_size=1)
     pair_sets = _sets_by_sum(2, 5, min_size=1)
-    return ([("certificate_line", I) for I in sets]
-            + [("certificate_pair_line", I, J) for I in pair_sets for J in pair_sets
+    return ([(certificate_line, I) for I in sets]
+            + [(certificate_pair_line, I, J) for I in pair_sets for J in pair_sets
                if len(I) == len(J)]
-            + [("certificate_skew_line", I) for I in sets if I[0] == 0])
+            + [(certificate_skew_line, I) for I in sets if I[0] == 0])
 
 
 def _suite_sij(nmax, sum_max):
@@ -416,16 +401,16 @@ def _suite_sij(nmax, sum_max):
     tasks = []
     for J in _sets_by_sum(2, sum_max, min_size=1):
         for m in range(len(J) + sum(J), 11):
-            tasks.append(("sij_sym_line", J, m))
+            tasks.append((sij_sym_line, J, m))
         for m in range(max(1, sum(J)), 11):
-            tasks.append(("sij_d_line", J, m))
+            tasks.append((sij_d_line, J, m))
     small = [K for K in _sets_by_sum(2, 4, min_size=1) if all(v <= 4 for v in K)]
     for K in small:
         for L in small:
             if len(K) != len(L):
                 continue
             for m in range(len(K) + sum(K) + sum(L), 11):
-                tasks.append(("sij_a_line", K, L, m))
+                tasks.append((sij_a_line, K, L, m))
     return tasks
 
 
@@ -440,22 +425,22 @@ def _suite_all(nmax, sum_max):
 _SUITES = {
     "worked": _suite_worked,
     "conics": _suite_conics,
-    "nrs-sym": functools.partial(_coranks, "nrs_sym_line", 6),
-    "duality": functools.partial(_coranks, "duality_line", 6),
+    "nrs-sym": functools.partial(_coranks, nrs_sym_line, 6),
+    "duality": functools.partial(_coranks, duality_line, 6),
     "pataki": _suite_pataki,
-    "leading": functools.partial(_by_sum, "leading_line", 3, 8),
-    "b-identity": functools.partial(_by_sum, "b_identity_line", 3, 8),
-    "d-identity": functools.partial(_by_sum, "d_identity_line", 3, 8),
-    "psi-paths": functools.partial(_subsets, "psi_paths", 1, 3, 6),
-    "alpha-paths": functools.partial(_subsets, "alpha_paths_line", 1, 4, 8),
-    "da-paths": functools.partial(_subsets, "da_paths_pair", 2, 3, 6),
-    "nrs-a": functools.partial(_coranks, "nrs_a_line", 4),
-    "nrs-d": functools.partial(_coranks, "nrs_d_line", 4),
-    "conormal": functools.partial(_sizes, "conormal_line", 4),
-    "quasi-d": functools.partial(_by_sum, "quasi_d_line", 2, 6),
+    "leading": functools.partial(_by_sum, leading_line, 3, 8),
+    "b-identity": functools.partial(_by_sum, b_identity_line, 3, 8),
+    "d-identity": functools.partial(_by_sum, d_identity_line, 3, 8),
+    "psi-paths": functools.partial(_subsets, psi_paths, 1, 3, 6),
+    "alpha-paths": functools.partial(_subsets, alpha_paths_line, 1, 4, 8),
+    "da-paths": functools.partial(_subsets, da_paths_pair, 2, 3, 6),
+    "nrs-a": functools.partial(_coranks, nrs_a_line, 4),
+    "nrs-d": functools.partial(_coranks, nrs_d_line, 4),
+    "conormal": functools.partial(_sizes, conormal_line, 4),
+    "quasi-d": functools.partial(_by_sum, quasi_d_line, 2, 6),
     "certificates": _suite_certificates,
     "sij-identities": _suite_sij,
-    "fundamental": functools.partial(_sizes, "fundamental_line", 6),
+    "fundamental": functools.partial(_sizes, fundamental_line, 6),
     "all": _suite_all,
 }
 

@@ -154,6 +154,13 @@ def _jobs(args):
     return args.jobs
 
 
+def _kind(args):
+    try:
+        return canonical_type(args.matrix_type)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+
+
 def cmd_psi(args):
     family = args.family
     _require(args.pair is None or family == "d",
@@ -191,10 +198,7 @@ def cmd_psi(args):
 
 
 def cmd_delta(args):
-    try:
-        kind = canonical_type(args.matrix_type)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    kind = _kind(args)
     jobs = _jobs(args)
     m, n, r = args.m, args.n, args.r
     _require(n >= 1, "need n >= 1")
@@ -231,10 +235,7 @@ def cmd_delta(args):
 
 
 def cmd_phi(args):
-    try:
-        kind = canonical_type(args.matrix_type)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    kind = _kind(args)
 
     if args.table is not None:
         _require(not args.poly and args.n is None and args.d is None,

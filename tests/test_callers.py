@@ -2,11 +2,11 @@
 benchmark imports it.
 
 A function counts as called when a reference outside its own body
-resolves to it, or when checks._task registers it as a suite task.  A
-reference resolves by where the name comes from: a bare name in the
-function's own module, a name bound by ``from .module import name``,
-or ``module.name`` on a module bound by ``from . import module``.  An
-attribute of anything else, such as ``args.complement``, is no call.
+resolves to it.  A reference resolves by where the name comes from: a
+bare name in the function's own module, a name bound by
+``from .module import name``, or ``module.name`` on a module bound by
+``from . import module``.  An attribute of anything else, such as
+``args.complement``, is no call.
 The only other functions allowed are those perfbench/make_reference.py
 imports from mldeg, matched by module and name; tests call their own
 references, in tests/references.py, and give nothing in src a caller.
@@ -14,6 +14,7 @@ references, in tests/references.py, and give nothing in src a caller.
 
 import ast
 import pathlib
+import pickle
 
 from mldeg import checks
 from test_reference_imports import benchmark_imports
@@ -52,10 +53,6 @@ def _referenced(node, stem, names, modules):
     return labels
 
 
-def _is_task(fn):
-    return any(isinstance(d, ast.Name) and d.id == "_task" for d in fn.decorator_list)
-
-
 def uncalled(src=SRC, kept=KEPT):
     """Top-level functions of the package with no caller and no label in
     kept, by "module.name"."""
@@ -70,7 +67,7 @@ def uncalled(src=SRC, kept=KEPT):
             referenced_by.append((node, _referenced(node, path.stem, names, modules)))
     return sorted(
         label for label, fn in defs
-        if not _is_task(fn) and label not in kept
+        if label not in kept
         and not any(label in labels for node, labels in referenced_by if node is not fn))
 
 
@@ -95,10 +92,14 @@ def test_every_kept_function_needs_its_entry():
     assert uncalled(kept=set()) == ["degrees.delta_sym_items", "indexsets.complement"]
 
 
-def test_every_task_kind_is_built():
-    # The _task exemption above holds only if every registered kind is
-    # run by some suite, and every kind a suite builds is registered.
-    assert {task[0] for task in checks.build_suite("all")} == set(checks._TASK_KINDS)
+def test_every_task_function_is_reachable_by_name():
+    # Forked workers unpickle a task's function by reference: by its
+    # module and its name there.
+    functions = {task[0] for task in checks.build_suite("all")}
+    for fn in functions:
+        assert fn.__module__ == checks.__name__, fn
+        assert getattr(checks, fn.__name__) is fn, fn
+    assert pickle.loads(pickle.dumps(functions)) == functions
 
 
 def test_an_uncalled_function_is_caught(tmp_path):

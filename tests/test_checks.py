@@ -27,15 +27,15 @@ def test_unknown_suite():
 
 
 def test_task_labels():
-    assert task_label(("psi_paths", (0, 3))) == "psi_paths {0,3}"
-    assert task_label(("nrs_sym_line", 4, 2)) == "nrs_sym_line 4 2"
-    assert task_label(("conormal_line",)) == "conormal_line"
+    assert task_label((checks.psi_paths, (0, 3))) == "psi_paths {0,3}"
+    assert task_label((checks.nrs_sym_line, 4, 2)) == "nrs_sym_line 4 2"
+    assert task_label((checks.conormal_line,)) == "conormal_line"
 
 
 def test_run_task_pass_and_fail():
-    ok = run_task(("phi_anchor", 3, 2, 2))
+    ok = run_task((checks.phi_anchor, 3, 2, 2))
     assert ok["ok"] and ok["detail"] == ""
-    bad = run_task(("phi_anchor", 3, 2, 999))
+    bad = run_task((checks.phi_anchor, 3, 2, 999))
     assert not bad["ok"]
     assert "999" in bad["detail"]
 
@@ -61,7 +61,7 @@ def _reaches(task, target):
     by a positive Pascal minor and C(m-1, top - sum(T)); the term of
     T = J with sum(T) = top is the expected value itself, so an error
     there cancels."""
-    kind, J, others, m = task[0], task[1], task[2:-1], task[-1]
+    kind, J, others, m = task[0].__name__, task[1], task[2:-1], task[-1]
     T = target[0]
     top = m if kind == "sij_d_line" else m - len(J) - sum(map(sum, others))
     return (others == target[1:] and len(J) == len(T)
@@ -79,7 +79,7 @@ def test_alternating_sums_catch_a_wrong_coefficient(monkeypatch, name, kind, tar
     monkeypatch.setattr(checks, name, lambda *sets: true(*sets) + (sets == target))
     reached = 0
     for task in build_suite("sij-identities"):
-        if task[0] != kind:
+        if task[0].__name__ != kind:
             continue
         result = run_task(task)
         if _reaches(task, target):
@@ -146,7 +146,7 @@ def test_suite_sizes_match_the_reference():
 
 def _failures(kind, suite="certificates"):
     """{label: detail} of the failing tasks of one kind in a suite."""
-    results = [run_task(task) for task in build_suite(suite) if task[0] == kind]
+    results = [run_task(task) for task in build_suite(suite) if task[0].__name__ == kind]
     assert results
     return {r["task"]: r["detail"] for r in results if not r["ok"]}
 
@@ -229,8 +229,8 @@ def test_d_identity_catches_a_wrong_complement(monkeypatch):
      {"pataki_line sym 3 1": "sym: nonzero outside window at (m=1, n=3, r=1): 1"}),
     (checks, "delta_direct_info", ("sym", 3, 3, 1), _on_value(lambda v: 0), "pataki",
      {"pataki_line sym 3 1": "sym: zero at window endpoint (m=3, n=3, r=1)"}),
-    (checks, "alpha_complement", ((0, 1), 5), _one_more, "quasi-d",
-     {"quasi_d_line {0,1}": "quasi-polynomial miss at {0,1}, k=5"}),
+    (checks, "alpha_complement", ((0, 1), 19), _one_more, "quasi-d",
+     {"quasi_d_line {0,1}": "quasi-polynomial miss at {0,1}, k=19"}),
     (poly_n, "lp_d_quasipoly", ((0, 2),), lambda q: (_one_more(q[0]), q[1]), "certificates",
      {"certificate_skew_line {0,2}": "parity recurrence failed at {0,2}"}),
 ], ids=["nrs-sym", "nrs-a", "nrs-d", "duality", "conormal", "fundamental", "pataki-outside",
@@ -321,7 +321,7 @@ def test_failure_surfaces_counterexample():
     results, failures = run_suite("worked")
     assert not failures
     # A deliberately wrong expectation must come back with a dump.
-    res = run_task(("psi_paths", (0, 2), 4))
+    res = run_task((checks.psi_paths, (0, 2), 4))
     assert not res["ok"]
     assert "{0,2}" in res["detail"]
 

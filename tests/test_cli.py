@@ -98,8 +98,8 @@ def test_one_route_table_drives_psi_and_path_suites(capsys, monkeypatch):
     # and the family's *-paths task: neither keeps its own list.
     sentinel = -424242
     I, J = (0, 3), (1, 2)
-    tasks = {"psi": ("psi_paths", I), "alpha": ("alpha_paths_line", I),
-             "d": ("da_paths_pair", I, J)}
+    tasks = {"psi": (checks.psi_paths, I), "alpha": (checks.alpha_paths_line, I),
+             "d": (checks.da_paths_pair, I, J)}
     routes = [key for key in checks.ROUTES if key[1] != "complement"]
     assert {family for family, _ in routes} == set(tasks)
     subparsers = next(a for a in build_parser()._actions
@@ -375,7 +375,7 @@ def test_check_pass_and_fail(capsys, monkeypatch):
 
     monkeypatch.setitem(
         checks._SUITES, "worked",
-        lambda nmax, sum_max: [("phi_anchor", 3, 2, 999)])
+        lambda nmax, sum_max: [(checks.phi_anchor, 3, 2, 999)])
     code, out, _ = run_main(capsys, "check", "worked")
     assert code == 1
     data = json.loads(out)
