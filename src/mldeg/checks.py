@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import sys
 from fractions import Fraction
 
 from .degrees import (
@@ -89,9 +90,20 @@ FAST_PATH = {"psi": "pfaffian", "alpha": "pfaffian", "d": "pascal"}
 
 
 def route_refusal(family, path, sets):
-    """Why the route cannot take these sets, or None when it can."""
-    if (family, path) == ("d", "recursion") and len(sets[0]) != len(sets[1]):
+    """Why the route cannot take these sets, or None when it can.
+
+    The recursion nests about three frames per element of a set (the
+    cached call, its body and the sum generator), so it takes at most a
+    quarter of the recursion limit in elements, which leaves the rest to
+    its caller.
+    """
+    if path != "recursion":
+        return None
+    if family == "d" and len(sets[0]) != len(sets[1]):
         return "recursion path needs sets of equal size"
+    most = sys.getrecursionlimit() // 4
+    if len(sets[0]) > most:
+        return f"recursion path takes at most {most} elements per set"
     return None
 
 

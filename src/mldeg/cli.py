@@ -10,6 +10,7 @@ the same query.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 import time
@@ -22,8 +23,8 @@ from .degrees import (
     delta_nrs_info,
     phi_value,
 )
-from .exact import ConsistencyError, format_fraction
-from .indexsets import format_indexset, partition_weight
+from .exact import ConsistencyError
+from .indexsets import check_indexset, format_indexset, partition_weight
 from .poly_n import phi_poly
 
 EXIT_OK = 0
@@ -61,7 +62,8 @@ class UsageError(Exception):
 # ------------------------------------------------------------------ parsing
 
 def parse_set(text):
-    """Index set from '{0,3}' or '0,3'; '{}' and '' are the empty set."""
+    """Index set from '{0,3}' or '0,3'; '{}' and '' are the empty set.
+    check_indexset judges the entries."""
     body = text.strip()
     if body.startswith("{") and body.endswith("}"):
         body = body[1:-1]
@@ -69,14 +71,9 @@ def parse_set(text):
     if not body:
         return ()
     try:
-        entries = tuple(int(part) for part in body.split(","))
-    except ValueError:
-        raise UsageError(f"malformed index set: {text!r}") from None
-    if entries[0] < 0 or any(a >= b for a, b in zip(entries, entries[1:])):
-        raise UsageError(
-            f"index set needs strictly increasing nonnegative entries: {text!r}"
-        )
-    return entries
+        return check_indexset(int(part) for part in body.split(","))
+    except ValueError as exc:
+        raise UsageError(f"bad index set {text!r}: {exc}") from None
 
 
 def build_parser():
@@ -246,7 +243,7 @@ def cmd_phi(args):
         header = "d," + ",".join(f"coeff_{k}" for k in range(dmax))
         lines = [header]
         for d in range(1, dmax + 1):
-            cells = [format_fraction(c) for c in phi_poly(kind, d)]
+            cells = [str(c) for c in phi_poly(kind, d)]
             cells += ["0"] * (dmax - len(cells))
             lines.append(str(d) + "," + ",".join(cells))
         return {"csv": lines}, EXIT_OK
@@ -257,8 +254,7 @@ def cmd_phi(args):
         d = args.d
         _require(d >= 1, "need d >= 1")
         _require_cap(args, "d", d)
-        coeffs = [int(c) if c.denominator == 1 else format_fraction(c)
-                  for c in phi_poly(kind, d)]
+        coeffs = [int(c) if c.denominator == 1 else str(c) for c in phi_poly(kind, d)]
         query = {"d": d, "family": "phi", "poly": True, "type": kind}
         return {"query": query, "result": coeffs}, EXIT_OK
 
@@ -315,13 +311,20 @@ def main(argv=None):
     if limit is not None:
         sys.set_int_max_str_digits(0)
     try:
-        if "csv" in payload:
-            for line in payload["csv"]:
-                print(line)
-        else:
-            print(json.dumps(payload, sort_keys=True))
+        print("\n".join(payload["csv"]) if "csv" in payload
+              else json.dumps(payload, sort_keys=True))
     finally:
         if limit is not None:
             sys.set_int_max_str_digits(limit)
     print(f"wall_time_s={time.monotonic() - started:.3f}", file=sys.stderr)
+    return code
+
+
+def run():
+    """The console entry: main's exit code, returned after every object
+    left is frozen, so that the collector's passes at interpreter
+    shutdown skip them.  main itself never freezes, as tests and
+    library users call it in process."""
+    code = main()
+    gc.freeze()
     return code

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from fractions import Fraction
 
 
 class ConsistencyError(RuntimeError):
@@ -26,14 +25,6 @@ def binom(a, b):
     if b < 0 or b > a:
         return 0
     return math.comb(a, b)
-
-
-def format_fraction(x):
-    """Render an int or Fraction as 'p' or 'p/q' (q > 0)."""
-    f = Fraction(x)
-    if f.denominator == 1:
-        return str(f.numerator)
-    return f"{f.numerator}/{f.denominator}"
 
 
 def det(rows):

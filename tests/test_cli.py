@@ -2,19 +2,21 @@
 
 import argparse
 import contextlib
+import gc
 import io
 import json
 import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mldeg import checks, degrees
-from mldeg.cli import UsageError, build_parser, main, parse_set
+from mldeg.cli import UsageError, build_parser, main, parse_set, run
 from mldeg.indexsets import format_indexset
 
 
@@ -128,6 +130,24 @@ def test_deep_set_exits_0():
                        "--unsafe-range")
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["result"] == 1
+
+
+def test_long_set_on_the_recursion_route_never_ends_in_a_traceback():
+    # Fresh processes: the recursion nests about three frames per element,
+    # so 400 elements would pass the recursion limit; the route refuses
+    # them as usage, and answers a set within its element bound.
+    for length, code in ((400, 2), (250, 0)):
+        text = "{" + ",".join(map(str, range(length))) + "}"
+        for argv in (["--set", text], ["--family", "alpha", "--set", text],
+                     ["--family", "d", "--set", text, "--pair", text]):
+            proc = run_cli("psi", *argv, "--path", "recursion", "--unsafe-range")
+            assert proc.returncode == code, (length, argv[:2], proc.stderr)
+            assert "Traceback" not in proc.stderr, proc.stderr
+            if code:
+                lines = proc.stderr.splitlines()
+                assert len(lines) == 1 and lines[0].startswith("error: "), lines
+            else:
+                assert json.loads(proc.stdout)["result"] == 1
 
 
 def test_skew_at_large_n_exits_0():
@@ -365,6 +385,11 @@ def test_phi_table(capsys):
     assert lines[2] == "2,-1,1,0"
     assert lines[3] == "3,1,-2,1"
     assert len(lines) == 4
+
+    # Rational cells print as p/q with the sign on p.
+    for kind, row in (("sym", "5,1,-14/3,77/12,-10/3,7/12"), ("a", "5,1,-4,73/12,-4,11/12")):
+        code, out, _ = run_main(capsys, "phi", "--type", kind, "--table", "5")
+        assert code == 0 and out.splitlines()[5] == row, kind
 
 
 def test_check_pass_and_fail(capsys, monkeypatch):
@@ -671,6 +696,24 @@ def test_stdout_is_json_with_sorted_keys():
     assert proc.stdout == json.dumps(data, sort_keys=True) + "\n"
     assert data["result"] == 14
     assert "wall_time_s=" in proc.stderr
+
+
+def test_run_freezes_once_after_the_output(capsys, monkeypatch):
+    # The console entry freezes the objects left so that shutdown skips
+    # them; main, called in process, never does.
+    for text, expected in (("{0,3}", 0), ("{3,1}", 2)):
+        frozen = []
+        monkeypatch.setattr(gc, "freeze", lambda: frozen.append(capsys.readouterr()))
+        monkeypatch.setattr(sys, "argv", ["mldeg", "psi", "--set", text])
+        assert run() == expected
+        assert len(frozen) == 1, text
+        out, err = frozen[0]
+        if expected:
+            assert not out and err.startswith("error:"), err
+        else:
+            assert json.loads(out)["result"] == 7 and "wall_time_s=" in err
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    assert 'mldeg = "mldeg.cli:run"' in pyproject.read_text().splitlines()
 
 
 def test_import_stays_lean():

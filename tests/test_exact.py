@@ -11,7 +11,6 @@ from mldeg.exact import (
     _pair_matrix,
     binom,
     det,
-    format_fraction,
     pfaffian,
     pfaffian_table,
 )
@@ -223,11 +222,4 @@ def test_det_multiplicative(seed, n):
     b = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(n)]
     ab = [[sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
     assert det(ab) == det(a) * det(b)
-
-
-def test_format_fraction():
-    assert format_fraction(Fraction(3, 1)) == "3"
-    assert format_fraction(Fraction(-7, 2)) == "-7/2"
-    assert format_fraction(5) == "5"
-    assert format_fraction(Fraction(2, 4)) == "1/2"
 
