@@ -22,7 +22,7 @@ from .degrees import (
     phi_sym,
 )
 from .exact import binom
-from .indexsets import enumerate_indexsets, format_indexset, leq, lower_sets
+from .indexsets import enumerate_indexsets, format_indexset, lower_sets
 from .lascoux import (
     alpha,
     alpha_complement,
@@ -64,13 +64,6 @@ def run_task(task):
     """Execute one task tuple; detail is empty exactly when it passed."""
     detail = task[0](*task[1:])
     return {"task": task_label(task), "ok": detail is None, "detail": detail or ""}
-
-
-def _upper_sets(J, cap):
-    for t in range(sum(J), cap + 1):
-        for I in enumerate_indexsets(len(J), t):
-            if leq(J, I):
-                yield I
 
 
 # (family, path) -> the function behind it, and each family's fast path;
@@ -297,11 +290,12 @@ def certificate_skew_line(I):
 def _alternating_sum(kind, value, J, m, top, ratio, where):
     """Sum of value(I) ratio^(|I| - |J|) s_ij(I, J) C(m-1, top - |I|)
     over I >= J up to |I| = top; it must be value(J) when |J| = top and
-    0 otherwise, |.| the entry sum."""
-    total = 0
-    for I in _upper_sets(J, top):
-        total += (value(I) * ratio ** (sum(I) - sum(J))
-                  * s_ij(I, J) * binom(m - 1, top - sum(I)))
+    0 otherwise, |.| the entry sum.  The sum runs over every set of the
+    size of J with |J| <= |I| <= top: s_ij(I, J) is 0 unless J <= I in
+    every place, as J_p > I_p leaves rows 0..p zero from column p on."""
+    total = sum(value(I) * ratio ** (t - sum(J)) * c * binom(m - 1, top - t)
+                for t in range(sum(J), top + 1) for I in enumerate_indexsets(len(J), t)
+                if (c := s_ij(I, J)))
     expected = value(J) if sum(J) == top else 0
     if total != expected:
         return f"{kind} failed at ({where}, m={m}): {total} vs {expected}"

@@ -53,16 +53,20 @@ def ambient_dim(kind, k):
     return sets * binom(scale * k, 2) + diagonal * scale * k
 
 
-def _terms(sets, size, total, bound=None):
-    """Every tuple of `sets` index sets of the given size, entries below
+def _terms(sets, size, totals, bound=None):
+    """{total: terms} for each total in totals, in order; the terms are
+    every tuple of `sets` index sets of the given size, entries below
     bound, whose sums add up to total: (I,) for one set per term, else
     (I, J) by increasing sum of I.  The sets of each sum are enumerated
-    once and paired with those of the complementary sum."""
+    once for all the totals and paired with those of the complementary
+    sum."""
     if sets == 1:
-        return [(I,) for I in enumerate_indexsets(size, total, bound)]
+        return {t: [(I,) for I in enumerate_indexsets(size, t, bound)] for t in totals}
     low = binom(size, 2)
-    by_sum = [list(enumerate_indexsets(size, t, bound)) for t in range(low, total - low + 1)]
-    return [(I, J) for Is, Js in zip(by_sum, reversed(by_sum)) for I in Is for J in Js]
+    by_sum = [list(enumerate_indexsets(size, t, bound))
+              for t in range(low, max(totals, default=-1) - low + 1)]
+    return {t: [(I, J) for k in range(t - 2 * low + 1) for I in by_sum[k]
+                for J in by_sum[t - 2 * low - k]] for t in totals}
 
 
 def direct_terms(kind, m, n, r):
@@ -75,7 +79,8 @@ def direct_terms(kind, m, n, r):
         return []
     sets, scale, diagonal = SHAPES[kind]
     size = scale * (n - r)
-    return [(1, term) for term in _terms(sets, size, m - diagonal * size, scale * n)]
+    total = m - diagonal * size
+    return [(1, term) for term in _terms(sets, size, [total], scale * n)[total]]
 
 
 def nrs_terms(kind, m, s):
@@ -91,10 +96,10 @@ def nrs_terms(kind, m, s):
     size = scale * s
     top = m - diagonal * size
     items = []
-    for t in range(sets * binom(size, 2), top + 1):
+    for t, terms in _terms(sets, size, range(sets * binom(size, 2), top + 1)).items():
         g = top - t
         weight = (-1) ** g * binom(m - 1, g)
-        items.extend((weight, term) for term in _terms(sets, size, t))
+        items.extend((weight, term) for term in terms)
     return items
 
 

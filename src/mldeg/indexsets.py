@@ -62,23 +62,19 @@ def complement(I, n):
     return tuple(x for x in range(n) if x not in members)
 
 
-def leq(I, J):
-    """Componentwise order on equal-size index sets."""
-    I, J = check_same_size(I, J, "leq")
-    return all(a <= b for a, b in zip(I, J))
-
-
 def lower_sets(I):
     """Every strictly increasing J of the size of I with J[k] <= I[k],
-    in lexicographic order."""
-    def rec(prefix, k, lo):
-        if k == len(I):
-            yield prefix
+    in lexicographic order: each raises the last place of the one before
+    still below I, and restarts the places after it one apart."""
+    J = list(range(len(I)))
+    while True:
+        yield tuple(J)
+        p = len(J) - 1
+        while p >= 0 and J[p] == I[p]:
+            p -= 1
+        if p < 0:
             return
-        for v in range(lo, I[k] + 1):
-            yield from rec(prefix + (v,), k + 1, v + 1)
-
-    yield from rec((), 0, 0)
+        J[p:] = range(J[p] + 1, J[p] + 1 + len(J) - p)
 
 
 def enumerate_indexsets(size, total, bound=None):
@@ -89,27 +85,12 @@ def enumerate_indexsets(size, total, bound=None):
     runs only over the values that leave the slots after it a reachable
     sum: at least the sum of the next consecutive values, and, below
     bound, at most the sum of the largest values under it.  The last
-    element is what remains.  The sets come out as IndexSets.
+    element is what remains.  The sets come out as IndexSets.  A stack
+    holds the open prefixes, the smallest on top, so no call nests per
+    element.
     """
     if size < 0:
         raise ValueError(f"enumerate_indexsets: negative size {size}")
-
-    def rec(prefix, remaining, lo, slots):
-        # slots >= 2 elements from lo up, summing to remaining.  After v
-        # the other slots - 1 sum to (slots - 1) * v + C(slots, 2) at
-        # least and, below bound, to (slots - 1) * bound - C(slots, 2) at
-        # most.
-        staircase = slots * (slots - 1) // 2
-        hi = (remaining - staircase) // slots
-        if bound is not None:
-            lo = max(lo, remaining - (slots - 1) * bound + staircase)
-        if slots == 2:
-            for v in range(lo, hi + 1):
-                yield IndexSet(prefix + (v, remaining - v))
-            return
-        for v in range(lo, hi + 1):
-            yield from rec(prefix + (v,), remaining - v, v + 1, slots - 1)
-
     if total < 0:
         return
     if size == 0:
@@ -119,7 +100,23 @@ def enumerate_indexsets(size, total, bound=None):
         if bound is None or total < bound:
             yield IndexSet((total,))
     else:
-        yield from rec((), total, 0, size)
+        stack = [((), total, 0)]
+        while stack:
+            prefix, remaining, lo = stack.pop()
+            # slots >= 2 elements from lo up, summing to remaining.  After
+            # v the other slots - 1 sum to (slots - 1) * v + C(slots, 2) at
+            # least and, below bound, to (slots - 1) * bound - C(slots, 2)
+            # at most.
+            slots = size - len(prefix)
+            staircase = slots * (slots - 1) // 2
+            if bound is not None:
+                lo = max(lo, remaining - (slots - 1) * bound + staircase)
+            values = range(lo, (remaining - staircase) // slots + 1)
+            if slots == 2:
+                for v in values:
+                    yield IndexSet(prefix + (v, remaining - v))
+            else:
+                stack.extend((prefix + (v,), remaining - v, v + 1) for v in reversed(values))
 
 
 def format_indexset(I):

@@ -20,6 +20,7 @@ every fast path it is used to check.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import operator
@@ -57,21 +58,20 @@ def alternant_terms(I):
     The places are filled in ascending order (the identity puts p at
     place p), each with a still-free value no larger than I[p], smallest
     first; taking the k-th smallest free value, from 0, adds k
-    inversions.  A set of small weight visits few permutations.
+    inversions.  A stack holds the partial fillings, the smallest choice
+    on top.  A set of small weight visits few permutations.
     """
     terms = []
-
-    def place(p, free, sign, exps):
+    stack = [(1, (), tuple(range(len(I))))]
+    while stack:
+        sign, exps, free = stack.pop()
+        p = len(exps)
         if p == len(I):
             terms.append((sign, exps))
-            return
-        for k, v in enumerate(free):
-            if v > I[p]:
-                break
-            place(p + 1, free[:k] + free[k + 1:], -sign if k % 2 else sign,
-                  exps + (I[p] - v,))
-
-    place(0, tuple(range(len(I))), 1, ())
+            continue
+        for k in reversed(range(bisect.bisect_right(free, I[p]))):
+            stack.append((-sign if k % 2 else sign, exps + (I[p] - free[k],),
+                          free[:k] + free[k + 1:]))
     return terms
 
 
@@ -124,28 +124,29 @@ def alpha_oracle(I):
 
 
 def _compositions(total, parts):
-    """Every tuple of `parts` nonnegative ints summing to total."""
-    if parts <= 1:
-        if parts == 1 or total == 0:
-            yield (total,) * parts
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+    """Every tuple of `parts` nonnegative ints summing to total, in
+    lexicographic order: the gaps left by parts - 1 bars placed among
+    total + parts - 1 places."""
+    if not parts:
+        return [()] if total == 0 else []
+    places = total + parts - 1
+    return [tuple(hi - lo - 1 for lo, hi in zip((-1, *bars), (*bars, places)))
+            for bars in itertools.combinations(range(places), parts - 1)]
 
 
 @functools.cache
 def _row_sums(b, rows):
     """Row-sum vector R -> number of rows x len(b) matrices over N with
     column sums b and row sums R; one column at a time."""
-    if not b:
-        return {(0,) * rows: 1}
-    result = defaultdict(int)
-    columns = list(_compositions(b[-1], rows))
-    for R, count in _row_sums(b[:-1], rows).items():
-        for col in columns:
-            result[tuple(x + y for x, y in zip(R, col))] += count
-    return dict(result)
+    counts = {(0,) * rows: 1}
+    for column_sum in b:
+        grown = defaultdict(int)
+        columns = _compositions(column_sum, rows)
+        for R, count in counts.items():
+            for col in columns:
+                grown[tuple(map(operator.add, R, col))] += count
+        counts = grown
+    return dict(counts)
 
 
 def cross_coefficient(a, b):

@@ -122,13 +122,20 @@ def test_one_route_table_drives_psi_and_path_suites(capsys, monkeypatch):
 
 
 def test_deep_set_exits_0():
-    # A fresh process: the Pfaffian of {0,5000} is one pair value, and
-    # the box sum of the recursion route walks 5000 cold sets.  5000 is
-    # past the element cap, so both pass --unsafe-range.
-    for argv in ([], ["--path", "recursion"]):
-        proc = run_cli("psi", "--family", "alpha", "--set", "{0,5000}", *argv,
-                       "--unsafe-range")
-        assert proc.returncode == 0, proc.stderr
+    # Fresh processes: the Pfaffian of {0,5000} is one pair value, and
+    # the box sum of the recursion route walks 5000 cold sets.  The
+    # oracle route fills the 1100 places of {0..1099}, past the recursion
+    # limit, with one alternant term.  Both are past the element caps, so
+    # all pass --unsafe-range.
+    staircase = "{" + ",".join(map(str, range(1100))) + "}"
+    for argv in (["--family", "alpha", "--set", "{0,5000}"],
+                 ["--family", "alpha", "--set", "{0,5000}", "--path", "recursion"],
+                 ["--set", staircase, "--path", "oracle"],
+                 ["--family", "alpha", "--set", staircase, "--path", "oracle"],
+                 ["--family", "d", "--set", staircase, "--pair", staircase,
+                  "--path", "oracle"]):
+        proc = run_cli("psi", *argv, "--unsafe-range")
+        assert proc.returncode == 0 and "Traceback" not in proc.stderr, (argv[:2], proc.stderr)
         assert json.loads(proc.stdout)["result"] == 1
 
 

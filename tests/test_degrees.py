@@ -21,7 +21,7 @@ from mldeg.degrees import (
     phi_type_d,
     phi_value,
 )
-from mldeg.indexsets import complement, enumerate_indexsets, leq
+from mldeg.indexsets import complement, enumerate_indexsets
 from mldeg.lascoux import alpha, d_a, psi, psi_recursion, s_ij
 from mldeg.poly_n import evaluate
 from references import a_ij_poly, lambda_of
@@ -407,13 +407,14 @@ def test_delta_sym_items_are_the_direct_sets(m, n, r):
     assert total == delta_direct_info("sym", m, n, r)[0] != 0
 
 
-def _square_terms_reference(sets, size, total, bound=None):
-    """The square terms by a nested loop that enumerates the J sets
-    again for every I."""
+def _square_terms_reference(sets, size, totals, bound=None):
+    """The square terms by a nested loop that enumerates the sets of
+    every sum again for every I and every total."""
     low = binom(size, 2)
-    return [(I, J) for t in range(low, total - low + 1)
-            for I in enumerate_indexsets(size, t, bound)
-            for J in enumerate_indexsets(size, total - t, bound)]
+    return {total: [(I, J) for t in range(low, total - low + 1)
+                    for I in enumerate_indexsets(size, t, bound)
+                    for J in enumerate_indexsets(size, total - t, bound)]
+            for total in totals}
 
 
 def test_square_terms_enumerate_each_sum_once(monkeypatch):
@@ -429,9 +430,10 @@ def test_square_terms_enumerate_each_sum_once(monkeypatch):
 
     monkeypatch.setattr(degrees, "enumerate_indexsets", counting)
     assert degrees.nrs_terms("a", 30, 3) == reference
-    # One enumeration per sum of I in each _terms call: 253 here, where
+    # One enumeration per sum of I, 3 to 24, for all the totals of the
+    # closed form, where one per sum in each total makes 253 and
     # enumerating the J sets again for every I makes 2,931.
-    assert len(calls) <= 319
+    assert sorted(calls) == [(3, t, None) for t in range(3, 25)]
     assert [degrees.direct_terms("a", m, 6, 3) for m in range(3, 25)] == direct
 
 
@@ -440,7 +442,7 @@ def _upper_sets(J, cap):
     out = []
     for t in range(sum(J), cap + 1):
         for I in enumerate_indexsets(len(J), t):
-            if leq(J, I):
+            if all(j <= i for j, i in zip(J, I)):
                 out.append(I)
     return out
 

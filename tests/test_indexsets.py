@@ -12,7 +12,7 @@ from mldeg.indexsets import (
     complement,
     enumerate_indexsets,
     format_indexset,
-    leq,
+    lower_sets,
     mask,
     partition_weight,
 )
@@ -76,20 +76,27 @@ def test_complement_involution_and_sum():
                 assert sum(J) == n * (n - 1) // 2 - sum(I)
 
 
-def test_leq():
-    assert leq((0, 2), (1, 3))
-    assert not leq((1, 2), (0, 5))
-    assert leq((1, 2), (1, 2))
-    with pytest.raises(ValueError):
-        leq((1,), (1, 2))
-
-
 def test_enumerate_examples():
     assert list(enumerate_indexsets(2, 3)) == [(0, 3), (1, 2)]
     assert list(enumerate_indexsets(1, 5, 4)) == []
     assert list(enumerate_indexsets(0, 0)) == [()]
     assert list(enumerate_indexsets(0, 1)) == []
     assert list(enumerate_indexsets(3, 2)) == []
+    # A set of 1100 elements is past the recursion limit; the stack of
+    # open prefixes is a list.
+    assert list(enumerate_indexsets(1100, 1100 * 1099 // 2)) == [tuple(range(1100))]
+
+
+def test_lower_sets_are_lexicographic_and_complete():
+    # The reference keeps the combinations of the same size that lie
+    # below I in every place, in the order of combinations.
+    for size in range(6):
+        for I in itertools.combinations(range(10), size):
+            want = [J for J in itertools.combinations(range(10), size)
+                    if all(j <= i for j, i in zip(J, I))]
+            assert list(lower_sets(I)) == want, I
+    deep = tuple(range(1100))
+    assert list(lower_sets(deep)) == [deep]
 
 
 def _combinations_by_sum(universe, size, top):
