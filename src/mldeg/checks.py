@@ -66,20 +66,20 @@ def run_task(task):
     return {"task": task_label(task), "ok": detail is None, "detail": detail or ""}
 
 
-# (family, path) -> the function behind it, and each family's fast path;
-# the other paths check it.  One flat dict, so that perfbench/spans.py
-# can rebind its entries.
+# (family, path) -> the function that takes the family's sets and
+# returns its value, and each family's fast path; the other paths check
+# it.  The complement at [n] is another quantity, with n as one more
+# argument, so it has a table of its own.  Flat dicts, so that
+# perfbench/spans.py can rebind their entries.
 ROUTES = {
     ("psi", "pfaffian"): psi, ("psi", "pascal"): psi_pascal,
     ("psi", "recursion"): psi_recursion, ("psi", "oracle"): psi_oracle,
-    ("psi", "complement"): psi_complement,
     ("alpha", "pfaffian"): alpha, ("alpha", "recursion"): alpha_recursion,
     ("alpha", "oracle"): alpha_oracle,
-    ("alpha", "complement"): alpha_complement,
     ("d", "pascal"): d_a, ("d", "recursion"): d_a_recursion, ("d", "oracle"): d_oracle,
-    ("d", "complement"): d_a_complement,
 }
 FAST_PATH = {"psi": "pfaffian", "alpha": "pfaffian", "d": "pascal"}
+COMPLEMENTS = {"psi": psi_complement, "alpha": alpha_complement, "d": d_a_complement}
 
 
 def route_refusal(family, path, sets):
@@ -101,10 +101,9 @@ def route_refusal(family, path, sets):
 
 
 def _routes_agree(family, sets, expected=None):
-    """Run every route of the family but complement; None when all agree."""
+    """Run every route of the family; None when all agree."""
     values = {path: fn(*sets) for (fam, path), fn in ROUTES.items()
-              if fam == family and path != "complement"
-              and route_refusal(family, path, sets) is None}
+              if fam == family and route_refusal(family, path, sets) is None}
     fast_path = FAST_PATH[family]
     fast = values[fast_path]
     where = ", ".join(format_indexset(S) for S in sets)
@@ -328,13 +327,8 @@ def fundamental_line(n):
 
 
 def _sets_by_sum(max_size, sum_max, min_size=0):
-    out = []
-    if min_size == 0:
-        out.append(())
-    for r in range(max(1, min_size), max_size + 1):
-        for t in range(sum_max + 1):
-            out.extend(enumerate_indexsets(r, t))
-    return out
+    return [I for r in range(min_size, max_size + 1) for t in range(sum_max + 1)
+            for I in enumerate_indexsets(r, t)]
 
 
 _WORKED_PSI = (((0, 2), 3), ((0, 3), 7), ((1, 2), 3), ((1, 3), 10), ((2, 3), 10))
@@ -383,13 +377,9 @@ def _subsets(task, sets, max_size, default, nmax, sum_max):
 
 def _suite_pataki(nmax, sum_max):
     nmax = 6 if nmax is None else nmax
-    tasks = [(pataki_line, "sym", n, r)
-             for n in range(2, nmax + 1) for r in range(1, n)]
-    for mtype in ("a", "d"):
-        for n in range(2, min(nmax, 4) + 1):
-            for r in range(1, n):
-                tasks.append((pataki_line, mtype, n, r))
-    return tasks
+    return [(pataki_line, mtype, n, r)
+            for mtype, top in (("sym", nmax), ("a", min(nmax, 4)), ("d", min(nmax, 4)))
+            for n in range(2, top + 1) for r in range(1, n)]
 
 
 def _suite_certificates(nmax, sum_max):
@@ -410,7 +400,7 @@ def _suite_sij(nmax, sum_max):
             tasks.append((sij_sym_line, J, m))
         for m in range(max(1, sum(J)), 11):
             tasks.append((sij_d_line, J, m))
-    small = [K for K in _sets_by_sum(2, 4, min_size=1) if all(v <= 4 for v in K)]
+    small = _sets_by_sum(2, 4, min_size=1)
     for K in small:
         for L in small:
             if len(K) != len(L):

@@ -1,10 +1,10 @@
 """Command line front end.
 
 Queries print one JSON object to stdout (sorted keys, rationals as
-"p/q" strings) so reruns and worker counts can be compared byte for
-byte; the wall time goes to stderr only.  Exit codes: 0 success,
-1 a checked property failed, 2 usage, 3 two formula paths disagreed on
-the same query.
+"p/q" strings), and phi --table prints CSV lines, so reruns and worker
+counts can be compared byte for byte; the wall time goes to stderr
+only.  Exit codes: 0 success, 1 a checked property failed, 2 usage,
+3 two formula paths disagreed on the same query.
 """
 
 from __future__ import annotations
@@ -50,9 +50,9 @@ _ORACLE_CAP = 6
 # check: --nmax and --sum-max, the largest default any suite reads; the
 # suite builders list every task before the first one runs.
 _CHECK_CAP = 8
-# The value routes psi --path can pick, in the order checks.ROUTES
-# first names them; the complement has its own option.
-_PSI_PATHS = tuple(dict.fromkeys(path for _, path in checks.ROUTES if path != "complement"))
+# The routes psi --path can pick, in the order checks.ROUTES first
+# names them; checks.COMPLEMENTS stands behind --complement.
+_PSI_PATHS = tuple(dict.fromkeys(path for _, path in checks.ROUTES))
 
 
 class UsageError(Exception):
@@ -63,6 +63,7 @@ class UsageError(Exception):
 
 def parse_set(text):
     """Index set from '{0,3}' or '0,3'; '{}' and '' are the empty set.
+    Each entry is ASCII digits, spaces around it aside, and
     check_indexset judges the entries."""
     body = text.strip()
     if body.startswith("{") and body.endswith("}"):
@@ -70,8 +71,11 @@ def parse_set(text):
     body = body.strip()
     if not body:
         return ()
+    parts = [part.strip() for part in body.split(",")]
+    bad = next((part for part in parts if not (part.isascii() and part.isdigit())), None)
+    _require(bad is None, f"bad index set {text!r}: bad index entry {bad!r}")
     try:
-        return check_indexset(int(part) for part in body.split(","))
+        return check_indexset(map(int, parts))
     except ValueError as exc:
         raise UsageError(f"bad index set {text!r}: {exc}") from None
 
@@ -178,7 +182,7 @@ def cmd_psi(args):
         _require(n >= 0, "--complement needs a nonnegative size")
         _require_cap(args, "--complement", n, _SET_CAP)
         query["complement"] = n
-        value = checks.ROUTES[(family, "complement")](*sets, n)
+        value = checks.COMPLEMENTS[family](*sets, n)
         return {"query": query, "result": value, "path": "complement"}, EXIT_OK
 
     path = args.path or checks.FAST_PATH[family]

@@ -24,9 +24,12 @@ def fork_map(fn, items, jobs):
     The items run in this process until FORK_AFTER_S has passed.  If
     jobs > 1, the rest then go to jobs forked workers, once at least
     two are left and, at the mean time per item so far, they would run
-    longer than FORK_AFTER_S.  fn must be reachable by import path, as
-    workers receive it pickled.
+    longer than FORK_AFTER_S.  A fork pool starts all its workers at
+    once, so jobs is capped at the CPUs this process may run on, and
+    one usable CPU forks nothing.  fn must be reachable by import path,
+    as workers receive it pickled.
     """
+    jobs = min(jobs, _usable_cpus())
     results = []
     started = time.perf_counter()
     for k, item in enumerate(items, 1):
@@ -46,7 +49,7 @@ def _forked(fn, items, jobs):
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    workers = min(jobs, len(items), _usable_cpus())
+    workers = min(jobs, len(items))
     chunk = max(1, len(items) // (4 * workers))
     ctx = multiprocessing.get_context("fork")
     with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
@@ -54,7 +57,7 @@ def _forked(fn, items, jobs):
 
 
 def _usable_cpus():
-    """CPUs this process may run on; a pool starts all its workers at once."""
+    """CPUs this process may run on."""
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1

@@ -360,5 +360,17 @@ def test_forked_workers_capped_at_usable_cpus(monkeypatch, affinity):
         monkeypatch.setattr(pool.os, "cpu_count", lambda: 3)
     items = list(range(-50, 50))
     assert pool.fork_map(abs, items, 5000) == [abs(x) for x in items]
-    assert pool._forked(abs, [-1, 2], 5000) == [1, 2]
-    assert sizes == [3, 2]
+    assert sizes == [3]
+
+
+def test_one_usable_cpu_forks_nothing(monkeypatch):
+    # jobs is capped at the usable CPUs before any item runs, so one CPU
+    # runs every item here at any --jobs, with nothing pickled to a worker.
+    def refuse(*args, **kwargs):
+        raise AssertionError("forked a pool on one usable CPU")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+    monkeypatch.setattr(pool, "FORK_AFTER_S", 0)
+    monkeypatch.setattr(pool.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    items = list(range(-20, 20))
+    assert pool.fork_map(abs, items, 2) == [abs(x) for x in items]

@@ -41,7 +41,8 @@ def test_parse_set():
     assert parse_set("{ 2 , 5 }") == (2, 5)
     for I in ((), (0,), (0, 2, 5), (1, 3, 4, 10)):
         assert parse_set(format_indexset(I)) == I
-    for bad in ("{0,0}", "{-1}", "{a}", "0;1", "{3,1}", "{1,-2}"):
+    for bad in ("{0,0}", "{-1}", "{a}", "0;1", "{3,1}", "{1,-2}",
+                "{1_0}", "{+3}", "{\u0663}", "{3,\uff15}", "{0x1}", "{1 0}", "{3,}"):
         with pytest.raises(UsageError):
             parse_set(bad)
 
@@ -102,7 +103,7 @@ def test_one_route_table_drives_psi_and_path_suites(capsys, monkeypatch):
     I, J = (0, 3), (1, 2)
     tasks = {"psi": (checks.psi_paths, I), "alpha": (checks.alpha_paths_line, I),
              "d": (checks.da_paths_pair, I, J)}
-    routes = [key for key in checks.ROUTES if key[1] != "complement"]
+    routes = list(checks.ROUTES)
     assert {family for family, _ in routes} == set(tasks)
     subparsers = next(a for a in build_parser()._actions
                       if isinstance(a, argparse._SubParsersAction))
@@ -119,6 +120,31 @@ def test_one_route_table_drives_psi_and_path_suites(capsys, monkeypatch):
             assert code == 0 and json.loads(out)["result"] == sentinel, (family, path)
             result = checks.run_task(tasks[family])
         assert not result["ok"] and path in result["detail"], (family, path, result)
+
+
+def test_complements_have_a_table_of_their_own(capsys, monkeypatch):
+    # Every route takes the family's sets alone; the complement takes n
+    # as well, and psi --complement reads it from checks.COMPLEMENTS.
+    families = {"psi": ((1, 3),), "alpha": ((0, 2),), "d": ((1,), (2,))}
+    assert set(checks.COMPLEMENTS) == set(checks.FAST_PATH) == set(families)
+    assert {family for family, _ in checks.ROUTES} == set(families)
+    for (family, path), fn in checks.ROUTES.items():
+        fast = checks.ROUTES[family, checks.FAST_PATH[family]]
+        assert fn not in checks.COMPLEMENTS.values(), (family, path)
+        assert fn(*families[family]) == fast(*families[family]), (family, path)
+    for family, sets in families.items():
+        argv = ["psi", "--family", family, "--set", format_indexset(sets[0]),
+                "--complement", "5"]
+        if family == "d":
+            argv += ["--pair", format_indexset(sets[1])]
+        code, out, _ = run_main(capsys, *argv)
+        assert code == 0 and json.loads(out)["result"] == checks.COMPLEMENTS[family](*sets, 5)
+        with monkeypatch.context() as patch:
+            patch.setitem(checks.COMPLEMENTS, family, lambda *args: (args[:-1], args[-1]))
+            code, out, _ = run_main(capsys, *argv)
+        data = json.loads(out)
+        assert code == 0 and data["path"] == "complement", family
+        assert data["result"] == [[list(S) for S in sets], 5], family
 
 
 def test_deep_set_exits_0():
