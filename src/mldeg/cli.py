@@ -71,11 +71,10 @@ def parse_set(text):
     body = body.strip()
     if not body:
         return ()
-    parts = [part.strip() for part in body.split(",")]
-    bad = next((part for part in parts if not (part.isascii() and part.isdigit())), None)
-    _require(bad is None, f"bad index set {text!r}: bad index entry {bad!r}")
+    parts = (part.strip() for part in body.split(","))
     try:
-        return check_indexset(map(int, parts))
+        return check_indexset(int(p) if p.isascii() and p.isdigit() else p
+                              for p in parts)
     except ValueError as exc:
         raise UsageError(f"bad index set {text!r}: {exc}") from None
 

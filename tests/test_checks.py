@@ -360,7 +360,9 @@ def test_forked_workers_capped_at_usable_cpus(monkeypatch, affinity):
         monkeypatch.setattr(pool.os, "cpu_count", lambda: 3)
     items = list(range(-50, 50))
     assert pool.fork_map(abs, items, 5000) == [abs(x) for x in items]
-    assert sizes == [3]
+    # Two items left after the first: two workers, not one per CPU.
+    assert pool.fork_map(abs, [-1, 2, -3], 5000) == [1, 2, 3]
+    assert sizes == [3, 2]
 
 
 def test_one_usable_cpu_forks_nothing(monkeypatch):
