@@ -40,6 +40,7 @@ from .poly_n import (
     b_poly,
     combine,
     evaluate,
+    lp_a_poly,
     lp_d_parity_residuals,
     lp_d_quasipoly,
     lp_lift_residual,
@@ -255,12 +256,14 @@ def quasi_d_line(I):
 
 def _certificate(*sets):
     """The lift recurrence when every set holds 0, the shift recurrence
-    when none does, over one set or two of one size."""
+    when none does, over one set or two of one size; for a pair with 0
+    in one set only, the fit, which raises ConsistencyError on a miss."""
     if all(S and S[0] == 0 for S in sets):
         name, residual = "lift", lp_lift_residual
     elif all(0 not in S for S in sets):
         name, residual = "shift", lp_shift_residual
     else:
+        lp_a_poly(*sets)
         return None
     res = residual(*sets)
     if not res:

@@ -120,13 +120,14 @@ def _term_sum(coeff, factor, k, items):
     power of two.  The sum is kept as an int over the largest such power
     met so far, so it adds ints only, and the result is one Fraction, or
     an int when every factor was.  A factor over any other denominator
-    raises ConsistencyError.
+    raises ConsistencyError.  The coefficient is taken only where the
+    factor is nonzero: a_value is 0 wherever J holds an entry >= n, and
+    no coefficient kernel is 0 on a set the sums meet.
     """
     total = shift = 0
     for weight, sets in items:
-        c = coeff(*sets)
-        if c:
-            p, q = factor(*sets, k).as_integer_ratio()
+        p, q = factor(*sets, k).as_integer_ratio()
+        if p:
             e = q.bit_length() - 1
             if q != 1 << e:
                 raise ConsistencyError(
@@ -134,7 +135,7 @@ def _term_sum(coeff, factor, k, items):
             if e > shift:
                 total <<= e - shift
                 shift = e
-            total += weight * c * p << shift - e
+            total += weight * coeff(*sets) * p << shift - e
     return Fraction(total, 1 << shift) if shift else total
 
 

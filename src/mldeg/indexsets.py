@@ -4,8 +4,8 @@ An index set is a tuple of strictly increasing nonnegative ints, so
 values can be dict keys and cross process boundaries.  A set is checked
 once: check_indexset and enumerate_indexsets return it as an IndexSet,
 a tuple subclass that check_indexset then returns as it is.  Its
-bitmask, one bit per element, is the key every Pfaffian table and
-minor cache in the package is stored under.
+bitmask, one bit per element, is the key every Pfaffian table in the
+package is stored under.
 """
 
 from __future__ import annotations

@@ -10,8 +10,8 @@ values, and every complement at [n] is a minor over the sets' own
 labels, so its size does not grow with n.  The Pfaffians are
 exact.pfaffian_table tables keyed by the bitmask of their set: one for
 psi, one for alpha, and one per n for each complement, from a cached
-factory.  The square-case minors d_a are a Laplace expansion cached on
-(row, column) bitmasks.
+factory.  The square-case minors d_a are exact.det of their binomial
+matrix, uncached.
 """
 
 from __future__ import annotations
@@ -274,60 +274,17 @@ def d_a(I, J):
     """Square-case entries: det of C(i+j, i) over I x J.
 
     When the sizes differ by t, the value is zero unless the larger set
-    starts with the segment [t] = {0, ..., t-1}, and then it is the
-    equal-size determinant with that segment dropped.
+    starts with the segment [t] = {0, ..., t-1}, its entry t-1 being
+    t-1, and then it is the equal-size determinant without that segment.
     """
     I = check_indexset(I)
     J = check_indexset(J)
     if len(I) > len(J):
         I, J = J, I
     t = len(J) - len(I)
-    segment = (1 << t) - 1
-    cols = mask(J)
-    if cols & segment != segment:
+    if t and J[t - 1] != t - 1:
         return 0
-    if len(I) > _LAPLACE_MAX:
-        return det([[math.comb(i + j, i) for j in J[t:]] for i in I])
-    return _d_a_laplace(mask(I), cols ^ segment)
-
-
-# The Laplace expansion of a minor with s rows visits up to 2**s
-# sub-minors, and _d_a keeps those of every pair of sets a sweep meets.
-# Above this size they cost more memory than they save time, and d_a
-# eliminates the matrix instead.
-_LAPLACE_MAX = 4
-
-
-def _d_a_laplace(rows, cols):
-    """det of C(i+j, i) for i and j on the set bits of rows and cols,
-    which have as many bits each.
-
-    Laplace along the highest row i: the sum over the columns j, in
-    ascending order, of (-1)^(position of i + position of j)
-    C(i+j, i) times the minor without that row and column.  Those
-    minors are _d_a, this body cached on their (rows, cols) bitmasks,
-    so every pair of sets of a sweep shares the minors of the rows
-    below.  d_a calls the body uncached, as a pair of sets of a sweep
-    seldom comes twice.
-    """
-    if not rows:
-        return 1
-    top = rows.bit_length() - 1
-    rows ^= 1 << top
-    comb = math.comb
-    result = 0
-    negate = rows.bit_count() % 2 == 1
-    rest = cols
-    while rest:
-        bit = rest & -rest
-        rest ^= bit
-        term = comb(top + bit.bit_length() - 1, top) * _d_a(rows, cols ^ bit)
-        result = result - term if negate else result + term
-        negate = not negate
-    return result
-
-
-_d_a = functools.cache(_d_a_laplace)
+    return det([[math.comb(i + j, i) for j in J[t:]] for i in I])
 
 
 def d_a_recursion(I, J):

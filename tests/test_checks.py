@@ -203,6 +203,16 @@ def test_certificates_catch_a_wrong_polynomial(monkeypatch):
         }
 
 
+def test_a_mixed_pair_certificate_fits_its_polynomial(monkeypatch):
+    # {0} holds 0 and {1} does not, so neither recurrence applies; the
+    # task fits the pair's polynomial, of degree 2 on the nodes 0..2,
+    # and a wrong entry at n = 4 is one of the five points checked past
+    # them.
+    _off_by_one(monkeypatch, poly_n, "d_a_complement", ((0,), (1,), 4))
+    with pytest.raises(ConsistencyError, match="misses the value at 4"):
+        checks.certificate_pair_line((0,), (1,))
+
+
 def test_d_identity_catches_a_wrong_complement(monkeypatch):
     # Every set of size 2 above {1,3} weighs its value at n = 7 by a
     # positive Pascal minor in the forward transform.

@@ -340,7 +340,7 @@ _PARTIAL_KERNELS = {
     ("d", "nrs_partial"): ("alpha", "d_value", 2),
 }
 
-# Hand-built terms per type; the last one's coefficient is set to 0.
+# Hand-built terms per type; the last one's factor is set to 0.
 _HAND_TERMS = {
     "sym": [((0, 2),), ((1,),), ((1, 3),), ((0, 1, 3),), ((2,),)],
     "a": [((0, 2), (1, 3)), ((1,), (0,)), ((0, 1), (0, 2)), ((2,), (1,)), ((0,), (3,))],
@@ -357,20 +357,48 @@ def test_partial_sums_are_one_weighted_body(monkeypatch, role):
     zero = terms[-1]
     items = list(zip((3, -2, 1, 5, 7), terms))
 
-    def coeff_with_zero(*sets):
-        return 0 if sets == zero else coeff(*sets)
+    def factor_with_zero(*args):
+        return 0 if args[:-1] == zero else factor(*args)
 
-    def factor_off_zero(*args):
-        if args[:-1] == zero:
-            raise AssertionError("factor taken at a term whose coefficient is 0")
-        return factor(*args)
+    def coeff_off_zero(*sets):
+        if sets == zero:
+            raise AssertionError("coefficient taken at a term whose factor is 0")
+        return coeff(*sets)
 
-    expected = sum(weight * coeff_with_zero(*sets) * factor(*sets, scale * n)
+    expected = sum(weight * coeff(*sets) * factor_with_zero(*sets, scale * n)
                    for weight, sets in items)
     # The partials read their kernels as module globals when they run.
-    monkeypatch.setattr(degrees, coeff_name, coeff_with_zero)
-    monkeypatch.setattr(degrees, factor_name, factor_off_zero)
+    monkeypatch.setattr(degrees, coeff_name, coeff_off_zero)
+    monkeypatch.setattr(degrees, factor_name, factor_with_zero)
     assert degrees.TYPE_TABLE[role](n, items) == expected != 0
+
+
+def test_square_closed_form_skips_zero_weights(monkeypatch):
+    # a_value is 0 on every term whose J holds an entry >= n, and d_a is
+    # taken only on the others.
+    calls = []
+
+    def counting(I, J):
+        calls.append((I, J))
+        return d_a(I, J)
+
+    monkeypatch.setattr(degrees, "d_a", counting)
+    assert delta_nrs_info("a", 30, 8, 5) == (59100615144, 15895)
+    weighted = [sets for _, sets in degrees.nrs_terms("a", 30, 3) if sets[1][-1] < 8]
+    assert calls == weighted and len(calls) == 8436
+
+
+def test_no_coefficient_kernel_vanishes():
+    # _term_sum skips the coefficient where the factor is 0 but never the
+    # factor where the coefficient is 0: that is sound while no
+    # coefficient kernel is 0 on a set the sums meet.  Should one be,
+    # the skip belongs on that side too.
+    sets = [I for r in range(13) for I in itertools.combinations(range(12), r)]
+    assert all(psi(I) > 0 for I in sets if len(I) <= 6)
+    assert all(alpha(I) > 0 for I in sets if len(I) % 2 == 0)
+    for r in range(4):
+        small = list(itertools.combinations(range(9), r))
+        assert all(d_a(I, J) > 0 for I in small for J in small), r
 
 
 _BIG = st.integers(-10 ** 30, 10 ** 30)

@@ -7,7 +7,7 @@ import pytest
 
 from mldeg import cli, degrees, exact, indexsets, lascoux, qschur
 from mldeg.exact import det, pfaffian
-from mldeg.indexsets import complement, enumerate_indexsets
+from mldeg.indexsets import complement, enumerate_indexsets, lower_sets
 from mldeg.lascoux import (
     alpha,
     alpha_complement,
@@ -476,40 +476,46 @@ def test_d_a_values():
     assert d_a((), ()) == 1
 
 
-def _binomial_det(I, J):
-    """det of the literal matrix [C(i+j, i)] over I x J."""
-    return det([[math.comb(i + j, i) for j in J] for i in I])
+def _cauchy_binet(I, J, lower):
+    """d_a(I, J) for sets of one size by Cauchy-Binet: C(i+j, i) is the
+    sum over k of C(i, k) C(j, k), so the minor is the sum of
+    s_ij(I, K) s_ij(J, K) over the sets K below both.  lower maps a set
+    to {K: s_ij(set, K)} over its lower sets."""
+    below_J = lower[J]
+    return sum(c * below_J[K] for K, c in lower[I].items() if K in below_J)
+
+
+def _lower_minors(sets):
+    return {S: {K: s_ij(S, K) for K in lower_sets(S)} for S in sets}
 
 
 def test_d_a_is_the_binomial_determinant():
     subsets = {r: list(itertools.combinations(range(8), r)) for r in range(6)}
-    lascoux._d_a.cache_clear()
+    lower = _lower_minors(S for r in range(5) for S in subsets[r])
     for r in range(5):
         for I in subsets[r]:
             for J in subsets[r]:
-                assert d_a(I, J) == _binomial_det(I, J), (I, J)
+                assert d_a(I, J) == _cauchy_binet(I, J, lower), (I, J)
     # Sizes that differ by t: the segment rule, 0 unless the larger set
-    # starts with [t], and then the determinant with [t] dropped.
+    # starts with [t], and then the equal-size value with [t] dropped.
     for r in range(4):
         for t in (1, 2):
             for I in subsets[r]:
                 for J in subsets[r + t]:
-                    expected = _binomial_det(I, J[t:]) if J[:t] == tuple(range(t)) else 0
+                    if J[:t] == tuple(range(t)):
+                        expected = _cauchy_binet(I, J[t:], lower)
+                    else:
+                        expected = 0
                     assert d_a(I, J) == d_a(J, I) == expected, (I, J)
 
 
-def test_d_a_past_the_laplace_size_eliminates():
-    # Above _LAPLACE_MAX rows the minor is the determinant of the matrix,
-    # and no sub-minor is cached.
-    size = lascoux._LAPLACE_MAX + 1
-    I, J = tuple(range(0, 2 * size, 2)), tuple(range(1, 3 * size, 3))
-    lascoux._d_a.cache_clear()
-    assert d_a(I, J) == _binomial_det(I, J)
-    assert lascoux._d_a.cache_info().currsize == 0
-    assert d_a(I, (0,) + J) == d_a((0,) + J, I) == _binomial_det(I, J)
-    assert lascoux._d_a.cache_info().currsize == 0
-    assert d_a(I[1:], J[1:]) == _binomial_det(I[1:], J[1:])
-    assert lascoux._d_a.cache_info().currsize > 0
+def test_d_a_of_five_rows():
+    I, J = tuple(range(0, 10, 2)), tuple(range(1, 15, 3))
+    lower = _lower_minors((I, J))
+    expected = _cauchy_binet(I, J, lower)
+    assert d_a(I, J) == expected > 0
+    assert d_a(I, (0,) + J) == d_a((0,) + J, I) == expected
+    assert d_a(I, J + (20,)) == 0
 
 
 def test_a_wide_pair_computes_one_entry(monkeypatch):

@@ -1,9 +1,9 @@
-"""No function in src/mldeg calls itself but the four whose depth is
+"""No function in src/mldeg calls itself but the three whose depth is
 bounded.
 
 A function or closure counts as recursive when its body calls its own
 name, or a module-level name bound to a call that takes it, such as
-``_d_a = functools.cache(_d_a_laplace)``.  Every other enumerator walks
+``cached = functools.cache(body)``.  Every other enumerator walks
 its sets with loops, so a set of any size costs no stack.
 """
 
@@ -16,9 +16,6 @@ BOUNDED = [
     # One frame per element, at most exact._EXPANSION_MAX (20); larger
     # sets eliminate the matrix.
     "exact.expand",
-    # One frame per row, at most lascoux._LAPLACE_MAX (4); d_a
-    # eliminates larger minors.
-    "lascoux._d_a_laplace",
     # About three frames per element; checks.route_refusal refuses a set
     # of more than a quarter of the recursion limit in elements.
     "lascoux._alpha_recursion",
