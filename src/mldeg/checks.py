@@ -12,7 +12,6 @@ from __future__ import annotations
 import functools
 import itertools
 import sys
-from fractions import Fraction
 
 from .degrees import (
     ambient_dim,
@@ -200,18 +199,18 @@ def leading_line(I):
 def _transform_miss(what, I, value, transformed, where=""):
     """Where the half-power transform of value fails at I, or None.
 
-    Over J <= I, with gap = sum(I) - sum(J), the sum of
-    (1/2)^gap s_ij(I, J) value(J) must be transformed(I), and the sum of
-    (-1/2)^gap s_ij(I, J) transformed(J) must be value(I).  Both return
+    transformed(S) is 2^(sum(S) + #S) times the transform at S.  Over
+    J <= I the sum of 2^(sum(J) + #J) s_ij(I, J) value(J) must be
+    transformed(I), and the sum of (-1)^(sum(I) - sum(J)) s_ij(I, J)
+    transformed(J) must be 2^(sum(I) + #I) value(I).  Both return int
     fits on one grid, or point values as constant 1-tuples.
     """
     forward = [(-1, transformed(I))]
-    backward = [(-1, value(I))]
+    backward = [(-1 << (sum(I) + len(I)), value(I))]
     for J in lower_sets(I):
-        gap = sum(I) - sum(J)
         c = s_ij(I, J)
-        forward.append((Fraction(1, 2) ** gap * c, value(J)))
-        backward.append((Fraction(-1, 2) ** gap * c, transformed(J)))
+        forward.append((c << (sum(J) + len(J)), value(J)))
+        backward.append(((-1) ** (sum(I) - sum(J)) * c, transformed(J)))
     if combine(forward):
         return f"{what} failed at {format_indexset(I)}{where}"
     if combine(backward):
@@ -289,13 +288,15 @@ def certificate_skew_line(I):
     return None
 
 
-def _alternating_sum(kind, value, J, m, top, ratio, where):
-    """Sum of value(I) ratio^(|I| - |J|) s_ij(I, J) C(m-1, top - |I|)
-    over I >= J up to |I| = top; it must be value(J) when |J| = top and
-    0 otherwise, |.| the entry sum.  The sum runs over every set of the
-    size of J with |J| <= |I| <= top: s_ij(I, J) is 0 unless J <= I in
-    every place, as J_p > I_p leaves rows 0..p zero from column p on."""
-    total = sum(value(I) * ratio ** (t - sum(J)) * c * binom(m - 1, top - t)
+def _alternating_sum(kind, value, J, m, top, base, where):
+    """Sum of value(I) (-1)^(|I| - |J|) base^(top - |I|) s_ij(I, J)
+    C(m-1, top - |I|) over I >= J up to |I| = top, |.| the entry sum: the
+    sum at ratio -1/base times base^(top - |J|), which a failure prints.
+    It must be value(J) when |J| = top and 0 otherwise.  The sum runs
+    over every set of the size of J with |J| <= |I| <= top: s_ij(I, J)
+    is 0 unless J <= I in every place, as J_p > I_p leaves rows 0..p
+    zero from column p on."""
+    total = sum(value(I) * (-1) ** (t - sum(J)) * base ** (top - t) * c * binom(m - 1, top - t)
                 for t in range(sum(J), top + 1) for I in enumerate_indexsets(len(J), t)
                 if (c := s_ij(I, J)))
     expected = value(J) if sum(J) == top else 0
@@ -305,18 +306,18 @@ def _alternating_sum(kind, value, J, m, top, ratio, where):
 
 
 def sij_sym_line(J, m):
-    return _alternating_sum("alternating sum", psi, J, m, m - len(J), Fraction(-1, 2),
+    return _alternating_sum("alternating sum", psi, J, m, m - len(J), 2,
                             f"J={format_indexset(J)}")
 
 
 def sij_a_line(K, L, m):
     return _alternating_sum("square alternating sum", lambda I: d_a(I, L), K, m,
-                            m - len(K) - sum(L), -1,
+                            m - len(K) - sum(L), 1,
                             f"K={format_indexset(K)}, L={format_indexset(L)}")
 
 
 def sij_d_line(J, m):
-    return _alternating_sum("skew alternating sum", alpha, J, m, m, Fraction(-1, 2),
+    return _alternating_sum("skew alternating sum", alpha, J, m, m, 2,
                             f"J={format_indexset(J)}")
 
 

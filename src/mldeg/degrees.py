@@ -15,10 +15,11 @@ A type is described once, by its shape (SHAPES); the ambient
 dimension, the windows and the terms of both sums follow from it.
 A term of either sum is (weight, sets), sets being (I,) for sym and
 skew and (I, J) for square, with weight 1 in the direct sum and
-(-1)^g C(m-1, g) in the closed form; one body, _term_sum, serves all
-six partial sums.  Every factor is an int or a Fraction over a power
-of two, so every sum adds ints over one power of two.  Only the kernels
-differ beyond the shape:
+(-base)^g C(m-1, g) in the closed form; one body, _term_sum, serves
+all six partial sums.  Every factor is an int, the Q values
+2^(sum(I) + #I) times their specializations, so every sum adds ints,
+and the closed form divides its total once, by a power of the base.
+Only the kernels differ beyond the shape:
 TYPE_TABLE maps (type, role) to the partial sums and the phi function
 of each type, and delta_direct_info, delta_nrs_info and the rank loop
 behind the phi_* functions run every type through it.
@@ -28,7 +29,6 @@ from __future__ import annotations
 
 import functools
 import math
-from fractions import Fraction
 
 from .exact import ConsistencyError, binom
 from .indexsets import check_same_size, enumerate_indexsets
@@ -39,17 +39,18 @@ from .qschur import b_value, d_value
 
 # ------------------------------------------------------------------ shapes
 
-# Each type's shape: (sets per term, label scale, diagonal).  At corank
-# k a term of either sum is one index set, or a pair (I, J) for the
-# square type, of scale * k elements each; the skew type has scale 2,
-# as its matrices are 2n x 2n.  diagonal is 1 where the set sizes count
-# against m (sym and a), 0 for the skew type.
-SHAPES = {"sym": (1, 1, 1), "a": (2, 1, 1), "d": (1, 2, 0)}
+# Each type's shape: (sets per term, label scale, diagonal, base).  At
+# corank k a term of either sum is one index set, or a pair (I, J) for
+# the square type, of scale * k elements each; the skew type has scale
+# 2, as its matrices are 2n x 2n.  diagonal is 1 where the set sizes
+# count against m (sym and a), 0 for the skew type.  base is 2 for the
+# Q values, whose unit is a power of two, and 1 for the int a_value.
+SHAPES = {"sym": (1, 1, 1, 2), "a": (2, 1, 1, 1), "d": (1, 2, 0, 2)}
 
 
 def ambient_dim(kind, k):
     """w(k): k(k+1)/2, k^2 and C(2k, 2) for the three types."""
-    sets, scale, diagonal = SHAPES[kind]
+    sets, scale, diagonal, _ = SHAPES[kind]
     return sets * binom(scale * k, 2) + diagonal * scale * k
 
 
@@ -77,7 +78,7 @@ def direct_terms(kind, m, n, r):
         raise ValueError(f"need n >= 0, got {n}")
     if not 0 <= r <= n:
         return []
-    sets, scale, diagonal = SHAPES[kind]
+    sets, scale, diagonal, _ = SHAPES[kind]
     size = scale * (n - r)
     total = m - diagonal * size
     return [(1, term) for term in _terms(sets, size, [total], scale * n)[total]]
@@ -88,17 +89,19 @@ def nrs_terms(kind, m, s):
 
     The sets have size scale * s and sum t, for t from
     sets * C(size, 2) up to m - diagonal * size, each weighted by
-    (-1)^g C(m-1, g) with g the distance of t from that top.
+    (-base)^g C(m-1, g) with g the distance of t from that top: a
+    factor is base^(t + size) times its value, so base^(top + size)
+    divides the total (delta_nrs_info).
     """
     if m <= 0 or s <= 0:
         raise ValueError(f"need m > 0 and s > 0, got m={m}, s={s}")
-    sets, scale, diagonal = SHAPES[kind]
+    sets, scale, diagonal, base = SHAPES[kind]
     size = scale * s
     top = m - diagonal * size
     items = []
     for t, terms in _terms(sets, size, range(sets * binom(size, 2), top + 1)).items():
         g = top - t
-        weight = (-1) ** g * binom(m - 1, g)
+        weight = (-base) ** g * binom(m - 1, g)
         items.extend((weight, term) for term in terms)
     return items
 
@@ -114,29 +117,18 @@ def delta_sym_items(m, n, r):
 
 def _term_sum(coeff, factor, k, items):
     """Sum of weight * coeff(*sets) * factor(*sets, k) over the terms
-    (weight, sets): the body of both routes for every type.
+    (weight, sets), all ints: the body of both routes for every type.
 
-    A factor is an int or, for b_value and d_value, a Fraction over a
-    power of two.  The sum is kept as an int over the largest such power
-    met so far, so it adds ints only, and the result is one Fraction, or
-    an int when every factor was.  A factor over any other denominator
-    raises ConsistencyError.  The coefficient is taken only where the
-    factor is nonzero: a_value is 0 wherever J holds an entry >= n, and
-    no coefficient kernel is 0 on a set the sums meet.
+    The coefficient is taken only where the factor is nonzero: a_value
+    is 0 wherever J holds an entry >= n, and no coefficient kernel is 0
+    on a set the sums meet.
     """
-    total = shift = 0
+    total = 0
     for weight, sets in items:
-        p, q = factor(*sets, k).as_integer_ratio()
-        if p:
-            e = q.bit_length() - 1
-            if q != 1 << e:
-                raise ConsistencyError(
-                    f"factor at {sets}: denominator {q} is not a power of two")
-            if e > shift:
-                total <<= e - shift
-                shift = e
-            total += weight * coeff(*sets) * p << shift - e
-    return Fraction(total, 1 << shift) if shift else total
+        value = factor(*sets, k)
+        if value:
+            total += weight * coeff(*sets) * value
+    return total
 
 
 # One per type and route, each a module-level function that finds its
@@ -304,20 +296,23 @@ def delta_direct_info(matrix_type, m, n, r, jobs=1):
 def delta_nrs_info(matrix_type, m, n, r, jobs=1):
     """Closed-form value of the rank-r degree and its number of terms.
 
-    The sums run over corank s = n - r; a non-integer total means a
-    formula path is broken.
+    The sums run over corank s = n - r, and the total divides exactly by
+    base^(top + size): 2^m for sym, 2^(m + 2s) for skew and 1 for
+    square.  A remainder means a formula path is broken.
     """
     kind = canonical_type(matrix_type)
     if n <= 0:
         raise ValueError(f"need n > 0, got {n}")
     items = nrs_terms(kind, m, n - r)
-    total = Fraction(_pooled_sum(kind, "nrs_partial", n, items, jobs))
-    if total.denominator != 1:
-        raise ConsistencyError(
-            f"closed-form sum is not an integer at "
-            f"(type={kind}, m={m}, n={n}, r={r}): {total}"
-        )
-    return int(total), len(items)
+    total = _pooled_sum(kind, "nrs_partial", n, items, jobs)
+    _, scale, diagonal, base = SHAPES[kind]
+    size = scale * (n - r)
+    denominator = base ** (m - diagonal * size + size)
+    value, remainder = divmod(total, denominator)
+    if remainder:
+        raise ConsistencyError(f"closed-form sum is not an integer at (type={kind}, m={m}, "
+                               f"n={n}, r={r}): {total} / {denominator}")
+    return value, len(items)
 
 
 def _rank_sum(kind, n, d):

@@ -1,7 +1,8 @@
 """Exact scalar arithmetic and exact linear algebra.
 
 Everything downstream (coefficient tables, degree sums, fits in n)
-runs on stdlib ints and Fractions.  No floats anywhere.
+runs on stdlib ints; only poly_n makes Fractions, for leading
+coefficients and printed monomials.  No floats anywhere.
 """
 
 from __future__ import annotations

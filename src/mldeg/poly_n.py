@@ -1,14 +1,14 @@
 """Polynomials in the size parameter, as forward-difference tables.
 
-Every family here has a proven degree D in n and a point route that is
-int up to a known power of two.  A fit is the tuple of its coefficients
-in the basis C(t, k), t the node index of its grid start + step*t, with
-no trailing zeros: the forward differences of D + 6 values, the top
-five of which must vanish.  Each family checks its arguments and makes
-one call to _fit, the one cache of the fits; phi_poly alone fits
-uncached, as its route is a whole degree sum, and alone converts to
-monomial coefficients, for printing.  The skew complement family is a
-pair of fits, one per parity of its argument.  A missed point, a wrong
+Every family here has a proven degree D in n and an int point route,
+the Q values in the unit of qschur.  A fit is the tuple of its
+coefficients in the basis C(t, k), t the node index of its grid
+start + step*t, with no trailing zeros: the forward differences of
+D + 6 values, the top five of which must vanish.  Each family checks
+its arguments and makes one call to _fit, the one cache of the fits;
+phi_poly alone fits uncached, as its route is a whole degree sum, and
+alone converts to monomial coefficients, for printing.  The skew
+complement family is a pair of fits, one per parity of its argument.  A missed point, a wrong
 leading coefficient or a nonzero residual of the recurrence
 certificates at the bottom means a formula path is broken.
 """

@@ -9,15 +9,15 @@ one exact.pfaffian_table per n, which also owns the list of one-row
 values at n.  The polynomials in n are poly_n fits of these point
 values.
 
-The values run on ints: 2^|lambda| Q_lambda(1/2, ..., 1/2) is an
-integer, because the coefficients of ((1+u)/(1-u))^n are.  Only the
-public values divide by the power of two, once.
+The values are ints: 2^|lambda| Q_lambda(1/2, ..., 1/2) is an
+integer, because the coefficients of ((1+u)/(1-u))^n are.  The public
+values keep that unit, each 2^(sum(I) + #I) times its specialization,
+and the closed forms that sum them divide by their power of two once.
 """
 
 from __future__ import annotations
 
 import functools
-from fractions import Fraction
 
 from .exact import ConsistencyError, pfaffian_table
 from .indexsets import check_indexset, mask
@@ -60,27 +60,29 @@ def _q_table(n):
 
 
 def b_value(I, n):
-    """Q specialization of the set shifted up by one, at integer n: the
-    labels are i + 1 for i in I, of weight sum(I) + #I, which is also
-    the degree in n (poly_n.b_poly)."""
+    """2^(sum(I) + #I) times the Q specialization of the set shifted up
+    by one, at integer n: the labels are i + 1 for i in I, of weight
+    sum(I) + #I, which is also the degree in n (poly_n.b_poly)."""
     I = check_indexset(I)
-    return Fraction(_q_table(n)(mask(I) << 1), 1 << (sum(I) + len(I)))
+    return _q_table(n)(mask(I) << 1)
 
 
 def d_value(I, n):
-    """Point value of the set-indexed P specialization at integer n.
+    """2^(sum(I) + #I) times the set-indexed P specialization at integer n.
 
-    It is Q of the nonzero elements over 2 per nonzero part.  A member
-    0 contributes no part and no factor of 2: as a label it is the pad
-    row, since its one-row value is 1 and its two-row values are the
-    one-row values of the other part.  So with 0 a member the value is
-    that of I without 0 for n = #I mod 2, and 0 for the opposite parity.
+    The specialization is Q of the nonzero elements over 2 per nonzero
+    part, so without 0 the int is the table value at the labels I.  A
+    member 0 is the pad row, since its one-row value is 1 and its
+    two-row values are the one-row values of the other part; it adds no
+    part to the specialization but a factor of 2 to the unit.  So with
+    0 a member the value is twice that of I without 0 for n = #I mod 2,
+    and 0 for the opposite parity.
     (The skew NRS sum never sees the vanishing branch: it evaluates at
     even argument with even-size sets.)  On each parity of n it is a
     polynomial of degree sum(I): a fit of d_value on the grid
     start = #I mod 2, step = 2 when 0 is a member, on every n otherwise.
     """
     I = check_indexset(I)
-    if I and I[0] == 0 and (n - len(I)) % 2:
-        return Fraction(0)
-    return Fraction(_q_table(n)(mask(I)), 1 << (sum(I) + len(I) - (0 in I)))
+    if I and I[0] == 0:
+        return 0 if (n - len(I)) % 2 else 2 * _q_table(n)(mask(I))
+    return _q_table(n)(mask(I))

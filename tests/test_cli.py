@@ -341,8 +341,9 @@ def test_delta_caps_m_at_the_matrix_space(capsys):
 
 
 def test_delta_disagreement_exits_3(capsys, monkeypatch):
+    # The closed form divides its total by 2^m.
     monkeypatch.setitem(
-        degrees.TYPE_TABLE, ("sym", "nrs_partial"), lambda n, items: Fraction(999))
+        degrees.TYPE_TABLE, ("sym", "nrs_partial"), lambda n, items: 999 * 2 ** 2)
     code, out, err = run_main(
         capsys, "delta", "--type", "sym", "-m", "2", "-n", "3", "-r", "2",
         "--path", "both")
@@ -368,16 +369,19 @@ def test_delta_non_integer_closed_form_exits_3(capsys, monkeypatch):
                                                   ("d", "d_value", 14, 4, 2)])
 def test_closed_form_term_off_by_a_power_of_two_exits_3(capsys, monkeypatch,
                                                         kind, name, m, n, r):
-    # One term of the int accumulator gains 2^-(k+1), k the argument of
-    # its factor, and the one division of the total leaves a remainder.
+    # One int Q value at a term of weight 1, where the sum of the set is
+    # the top, m - #I for sym and m for skew, gains 1: its specialization
+    # is off by 2^-(top + #I), and the one division of the total leaves a
+    # remainder.
+    top = {"sym": m - (n - r), "d": m}[kind]
     factor = getattr(degrees, name)
     shifted = []
 
     def one_term_off(I, k):
         value = factor(I, k)
-        if not shifted:
+        if not shifted and sum(I) == top:
             shifted.append(I)
-            value += Fraction(1, 2 ** (k + 1))
+            value += 1
         return value
 
     monkeypatch.setattr(degrees, name, one_term_off)
@@ -566,12 +570,14 @@ def test_bad_arguments_raise_value_error_under_optimize():
 
 _EXIT_CODES = """
 import contextlib, io
-from fractions import Fraction
 from mldeg import checks, cli, degrees, lascoux
 from mldeg.indexsets import check_indexset
 
+errors = []
+
 def exit_code(*argv):
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    errors.append(io.StringIO())
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(errors[-1]):
         return cli.main(list(argv))
 
 codes = [exit_code("psi", "--set", "{0,3}"),
@@ -580,11 +586,13 @@ codes += [exit_code("psi", "--set", text) for text in ("{3,1}", "{-1}", "{0.5}")
 d_a = lascoux.d_a
 checks.ROUTES[("d", "pascal")] = lambda I, J: d_a(I, J) + 1
 codes.append(exit_code("check", "da-paths", "--nmax", "3"))
+# +1 on the int Q value of {0,4}, of sum 4 = m - #I, at a term of weight 1
 b_value = degrees.b_value
-degrees.b_value = lambda I, n: b_value(I, n) + Fraction(1, 2 ** (n + 1))
+degrees.b_value = lambda I, n: b_value(I, n) + int(I == (0, 4))
 codes.append(exit_code("delta", "--type", "sym", "-m", "6", "-n", "4", "-r", "2",
                        "--path", "nrs"))
 print(*codes)
+print("not an integer" in errors[-1].getvalue())
 for bad in ((3, 1), (-1,), (0.5,)):
     for fn in (check_indexset, lascoux.psi):
         try:
@@ -601,9 +609,9 @@ def test_exit_codes_and_set_checks_hold_under_optimize():
     )
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert lines[0] == "0 0 2 2 2 1 3"
+    assert lines[:2] == ["0 0 2 2 2 1 3", "True"]
     texts = ["not strictly increasing: (3, 1)", "bad index entry -1", "bad index entry 0.5"]
-    assert lines[1:] == [text for text in texts for _ in range(2)]
+    assert lines[2:] == [text for text in texts for _ in range(2)]
 
 
 def _option(flag, values):

@@ -3,12 +3,10 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from mldeg import degrees, pool
 from mldeg.cli import _D_CAP, _N_CAP
-from mldeg.exact import ConsistencyError, binom
+from mldeg.exact import binom
 from mldeg.degrees import (
     a_value,
     ambient_dim,
@@ -23,7 +21,7 @@ from mldeg.degrees import (
 )
 from mldeg.indexsets import complement, enumerate_indexsets
 from mldeg.lascoux import alpha, d_a, psi, psi_recursion, s_ij
-from mldeg.poly_n import evaluate
+from mldeg.poly_n import evaluate, phi_poly
 from references import a_ij_poly, lambda_of
 
 
@@ -401,27 +399,31 @@ def test_no_coefficient_kernel_vanishes():
         assert all(d_a(I, J) > 0 for I in small for J in small), r
 
 
-_BIG = st.integers(-10 ** 30, 10 ** 30)
-_DYADIC = st.one_of(_BIG, st.builds(lambda p, e: Fraction(p, 1 << e), _BIG, st.integers(0, 90)))
+def test_partial_sums_are_ints_on_the_sweep_queries(monkeypatch):
+    # The benchmark's sweep-large queries: phi at (n, d) = (17, 69..71),
+    # the sym closed form at (60, n, n - 8) for n = 15..17, phi_poly at
+    # d = 15, and both routes of the square type at (30, n, n - 3) for
+    # n = 7, 8 and of the skew type at (40, 7, 4).
+    seen = {}
 
+    def recording(role, partial):
+        def run(n, items):
+            total = partial(n, items)
+            seen.setdefault(role, set()).add(type(total))
+            return total
+        return run
 
-@given(st.lists(st.tuples(st.integers(-10 ** 6, 10 ** 6), _DYADIC), max_size=40))
-@settings(max_examples=150, deadline=None)
-def test_term_sum_adds_dyadic_terms_exactly(terms):
-    # The accumulator keeps ints over one power of two; the reference
-    # adds the same terms as Fractions.
-    items = [(weight, (value,)) for weight, value in terms]
-    total = degrees._term_sum(lambda value: 1, lambda value, k: value, 0, items)
-    expected = sum((weight * Fraction(value) for weight, value in terms), Fraction(0))
-    assert total == expected
-    assert type(total) is int or total.denominator > 1 or any(
-        Fraction(value).denominator > 1 for _, value in terms)
-
-
-def test_term_sum_rejects_other_denominators():
-    with pytest.raises(ConsistencyError, match="not a power of two"):
-        degrees._term_sum(lambda value: 1, lambda value, k: value, 0,
-                          [(1, (Fraction(1, 2),)), (1, (Fraction(1, 3),))])
+    for role in _PARTIAL_KERNELS:
+        monkeypatch.setitem(degrees.TYPE_TABLE, role, recording(role, degrees.TYPE_TABLE[role]))
+    for d in (69, 70, 71):
+        phi_sym(17, d)
+    for n in (15, 16, 17):
+        delta_nrs_info("sym", 60, n, n - 8)
+    phi_poly("sym", 15)
+    for kind, m, n, r in (("a", 30, 7, 4), ("a", 30, 8, 5), ("d", 40, 7, 4)):
+        delta_direct_info(kind, m, n, r)
+        delta_nrs_info(kind, m, n, r)
+    assert seen == {role: {int} for role in _PARTIAL_KERNELS}
 
 
 @pytest.mark.parametrize("m, n, r", [(4, 3, 1), (6, 4, 2), (9, 5, 2), (12, 6, 3)])

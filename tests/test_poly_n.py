@@ -324,35 +324,37 @@ def _lower_sets(I):
 
 def test_halving_transform_exact():
     # the half-power binomial-minor transform and its inverse, as
-    # polynomial identities between the two coefficient generating families
+    # polynomial identities between the two coefficient generating
+    # families, with b_poly(S) 2^(sum(S) + #S) times the transform at S
     for I in _small_sets(3, 7):
         forward = []
         backward = []
         for J in _lower_sets(I):
             gap = sum(I) - sum(J)
             c = s_ij(I, J)
-            forward.append((Fraction(1, 2) ** gap * c, lp_poly(J)))
-            backward.append((Fraction(-1, 2) ** gap * c, b_poly(J)))
+            forward.append((2 ** (sum(J) + len(J)) * c, lp_poly(J)))
+            backward.append(((-1) ** gap * c, b_poly(J)))
         forward, backward = combine(forward), combine(backward)
         assert forward == b_poly(I), I
-        assert backward == lp_poly(I), I
+        assert backward == combine([(2 ** (sum(I) + len(I)), lp_poly(I))]), I
 
 
 def test_halving_transform_skew_pointwise():
     # same transform pair for the skew families, checked pointwise since
-    # the complement values are only quasi-polynomial
+    # the complement values are only quasi-polynomial, with d_value in
+    # its unit 2^(sum(I) + #I)
     for I in _small_sets(3, 7):
         lows = _lower_sets(I)
         for n in range(13):
-            forward = Fraction(0)
-            backward = Fraction(0)
+            forward = 0
+            backward = 0
             for J in lows:
                 gap = sum(I) - sum(J)
                 c = s_ij(I, J)
-                forward += Fraction(1, 2) ** gap * c * alpha_complement(J, n)
-                backward += Fraction(-1, 2) ** gap * c * d_value(J, n)
+                forward += 2 ** (sum(J) + len(J)) * c * alpha_complement(J, n)
+                backward += (-1) ** gap * c * d_value(J, n)
             assert forward == d_value(I, n), (I, n)
-            assert backward == alpha_complement(I, n), (I, n)
+            assert backward == 2 ** (sum(I) + len(I)) * alpha_complement(I, n), (I, n)
 
 
 def test_integer_transform_square_pointwise():

@@ -63,18 +63,64 @@ def _series_mul(a, b, order):
     return out
 
 
-def test_q_onerow_against_series_oracle():
-    # literal expansion of ((1 + t/2)/(1 - t/2))^n with Fraction series
-    order = 8
+def _series_onerow(n, order):
+    """Q_0, ..., Q_order at n: the literal expansion of
+    ((1 + t/2)/(1 - t/2))^n with Fraction series."""
     half_geo = [Fraction(1, 2 ** k) for k in range(order + 1)]  # 1/(1 - t/2)
     numer = [Fraction(1), Fraction(1, 2)] + [Fraction(0)] * (order - 1)
     base = _series_mul(numer, half_geo, order)
+    power = [Fraction(1)] + [Fraction(0)] * order
+    for _ in range(n):
+        power = _series_mul(power, base, order)
+    return power
+
+
+def test_q_onerow_against_series_oracle():
+    order = 8
     for n in range(7):
-        power = [Fraction(1)] + [Fraction(0)] * order
-        for _ in range(n):
-            power = _series_mul(power, base, order)
+        power = _series_onerow(n, order)
         for a in range(order + 1):
             assert q_onerow_at(a, n) == power[a], (a, n)
+
+
+def _series_strict(labels, q):
+    """Q of the distinct labels, 0 allowed as the pad, from the one-row
+    Fractions q: Schur's Pfaffian of the two-row values
+    Q_(a,b) = Q_a Q_b + 2 sum_k (-1)^k Q_(a+k) Q_(b-k), k = 1..b, over the
+    labels in decreasing order, padded by 0 to even length and expanded
+    along its first row."""
+    labels = sorted(labels, reverse=True)
+    if len(labels) % 2:
+        labels.append(0)
+
+    def pf(row):
+        if not row:
+            return Fraction(1)
+        a, rest = row[0], row[1:]
+        return sum((-1) ** j * (q[a] * q[b] + 2 * sum((-1) ** k * q[a + k] * q[b - k]
+                                                        for k in range(1, b + 1)))
+                   * pf(rest[:j] + rest[j + 1:]) for j, b in enumerate(rest))
+
+    return pf(labels)
+
+
+def test_values_are_the_series_reference_in_the_int_unit():
+    # b_value and d_value are 2^(sum(I) + #I) times the specializations:
+    # Q at the labels i + 1, and Q of the nonzero members over 2 per
+    # nonzero part, 0 when 0 is a member and n - #I is odd.
+    sets = [I for r in range(5) for I in itertools.combinations(range(11), r)
+            if sum(I) <= 10]
+    for n in range(11):
+        q = _series_onerow(n, 14)
+        for I in sets:
+            unit = 2 ** (sum(I) + len(I))
+            b = _series_strict([i + 1 for i in I], q)
+            nonzero = [i for i in I if i]
+            d = _series_strict(nonzero, q) / 2 ** len(nonzero)
+            if 0 in I and (n - len(I)) % 2:
+                d = 0
+            assert type(b_value(I, n)) is int and b_value(I, n) == unit * b, (I, n)
+            assert type(d_value(I, n)) is int and d_value(I, n) == unit * d, (I, n)
 
 
 def test_q_tworow():
@@ -136,11 +182,12 @@ def test_q_strict_poly_vs_point():
 
 
 def test_b_poly():
+    # 2^(sum(I) + #I) times the specialization
     assert b_poly(()) == (1,)
-    assert b_poly((0,)) == (0, 1)
-    # n^2 / 2 = C(n, 2) + C(n, 1) / 2
-    assert b_poly((1,)) == (0, Fraction(1, 2), 1)
-    assert b_poly((0, 1)) == binomial(3, shift=1)
+    assert b_poly((0,)) == (0, 2)
+    # 4 * n^2 / 2 = 4 C(n, 2) + 2 C(n, 1)
+    assert b_poly((1,)) == (0, 2, 4)
+    assert b_poly((0, 1)) == tuple(8 * c for c in binomial(3, shift=1))
     for size in range(4):
         for total in range(9):
             for I in enumerate_indexsets(size, total):
@@ -152,37 +199,40 @@ def test_b_poly():
 
 
 def test_d_poly():
+    # 2^(sum(I) + #I) times the specialization
     assert d_poly(()) == (1,)
-    assert d_poly((0,)) == (1,)
-    assert d_poly((1,)) == (0, Fraction(1, 2))
-    # n / 2 on the nodes n = 2t
-    assert d_poly((0, 1)) == (0, 1)
+    assert d_poly((0,)) == (2,)
+    # 4 * n / 2
+    assert d_poly((1,)) == (0, 2)
+    # 8 * n / 2 on the nodes n = 2t
+    assert d_poly((0, 1)) == (0, 8)
 
 
 def test_d_value_parity():
+    # 2^(sum(I) + #I) times 0, 1, 45/8, 0 and n/2
     assert d_value((0,), 2) == 0
-    assert d_value((0,), 3) == 1
-    assert d_value((0, 5), 4) == Fraction(45, 8)
+    assert d_value((0,), 3) == 2
+    assert d_value((0, 5), 4) == 2 ** 7 * 45 // 8
     assert d_value((0, 5), 3) == 0
     for n in range(10):
-        assert d_value((1,), n) == Fraction(n, 2)
+        assert d_value((1,), n) == 2 * n
     # no member 0: the point values lie on one polynomial, at every n
     assert _fits_at_degree(lambda n: d_value((1, 3), n), 4)
 
 
 def test_label_zero_is_the_pad():
     # d_value expands over the labels of I itself, and a label 0 acts as
-    # the pad row: adding it keeps the value at one parity of n and
-    # zeroes it at the other.
+    # the pad row: adding it keeps the specialization at one parity of n
+    # and zeroes it at the other, and doubles the unit 2^(sum(I) + #I).
     sets = [I for r in range(5) for I in itertools.combinations(range(1, 11), r)
             if sum(I) <= 10]
     for I in sets:
         # equal as polynomials in n: at sum(I) + 1 nodes of the padded grid
         padded, start = d_poly((0,) + I), (len(I) + 1) % 2
         for t in range(sum(I) + 1):
-            assert evaluate(padded, t) == evaluate(d_poly(I), start + 2 * t), (I, t)
+            assert evaluate(padded, t) == 2 * evaluate(d_poly(I), start + 2 * t), (I, t)
         for n in range(13):
-            expected = d_value(I, n) if (n - len(I) - 1) % 2 == 0 else 0
+            expected = 2 * d_value(I, n) if (n - len(I) - 1) % 2 == 0 else 0
             assert d_value((0,) + I, n) == expected, (I, n)
 
 
