@@ -2,9 +2,10 @@
 
 Each suite expands to a flat list of small independent tasks.  A task
 is a tuple of a module-level function of this module and its primitive
-arguments, so it pickles by reference and can fan out to worker
-processes; run_task executes one and reports pass or fail together
-with a counterexample dump.  Suites pass only when every task does.
+arguments, the type or family first where one function serves several,
+so it pickles by reference and can fan out to worker processes;
+run_task executes one and reports pass or fail together with a
+counterexample dump.  Suites pass only when every task does.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import itertools
 import sys
 
 from .degrees import (
+    SHAPES,
     ambient_dim,
     delta_direct_info,
     delta_nrs_info,
@@ -100,31 +102,26 @@ def route_refusal(family, path, sets):
     return None
 
 
-def _routes_agree(family, sets, expected=None):
-    """Run every route of the family; None when all agree."""
+def routes_line(family, *sets):
+    """Run every route of the family at its sets; None when all agree."""
     values = {path: fn(*sets) for (fam, path), fn in ROUTES.items()
               if fam == family and route_refusal(family, path, sets) is None}
     fast_path = FAST_PATH[family]
     fast = values[fast_path]
-    where = ", ".join(format_indexset(S) for S in sets)
     wrong = {path: v for path, v in values.items() if v != fast}
     if wrong:
+        where = ", ".join(map(format_indexset, sets))
         return f"{family} route disagreement at ({where}): {wrong} vs {fast_path} {fast}"
-    if expected is not None and fast != expected:
-        return f"value at ({where}) is {fast}, expected {expected}"
     return None
 
 
-def psi_paths(I, expected=None):
-    return _routes_agree("psi", (I,), expected)
-
-
-def alpha_paths_line(I):
-    return _routes_agree("alpha", (I,))
-
-
-def da_paths_pair(I, J):
-    return _routes_agree("d", (I, J))
+def worked_line(I, expected):
+    """The psi routes agree at I, and the fast one gives expected."""
+    miss = routes_line("psi", I)
+    value = ROUTES["psi", FAST_PATH["psi"]](I)
+    if miss or value == expected:
+        return miss
+    return f"value at ({format_indexset(I)}) is {value}, expected {expected}"
 
 
 def phi_anchor(n, d, expected):
@@ -134,7 +131,7 @@ def phi_anchor(n, d, expected):
     return None
 
 
-def _nrs_line(kind, n, s):
+def nrs_line(kind, n, s):
     for m in range(1, ambient_dim(kind, n) + 1):
         direct = delta_direct_info(kind, m, n, n - s)[0]
         closed = delta_nrs_info(kind, m, n, n - s)[0]
@@ -142,18 +139,6 @@ def _nrs_line(kind, n, s):
             return (f"{kind} closed form mismatch at (m={m}, n={n}, s={s}): "
                     f"direct {direct}, closed {closed}")
     return None
-
-
-def nrs_sym_line(n, s):
-    return _nrs_line("sym", n, s)
-
-
-def nrs_a_line(n, s):
-    return _nrs_line("a", n, s)
-
-
-def nrs_d_line(n, s):
-    return _nrs_line("d", n, s)
 
 
 def _duality_miss(kind, n, ranks):
@@ -253,7 +238,7 @@ def quasi_d_line(I):
     return None
 
 
-def _certificate(*sets):
+def certificate_line(*sets):
     """The lift recurrence when every set holds 0, the shift recurrence
     when none does, over one set or two of one size; for a pair with 0
     in one set only, the fit, which raises ConsistencyError on a miss."""
@@ -273,14 +258,6 @@ def _certificate(*sets):
     return f"two-set {name} recurrence failed at ({where})"
 
 
-def certificate_line(I):
-    return _certificate(I)
-
-
-def certificate_pair_line(I, J):
-    return _certificate(I, J)
-
-
 def certificate_skew_line(I):
     even_res, odd_res = lp_d_parity_residuals(I)
     if even_res or odd_res:
@@ -288,37 +265,26 @@ def certificate_skew_line(I):
     return None
 
 
-def _alternating_sum(kind, value, J, m, top, base, where):
+def sij_line(kind, m, J, *others):
     """Sum of value(I) (-1)^(|I| - |J|) base^(top - |I|) s_ij(I, J)
-    C(m-1, top - |I|) over I >= J up to |I| = top, |.| the entry sum: the
-    sum at ratio -1/base times base^(top - |J|), which a failure prints.
-    It must be value(J) when |J| = top and 0 otherwise.  The sum runs
-    over every set of the size of J with |J| <= |I| <= top: s_ij(I, J)
-    is 0 unless J <= I in every place, as J_p > I_p leaves rows 0..p
-    zero from column p on."""
-    total = sum(value(I) * (-1) ** (t - sum(J)) * base ** (top - t) * c * binom(m - 1, top - t)
-                for t in range(sum(J), top + 1) for I in enumerate_indexsets(len(J), t)
-                if (c := s_ij(I, J)))
-    expected = value(J) if sum(J) == top else 0
+    C(m-1, top - |I|) over I >= J up to |I| = top, |.| the entry sum,
+    value(I) the type's kernel at (I, *others) and top = m - diagonal *
+    #J - |L|, L the other set of square: the sum at ratio -1/base times
+    base^(top - |J|), which a failure prints.  It must be value(J) when
+    |J| = top and 0 otherwise.  The sum runs over every set of the size
+    of J with |J| <= |I| <= top: s_ij(I, J) is 0 unless J <= I in every
+    place, as J_p > I_p leaves rows 0..p zero from column p on."""
+    value = {"sym": psi, "a": d_a, "d": alpha}[kind]
+    _, _, diagonal, base = SHAPES[kind]
+    top = m - diagonal * len(J) - sum(map(sum, others))
+    total = sum(value(I, *others) * (-1) ** (t - sum(J)) * base ** (top - t) * c
+                * binom(m - 1, top - t) for t in range(sum(J), top + 1)
+                for I in enumerate_indexsets(len(J), t) if (c := s_ij(I, J)))
+    expected = value(J, *others) if sum(J) == top else 0
     if total != expected:
-        return f"{kind} failed at ({where}, m={m}): {total} vs {expected}"
+        where = ", ".join(map(format_indexset, (J, *others)))
+        return f"{kind} alternating sum failed at ({where}, m={m}): {total} vs {expected}"
     return None
-
-
-def sij_sym_line(J, m):
-    return _alternating_sum("alternating sum", psi, J, m, m - len(J), 2,
-                            f"J={format_indexset(J)}")
-
-
-def sij_a_line(K, L, m):
-    return _alternating_sum("square alternating sum", lambda I: d_a(I, L), K, m,
-                            m - len(K) - sum(L), 1,
-                            f"K={format_indexset(K)}, L={format_indexset(L)}")
-
-
-def sij_d_line(J, m):
-    return _alternating_sum("skew alternating sum", alpha, J, m, m, 2,
-                            f"J={format_indexset(J)}")
 
 
 def fundamental_line(n):
@@ -340,41 +306,42 @@ _CONIC_COUNTS = (1, 2, 4, 4, 2, 1)
 
 
 def _suite_worked(nmax, sum_max):
-    return [(psi_paths, I, v) for I, v in _WORKED_PSI]
+    return [(worked_line, I, v) for I, v in _WORKED_PSI]
 
 
 def _suite_conics(nmax, sum_max):
     return [(phi_anchor, 3, d, _CONIC_COUNTS[d - 1]) for d in range(1, 7)]
 
 
-# The four shapes of suite.  Each takes its task function and shape first,
-# then its default cap, then the --nmax and --sum-max caps.
+# The four shapes of suite.  Each takes its head (the task function, then
+# its type or family if it takes one) and shape first, then its default
+# cap, then the --nmax and --sum-max caps.
 
 
-def _coranks(task, default, nmax, sum_max):
-    """(task, n, s) for 2 <= n <= nmax and coranks 1 <= s < n."""
+def _coranks(head, default, nmax, sum_max):
+    """(*head, n, s) for 2 <= n <= nmax and coranks 1 <= s < n."""
     nmax = default if nmax is None else nmax
-    return [(task, n, s) for n in range(2, nmax + 1) for s in range(1, n)]
+    return [(*head, n, s) for n in range(2, nmax + 1) for s in range(1, n)]
 
 
-def _sizes(task, default, nmax, sum_max):
-    """(task, n) for 1 <= n <= nmax."""
+def _sizes(head, default, nmax, sum_max):
+    """(*head, n) for 1 <= n <= nmax."""
     nmax = default if nmax is None else nmax
-    return [(task, n) for n in range(1, nmax + 1)]
+    return [(*head, n) for n in range(1, nmax + 1)]
 
 
-def _by_sum(task, max_size, default, nmax, sum_max):
-    """(task, I) for the sets of size up to max_size and sum up to
+def _by_sum(head, max_size, default, nmax, sum_max):
+    """(*head, I) for the sets of size up to max_size and sum up to
     sum_max, the empty set first."""
     sum_max = default if sum_max is None else sum_max
-    return [(task, I) for I in _sets_by_sum(max_size, sum_max)]
+    return [(*head, I) for I in _sets_by_sum(max_size, sum_max)]
 
 
-def _subsets(task, sets, max_size, default, nmax, sum_max):
-    """(task, S_1, ..., S_sets) for every choice of sets subsets of
+def _subsets(head, sets, max_size, default, nmax, sum_max):
+    """(*head, S_1, ..., S_sets) for every choice of sets subsets of
     {0..nmax} of one size up to max_size, the first set outermost."""
     cap = default if nmax is None else nmax
-    return [(task, *choice) for r in range(1, max_size + 1)
+    return [(*head, *choice) for r in range(1, max_size + 1)
             for choice in itertools.product(itertools.combinations(range(cap + 1), r),
                                             repeat=sets)]
 
@@ -391,7 +358,7 @@ def _suite_certificates(nmax, sum_max):
     sets = _sets_by_sum(3, sum_max, min_size=1)
     pair_sets = _sets_by_sum(2, 5, min_size=1)
     return ([(certificate_line, I) for I in sets]
-            + [(certificate_pair_line, I, J) for I in pair_sets for J in pair_sets
+            + [(certificate_line, I, J) for I in pair_sets for J in pair_sets
                if len(I) == len(J)]
             + [(certificate_skew_line, I) for I in sets if I[0] == 0])
 
@@ -400,18 +367,11 @@ def _suite_sij(nmax, sum_max):
     sum_max = 6 if sum_max is None else sum_max
     tasks = []
     for J in _sets_by_sum(2, sum_max, min_size=1):
-        for m in range(len(J) + sum(J), 11):
-            tasks.append((sij_sym_line, J, m))
-        for m in range(max(1, sum(J)), 11):
-            tasks.append((sij_d_line, J, m))
+        tasks += [(sij_line, "sym", m, J) for m in range(len(J) + sum(J), 11)]
+        tasks += [(sij_line, "d", m, J) for m in range(max(1, sum(J)), 11)]
     small = _sets_by_sum(2, 4, min_size=1)
-    for K in small:
-        for L in small:
-            if len(K) != len(L):
-                continue
-            for m in range(len(K) + sum(K) + sum(L), 11):
-                tasks.append((sij_a_line, K, L, m))
-    return tasks
+    return tasks + [(sij_line, "a", m, K, L) for K in small for L in small
+                    if len(K) == len(L) for m in range(len(K) + sum(K) + sum(L), 11)]
 
 
 def _suite_all(nmax, sum_max):
@@ -425,22 +385,22 @@ def _suite_all(nmax, sum_max):
 _SUITES = {
     "worked": _suite_worked,
     "conics": _suite_conics,
-    "nrs-sym": functools.partial(_coranks, nrs_sym_line, 6),
-    "duality": functools.partial(_coranks, duality_line, 6),
+    "nrs-sym": functools.partial(_coranks, (nrs_line, "sym"), 6),
+    "duality": functools.partial(_coranks, (duality_line,), 6),
     "pataki": _suite_pataki,
-    "leading": functools.partial(_by_sum, leading_line, 3, 8),
-    "b-identity": functools.partial(_by_sum, b_identity_line, 3, 8),
-    "d-identity": functools.partial(_by_sum, d_identity_line, 3, 8),
-    "psi-paths": functools.partial(_subsets, psi_paths, 1, 3, 6),
-    "alpha-paths": functools.partial(_subsets, alpha_paths_line, 1, 4, 8),
-    "da-paths": functools.partial(_subsets, da_paths_pair, 2, 3, 6),
-    "nrs-a": functools.partial(_coranks, nrs_a_line, 4),
-    "nrs-d": functools.partial(_coranks, nrs_d_line, 4),
-    "conormal": functools.partial(_sizes, conormal_line, 4),
-    "quasi-d": functools.partial(_by_sum, quasi_d_line, 2, 6),
+    "leading": functools.partial(_by_sum, (leading_line,), 3, 8),
+    "b-identity": functools.partial(_by_sum, (b_identity_line,), 3, 8),
+    "d-identity": functools.partial(_by_sum, (d_identity_line,), 3, 8),
+    "psi-paths": functools.partial(_subsets, (routes_line, "psi"), 1, 3, 6),
+    "alpha-paths": functools.partial(_subsets, (routes_line, "alpha"), 1, 4, 8),
+    "da-paths": functools.partial(_subsets, (routes_line, "d"), 2, 3, 6),
+    "nrs-a": functools.partial(_coranks, (nrs_line, "a"), 4),
+    "nrs-d": functools.partial(_coranks, (nrs_line, "d"), 4),
+    "conormal": functools.partial(_sizes, (conormal_line,), 4),
+    "quasi-d": functools.partial(_by_sum, (quasi_d_line,), 2, 6),
     "certificates": _suite_certificates,
     "sij-identities": _suite_sij,
-    "fundamental": functools.partial(_sizes, fundamental_line, 6),
+    "fundamental": functools.partial(_sizes, (fundamental_line,), 6),
     "all": _suite_all,
 }
 

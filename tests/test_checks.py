@@ -3,6 +3,7 @@
 import concurrent.futures
 import json
 import pathlib
+import pickle
 
 import pytest
 
@@ -27,8 +28,8 @@ def test_unknown_suite():
 
 
 def test_task_labels():
-    assert task_label((checks.psi_paths, (0, 3))) == "psi_paths {0,3}"
-    assert task_label((checks.nrs_sym_line, 4, 2)) == "nrs_sym_line 4 2"
+    assert task_label((checks.routes_line, "psi", (0, 3))) == "routes_line psi {0,3}"
+    assert task_label((checks.nrs_line, "sym", 4, 2)) == "nrs_line sym 4 2"
     assert task_label((checks.conormal_line,)) == "conormal_line"
 
 
@@ -66,25 +67,26 @@ def _reaches(task, target):
     by a positive Pascal minor and C(m-1, top - sum(T)); the term of
     T = J with sum(T) = top is the expected value itself, so an error
     there cancels."""
-    kind, J, others, m = task[0].__name__, task[1], task[2:-1], task[-1]
+    _, kind, m, J, *others = task
     T = target[0]
-    top = m if kind == "sij_d_line" else m - len(J) - sum(map(sum, others))
-    return (others == target[1:] and len(J) == len(T)
+    top = m if kind == "d" else m - len(J) - sum(map(sum, others))
+    return (tuple(others) == target[1:] and len(J) == len(T)
             and _below(J, T)
             and binom(m - 1, top - sum(T)) != 0 and (J, sum(T)) != (T, top))
 
 
 @pytest.mark.parametrize("name, kind, target, prefix", [
-    ("psi", "sij_sym_line", ((1, 3),), "alternating sum failed at"),
-    ("alpha", "sij_d_line", ((1, 3),), "skew alternating sum failed at"),
-    ("d_a", "sij_a_line", ((1, 2), (0, 2)), "square alternating sum failed at"),
-])
+    ("psi", "sym", ((1, 3),), "sym alternating sum failed at"),
+    ("alpha", "d", ((1, 3),), "d alternating sum failed at"),
+    ("d_a", "a", ((1, 2), (0, 2)), "a alternating sum failed at"),
+], ids=["sym", "d", "a"])
 def test_alternating_sums_catch_a_wrong_coefficient(monkeypatch, name, kind, target, prefix):
     true = getattr(checks, name)
     monkeypatch.setattr(checks, name, lambda *sets: true(*sets) + (sets == target))
     reached = 0
     for task in build_suite("sij-identities"):
-        if task[0].__name__ != kind:
+        assert task[0] is checks.sij_line, task
+        if task[1] != kind:
             continue
         result = run_task(task)
         if _reaches(task, target):
@@ -149,6 +151,19 @@ def test_suite_sizes_match_the_reference():
     assert len(build_suite("all")) == 2978
 
 
+def test_tasks_pickle_whole_with_primitive_arguments():
+    # A forked worker receives each task pickled whole, its function by
+    # reference and its arguments by value; a label names one task.
+    tasks = build_suite("all")
+    labels = [task_label(task) for task in tasks]
+    assert len(tasks) == 2978 and len(set(labels)) == len(labels)
+    assert pickle.loads(pickle.dumps(tasks)) == tasks
+    for task in tasks:
+        for arg in task[1:]:
+            assert type(arg) in (int, str) or (
+                isinstance(arg, tuple) and all(type(x) is int for x in arg)), task
+
+
 def _failures(kind, suite="certificates"):
     """{label: detail} of the failing tasks of one kind in a suite."""
     results = [run_task(task) for task in build_suite(suite) if task[0].__name__ == kind]
@@ -180,7 +195,7 @@ def _off_by_one(monkeypatch, module, name, target):
 
 
 def test_certificates_catch_a_wrong_polynomial(monkeypatch):
-    # The one- and two-set tasks run one body; each keeps its own text.
+    # One task function takes one set or two; each keeps its own text.
     with monkeypatch.context() as mp:
         _off_by_one(mp, poly_n, "lp_poly", ((2, 4),))
         assert _failures("certificate_line") == {
@@ -194,8 +209,8 @@ def test_certificates_catch_a_wrong_polynomial(monkeypatch):
         }
     with monkeypatch.context() as mp:
         _off_by_one(mp, poly_n, "lp_a_poly", ((2,), (1,)))
-        assert _failures("certificate_pair_line") == {
-            f"certificate_pair_line {I} {J}":
+        assert _failures("certificate_line") == {
+            f"certificate_line {I} {J}":
                 f"two-set {kind} recurrence failed at ({I}, {J})"
             for kind, I, J in (("shift", "{2}", "{2}"), ("shift", "{3}", "{1}"),
                                ("shift", "{3}", "{2}"), ("lift", "{0,1}", "{0,1}"),
@@ -210,7 +225,7 @@ def test_a_mixed_pair_certificate_fits_its_polynomial(monkeypatch):
     # them.
     _off_by_one(monkeypatch, poly_n, "d_a_complement", ((0,), (1,), 4))
     with pytest.raises(ConsistencyError, match="misses the value at 4"):
-        checks.certificate_pair_line((0,), (1,))
+        checks.certificate_line((0,), (1,))
 
 
 def test_d_identity_catches_a_wrong_complement(monkeypatch):
@@ -228,11 +243,11 @@ def test_d_identity_catches_a_wrong_complement(monkeypatch):
 
 @pytest.mark.parametrize("module, name, target, wrong, suite, expected", [
     (checks, "delta_nrs_info", ("sym", 2, 3, 2), _on_value(_one_more), "nrs-sym",
-     {"nrs_sym_line 3 1": "sym closed form mismatch at (m=2, n=3, s=1): direct 6, closed 7"}),
+     {"nrs_line sym 3 1": "sym closed form mismatch at (m=2, n=3, s=1): direct 6, closed 7"}),
     (checks, "delta_nrs_info", ("a", 2, 3, 2), _on_value(_one_more), "nrs-a",
-     {"nrs_a_line 3 1": "a closed form mismatch at (m=2, n=3, s=1): direct 6, closed 7"}),
+     {"nrs_line a 3 1": "a closed form mismatch at (m=2, n=3, s=1): direct 6, closed 7"}),
     (checks, "delta_nrs_info", ("d", 2, 3, 2), _on_value(_one_more), "nrs-d",
-     {"nrs_d_line 3 1": "d closed form mismatch at (m=2, n=3, s=1): direct 6, closed 7"}),
+     {"nrs_line d 3 1": "d closed form mismatch at (m=2, n=3, s=1): direct 6, closed 7"}),
     (checks, "delta_direct_info", ("sym", 2, 3, 2), _on_value(_one_more), "duality",
      {"duality_line 3 1": "duality mismatch at (m=2, n=3, s=1): 7 vs 6",
       "duality_line 3 2": "duality mismatch at (m=4, n=3, s=2): 6 vs 7"}),
@@ -336,7 +351,7 @@ def test_failure_surfaces_counterexample():
     results, failures = run_suite("worked")
     assert not failures
     # A deliberately wrong expectation must come back with a dump.
-    res = run_task((checks.psi_paths, (0, 2), 4))
+    res = run_task((checks.worked_line, (0, 2), 4))
     assert not res["ok"]
     assert "{0,2}" in res["detail"]
 

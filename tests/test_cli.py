@@ -101,10 +101,9 @@ def test_one_route_table_drives_psi_and_path_suites(capsys, monkeypatch):
     # and the family's *-paths task: neither keeps its own list.
     sentinel = -424242
     I, J = (0, 3), (1, 2)
-    tasks = {"psi": (checks.psi_paths, I), "alpha": (checks.alpha_paths_line, I),
-             "d": (checks.da_paths_pair, I, J)}
+    sets = {"psi": (I,), "alpha": (I,), "d": (I, J)}
     routes = list(checks.ROUTES)
-    assert {family for family, _ in routes} == set(tasks)
+    assert {family for family, _ in routes} == set(sets)
     subparsers = next(a for a in build_parser()._actions
                       if isinstance(a, argparse._SubParsersAction))
     choices = next(a.choices for a in subparsers.choices["psi"]._actions if a.dest == "path")
@@ -118,7 +117,7 @@ def test_one_route_table_drives_psi_and_path_suites(capsys, monkeypatch):
                 argv += ["--pair", format_indexset(J)]
             code, out, _ = run_main(capsys, *argv)
             assert code == 0 and json.loads(out)["result"] == sentinel, (family, path)
-            result = checks.run_task(tasks[family])
+            result = checks.run_task((checks.routes_line, family, *sets[family]))
         assert not result["ok"] and path in result["detail"], (family, path, result)
 
 

@@ -283,6 +283,14 @@ def test_phi_type_d_values():
     assert phi_type_d(3, 1) == 1
 
 
+@pytest.mark.parametrize("kind, nmax", [("sym", 6), ("a", 4), ("d", 3)])
+def test_phi_rows_are_palindromes(kind, nmax):
+    # The complete-quadrics involution: phi(n, d) = phi(n, w(n) + 1 - d).
+    for n in range(1, nmax + 1):
+        row = [phi_value(kind, n, d) for d in range(1, ambient_dim(kind, n) + 1)]
+        assert row == row[::-1], (kind, n, row)
+
+
 def test_rank_weighted_sum_relation():
     # n * phi equals the rank-weighted sum of the dual degrees, exactly
     for n in range(1, 6):

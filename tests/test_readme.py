@@ -4,6 +4,7 @@ import doctest
 import pathlib
 import re
 
+from mldeg import checks
 from mldeg.checks import build_suite, suite_names, task_label
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
@@ -50,3 +51,11 @@ def test_suite_table_matches_the_builders():
                 for value in (0, 1, 4):
                     assert labels(name, **{ignored: value}) == base, (name, ignored, value)
     assert sorted(covered) == sorted(set(suite_names()) - {"all"})
+
+
+def test_task_names_are_check_functions():
+    # Each backticked *_line name is a task function of mldeg.checks, so
+    # a task renamed there cannot keep its old name here.
+    names = set(re.findall(r"`(\w+_line)`", README.read_text()))
+    missing = sorted(name for name in names if not callable(getattr(checks, name, None)))
+    assert names and missing == []
